@@ -107,21 +107,26 @@ class ErrorTable:
 def error_table(f, spec, xs, columns):
     """Cross product of evaluation points and columns, row-major.
 
-    Each cell evaluates the operator (combined when the column says so) at
-    full precision; the metadata digest pins kernels, scales, points, and
-    quadrature so a rerun can be matched byte for byte.
+    Each column is one evaluation of the operator (combined when the
+    column says so) on the array of points, at full precision; the
+    metadata digest pins kernels, scales, points, and quadrature so a
+    rerun can be matched byte for byte.
     """
     cols = [c if isinstance(c, Column) else Column(float(c)) for c in columns]
+    points = np.array(xs, dtype=float)
+    by_column = []
+    for col in cols:
+        if col.p == 1:
+            values = durrmeyer_eval(spec.with_w(col.w), f, points)
+        else:
+            comb = solve_coefficients(col.p)
+            values = combined_eval(comb, spec.with_w(col.w), f, points)
+        by_column.append(values.tolist())
     rows = []
-    for x in xs:
+    for i, x in enumerate(xs):
         fx = f(x)
-        for col in cols:
-            if col.p == 1:
-                value = durrmeyer_eval(spec.with_w(col.w), f, x)
-            else:
-                comb = solve_coefficients(col.p)
-                value = combined_eval(comb, spec.with_w(col.w), f, x)
-            rows.append((x, col.label, fx, value))
+        for col, values in zip(cols, by_column):
+            rows.append((x, col.label, fx, values[i]))
     payload = dict(_spec_payload(spec))
     payload.update({
         "fn": getattr(f, "name", "?"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -46,12 +47,10 @@ def _parse_reals(text, flag):
             start, stop, step = parts
             if step <= 0 or stop < start:
                 raise ValueError("range must be increasing")
-            out = []
-            v = start
-            while v <= stop + 1e-12:
-                out.append(round(v, 12))
-                v += step
-            return out
+            # start + i * step, not repeated addition, so the last point
+            # does not drift; the slack absorbs rounding in the quotient
+            count = math.floor((stop - start) / step + 1e-9) + 1
+            return [round(start + i * step, 12) for i in range(count)]
         out = [float(p) for p in text.split(",") if p.strip()]
         if not out:
             raise ValueError("empty list")
@@ -231,8 +230,8 @@ def _cmd_eval(args):
         from .combinations import combined_eval
         comb = solve_coefficients(p)
 
-        def evaluator(x, w):
-            return combined_eval(comb, spec.with_w(w), f, x)
+        def evaluator(xs, w):
+            return combined_eval(comb, spec.with_w(w), f, xs)
         print("combination coefficients:", " ".join(_fmt(b) for b in comb.beta))
 
     points = [(x, w) for x in xs for w in ws]

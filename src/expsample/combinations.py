@@ -66,8 +66,8 @@ def residuals(spec):
 
 
 def combined_eval(spec, op, f, x):
-    """sum_i beta_i (I_{i w} f)(x); the scaled evaluations are summed in
-    index order for determinism."""
+    """sum_i beta_i (I_{i w} f)(x) at a float or an array of x; the scaled
+    evaluations are summed in index order for determinism."""
     total = 0.0
     for i, beta in enumerate(spec.beta, start=1):
         total += beta * durrmeyer_eval(op.with_w(i * op.w), f, x)

@@ -10,12 +10,18 @@ Grammar (see docs/expr.md):
 
 Numbers accept decimal and scientific notation.  Only whitelisted function
 names may be called.  All errors carry the byte offset into the source.
+
+evaluate walks the AST at one point; compile_array turns it into a numpy
+closure over arrays of points that falls back to evaluate wherever numpy
+flags a floating-point exception or yields a non-finite value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EvaluationError, ParseError
 
@@ -30,6 +36,25 @@ FUNCTIONS = {
 }
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+# numpy counterparts of FUNCTIONS and of the binary operators
+ARRAY_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+
+ARRAY_OPERATORS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
 
 
 # --- AST -----------------------------------------------------------------
@@ -123,6 +148,59 @@ def evaluate(node, x):
         except (ValueError, OverflowError) as exc:
             raise EvaluationError(f"{node.name}({v!r}) failed: {exc}") from None
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _array_closure(node):
+    if isinstance(node, Num):
+        value = node.value
+        return lambda x: value
+    if isinstance(node, Var):
+        return lambda x: x
+    if isinstance(node, Const):
+        value = CONSTANTS[node.name]
+        return lambda x: value
+    if isinstance(node, Unary):
+        operand = _array_closure(node.operand)
+        return lambda x: np.negative(operand(x))
+    if isinstance(node, Binary):
+        op = ARRAY_OPERATORS[node.op]
+        left, right = _array_closure(node.left), _array_closure(node.right)
+        return lambda x: op(left(x), right(x))
+    if isinstance(node, Call):
+        fn = ARRAY_FUNCTIONS[node.name]
+        arg = _array_closure(node.arg)
+        return lambda x: fn(arg(x))
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def compile_array(node):
+    """Compile an AST into a function of a float array.
+
+    numpy evaluates the whole array with overflow, division by zero and
+    invalid operations raised.  On such an exception, or on a non-finite
+    value, every point is evaluated again by evaluate, so the domain
+    violations of evaluate still raise EvaluationError and name the point.
+    Values may differ from evaluate in the last ulp.
+    """
+    closure = _array_closure(node)
+
+    def evaluate_array(x):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                out = np.broadcast_to(closure(x), x.shape)
+            if np.all(np.isfinite(out)):
+                return np.array(out, dtype=float)
+        except FloatingPointError:
+            pass
+        values = []
+        for v in x.ravel().tolist():
+            try:
+                values.append(evaluate(node, v))
+            except EvaluationError as exc:
+                raise EvaluationError(f"at x={v!r}: {exc}") from None
+        return np.array(values, dtype=float).reshape(x.shape)
+
+    return evaluate_array
 
 
 # --- tokenizer / parser --------------------------------------------------

@@ -4,6 +4,11 @@ A RealFunction bundles an evaluator with optional closed-form derivatives
 in the log coordinate (order r maps to the r-fold application of
 g -> x g'(x)).  Builtins cover the functions used throughout the test and
 acceptance suites; arbitrary expressions come in through parse_function.
+
+Calls accept a float or a numpy array of points.  A scalar call runs the
+scalar evaluator; an array call runs the array evaluator when there is
+one (numpy ufuncs for the builtins, the compiled form for expressions)
+and the scalar evaluator point by point otherwise.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import expr as _expr
 from .errors import ExpSampleError
@@ -23,7 +30,8 @@ class RealFunction:
     analytic_log_derivatives maps derivative order (in the log coordinate)
     to a closed-form function; absent orders fall back to finite
     differences.  growth_bound = (a, b) declares |f(e^v)| <= a + b|v|;
-    bounded functions may leave it None.
+    bounded functions may leave it None.  array_evaluator, when given,
+    maps a float array to the array of values.
     """
 
     evaluator: Callable[[float], float]
@@ -31,11 +39,21 @@ class RealFunction:
     analytic_log_derivatives: dict = field(default_factory=dict)
     growth_bound: Optional[tuple] = None
     bounded: bool = False
+    array_evaluator: Optional[Callable] = None
 
     def __call__(self, x):
-        if x <= 0:
-            raise ValueError(f"{self.name} is defined on positive reals, got x={x!r}")
-        return self.evaluator(x)
+        if not isinstance(x, np.ndarray):
+            if x <= 0:
+                raise ValueError(f"{self.name} is defined on positive reals, got x={x!r}")
+            return self.evaluator(x)
+        x = np.asarray(x, dtype=float)
+        if not np.all(x > 0):
+            bad = float(x[~(x > 0)].flat[0])
+            raise ValueError(f"{self.name} is defined on positive reals, got x={bad!r}")
+        if self.array_evaluator is None:
+            return np.array([self.evaluator(v) for v in x.ravel().tolist()],
+                            dtype=float).reshape(x.shape)
+        return self.array_evaluator(x)
 
     def log_derivative(self, order):
         """Closed-form derivative of the given order, or None."""
@@ -59,7 +77,8 @@ def parse_function(src):
     def evaluator(x, _ast=ast):
         return _expr.evaluate(_ast, x)
 
-    return RealFunction(evaluator=evaluator, name=src.strip(), bounded=False)
+    return RealFunction(evaluator=evaluator, name=src.strip(), bounded=False,
+                        array_evaluator=_expr.compile_array(ast))
 
 
 def _fig1(x):
@@ -78,8 +97,16 @@ def _fig1_d2(x):
             - tp * tp * x**4 * math.cos(tp * x))
 
 
+def _fig1_array(x):
+    return x * x * np.cos(2.0 * np.pi * x)
+
+
 def _fig2(x):
     return math.exp(-math.sin(x * x)) / x**3
+
+
+def _fig2_array(x):
+    return np.exp(-np.sin(x * x)) / x**3
 
 
 _BUILTINS = {}
@@ -92,14 +119,17 @@ def _register(name, fn):
 
 _register("fig1", RealFunction(
     evaluator=_fig1,
+    array_evaluator=_fig1_array,
     name="fig1",
     analytic_log_derivatives={1: _fig1_d1, 2: _fig1_d2},
 ))
 
-_register("fig2", RealFunction(evaluator=_fig2, name="fig2"))
+_register("fig2", RealFunction(evaluator=_fig2, array_evaluator=_fig2_array,
+                              name="fig2"))
 
 _register("sinlog", RealFunction(
     evaluator=lambda x: math.sin(math.log(x)),
+    array_evaluator=lambda x: np.sin(np.log(x)),
     name="sinlog",
     analytic_log_derivatives={
         1: lambda x: math.cos(math.log(x)),
@@ -113,6 +143,7 @@ _register("sinlog", RealFunction(
 
 _register("logsq", RealFunction(
     evaluator=lambda x: math.log(x) ** 2,
+    array_evaluator=lambda x: np.log(x) ** 2,
     name="logsq",
     analytic_log_derivatives={
         1: lambda x: 2.0 * math.log(x),
@@ -137,6 +168,7 @@ def builtin(name):
         orders = {r: (lambda x, _v=0.0: 0.0) for r in range(1, 7)}
         return RealFunction(
             evaluator=lambda x, _v=v: _v,
+            array_evaluator=lambda x, _v=v: np.full(x.shape, _v),
             name=name,
             analytic_log_derivatives=orders,
             growth_bound=(abs(v), 0.0),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from expsample.cli import main
+from expsample.cli import _parse_reals, main
 
 
 class TestCoeffs:
@@ -84,6 +84,13 @@ class TestEvalAndTable:
         lines = out.read_text().splitlines()
         assert len(lines) == 4  # header + plain + p=2 + p=3
         assert any("p=3,w=10" in ln for ln in lines)
+
+    def test_range_is_start_plus_multiples_of_step(self):
+        xs = _parse_reals("0.1:100:0.1", "--x")
+        assert len(xs) == 1000 and xs[-1] == 100.0
+        assert xs[:3] == [0.1, 0.2, 0.3]
+        xs = _parse_reals("3.1:6.1:0.002", "--x")
+        assert len(xs) == 1501 and xs[-1] == 6.1
 
     def test_x_range_syntax(self, capsys):
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",

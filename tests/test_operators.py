@@ -128,6 +128,41 @@ class TestDurrmeyer:
         with pytest.raises(ValueError):
             OperatorSpec(b4, b2, 0.0)
 
+    def test_array_x(self, b4, b2):
+        spec = OperatorSpec(b4, b2, 12.0)
+        f = builtin("fig2")
+        xs = np.array([[0.4, 3.0], [1.7, 250.0]])
+        got = durrmeyer_eval(spec, f, xs)
+        assert got.shape == xs.shape
+        for x, value in zip(xs.ravel(), got.ravel()):
+            scalar = durrmeyer_eval(spec, f, float(x))
+            assert abs(value - scalar) <= 1e-13 * abs(scalar)
+        assert durrmeyer_eval(spec, f, np.array([])).shape == (0,)
+
+    def test_far_apart_x_form_clusters(self, b4):
+        # w log x spans about 1.4e6 lattice periods; the points form two
+        # clusters instead of one node grid over the whole span
+        spec = OperatorSpec(b4, b4, 1e6)
+        f = builtin("sinlog")
+        got = durrmeyer_eval(spec, f, np.array([0.5, 2.0]))
+        for x, value in zip((0.5, 2.0), got.tolist()):
+            scalar = durrmeyer_eval(spec, f, x)
+            assert abs(value - scalar) <= 1e-13 * abs(scalar)
+
+    def test_array_x_validation(self, b4, b2):
+        spec = OperatorSpec(b4, b2, 12.0)
+        with pytest.raises(ValueError, match="positive"):
+            durrmeyer_eval(spec, builtin("sinlog"), np.array([1.0, -2.0]))
+        with pytest.raises(ValueError, match="positive"):
+            durrmeyer_eval(spec, builtin("sinlog"), 0.0)
+
+    def test_error_names_t_and_window(self, b2):
+        spec = OperatorSpec(b2, b2, 2.0)
+        for f in (parse_function("log(x - 5)"),
+                  lambda t: math.log(t - 5.0) if t > 5.0 else math.nan):
+            with pytest.raises(EvaluationError, match="t=.*window around s="):
+                durrmeyer_eval(spec, f, np.array([10.0, 2.0]))
+
     def test_admissibility_warning(self, b4, b2):
         spec = OperatorSpec(b4, b2, 10.0)
         with warnings.catch_warnings(record=True) as caught:
@@ -154,6 +189,11 @@ class TestKantorovich:
             a = kantorovich_eval(b2, f, w, x)
             b = durrmeyer_eval(OperatorSpec(b2, char, w), f, x)
             assert abs(a - b) <= 1e-10
+
+    def test_error_carries_location(self, char):
+        f = parse_function("log(x-5)")
+        with pytest.raises(EvaluationError, match="t="):
+            kantorovich_eval(char, f, 10.0, 2.0)
 
     def test_first_order_constant_on_logsq(self, b2):
         # w (I_w f - f)(x) approaches (1/2) theta f = log x; the order-2
@@ -211,14 +251,15 @@ class TestBatch:
         assert text[0] == "x,w,fx,Iwfx,abs_err"
         assert len(text) == 1 + len(points)
 
-    def test_parallel_matches_serial(self, b4, b2, monkeypatch):
+    def test_rows_match_scalar_eval(self, b4, b2):
+        # one array evaluation per w gives each point's scalar value
         spec = OperatorSpec(b4, b2, 10.0)
         f = builtin("sinlog")
         points = [(x, w) for x in (1.5, 2.5, 3.5) for w in (5.0, 10.0)]
-        serial = batch_eval(spec, f, points, max_workers=1)
-        monkeypatch.setenv("EXPSAMPLE_THREADS", "4")
-        parallel = batch_eval(spec, f, points)
-        assert serial == parallel
+        for x, w, fx, val, err in batch_eval(spec, f, points):
+            scalar = durrmeyer_eval(spec.with_w(w), f, x)
+            assert abs(val - scalar) <= 1e-13 * abs(scalar)
+            assert fx == f(x) and err == abs(fx - val)
 
     def test_csv_deterministic(self, b4, b2, tmp_path):
         spec = OperatorSpec(b4, b2, 10.0)
