@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .combinations import combined_eval, combined_moment, solve_coefficients
+from .kernels import absolute_moment, continuous_moment
 from .operators import OperatorSpec, durrmeyer_eval
 from .quadrature import DEFAULT_CONFIG
 
@@ -215,6 +216,10 @@ class AsymptoticCheck:
     set, predicted is that constant and extrapolated its Richardson
     estimate.  Otherwise there is no limit and both are None; the
     measurement is then compared scale by scale (max_deviation).
+    lower_orders_cancel is False when a combination (p > 1) leaves an
+    order below j uncancelled at some scale, so that the order-j
+    prediction does not describe the error there; it is checked only
+    for such combinations.
     """
 
     x: float
@@ -225,6 +230,7 @@ class AsymptoticCheck:
     diverged: bool
     predictions: tuple
     has_limit: bool
+    lower_orders_cancel: bool = True
 
     @property
     def max_deviation(self):
@@ -256,8 +262,9 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
     move with w and there is no limit: has_limit is False and each scaled
     error is compared with its own prediction.  With a combination the
     prediction covers order j only: the orders below j cancel only where
-    their coefficients are the same at every x^{iw}.  Divergence of the
-    scaled-error sequence is flagged, not raised.
+    their coefficients are the same at every x^{iw}, which
+    lower_orders_cancel reports.  Divergence of the scaled-error sequence
+    is flagged, not raised.
     """
     ws = [float(w) for w in ws]
     if len(ws) < 3:
@@ -271,8 +278,9 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
             f"order {j}; the prediction needs one")
     comb = combination if combination is not None else solve_coefficients(1)
     # the phase comes from w log x: x^w itself overflows
+    log_u = np.array(ws) * math.log(x)
     coeffs = combined_moment(comb, spec.chi, spec.phi, j, cfg=spec.quadrature,
-                             log_u=np.array(ws) * math.log(x))
+                             log_u=log_u)
     predictions = tuple(float(c) for c in deriv(x) / math.factorial(j) * coeffs)
     spread = max(abs(p - predictions[-1]) for p in predictions)
     has_limit = spread <= 1e-12 * max(abs(p) for p in predictions)
@@ -292,4 +300,23 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
         predicted=predictions[-1] if has_limit else None,
         extrapolated=richardson(ws, scaled) if has_limit else None,
         scaled_errors=tuple(scaled), diverged=diverged,
-        predictions=predictions, has_limit=has_limit)
+        predictions=predictions, has_limit=has_limit,
+        lower_orders_cancel=comb.p == 1 or _lower_orders_cancel(
+            comb, spec.chi, spec.phi, j, log_u, spec.quadrature))
+
+
+def _lower_orders_cancel(comb, chi, phi, j, log_u, cfg):
+    """Whether the combined coefficients of orders 1 .. j-1 vanish at
+    every entry of log_u, to 1e-12 relative to the sum of the magnitudes
+    of their terms beta_i / i^k binom(k, eta) mhat_{k-eta} chi(tau - l)
+    (l - tau)^eta, bounded through the absolute lattice moments."""
+    mhat = [abs(continuous_moment(phi, n, cfg)) for n in range(j)]
+    sup = [absolute_moment(chi, n, "discrete", cfg) for n in range(j)]
+    for k in range(1, j):
+        value = combined_moment(comb, chi, phi, k, cfg=cfg, log_u=log_u)
+        scale = (sum(abs(b) / i ** k for i, b in enumerate(comb.beta, start=1))
+                 * sum(math.comb(k, eta) * mhat[k - eta] * sup[eta]
+                       for eta in range(k + 1)))
+        if np.any(np.abs(value) > 1e-12 * scale):
+            return False
+    return True

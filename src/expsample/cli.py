@@ -354,6 +354,11 @@ def _cmd_voronovskaya(args):
             print(f"w={w:g} predicted {pred:.8g} measured {scaled:.8g}")
         print(f"max deviation:         {check.max_deviation:.3g}")
         note = f"no limit, max deviation {check.max_deviation:.3g}"
+    if comb is not None and comb.p > 1:
+        print("lower orders:          " + (
+            "cancel at every w" if check.lower_orders_cancel else
+            f"do not cancel at every w; the order-{args.j} prediction "
+            "does not hold there"))
     if check.diverged:
         print("warning: scaled errors grow along the sequence")
     payload = {"command": "voronovskaya", "chi": chi.descriptor,
@@ -366,6 +371,7 @@ def _cmd_voronovskaya(args):
                "extrapolated": check.extrapolated,
                "predictions": list(check.predictions),
                "max_deviation": check.max_deviation,
+               "lower_orders_cancel": check.lower_orders_cancel,
                "relative_deviation": check.relative_deviation,
                "scaled_errors": list(check.scaled_errors),
                "diverged": check.diverged}

@@ -42,7 +42,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     LogInterval,
     MellinPoint,
-    _panel_nodes,
+    log_rule,
     mellin_transform,
 )
 
@@ -290,19 +290,38 @@ def discrete_moment(chi, nu, u=1.0, radius=None):
     return float(np.sum(vals * (ks - tau) ** nu))
 
 
+# Phases per block of a phase-grid evaluation: the spline evaluators make
+# (points x (n + 1)) temporaries, so a whole grid at once costs memory.
+_PHASE_BLOCK = 128
+
+
+def _phase_sums(kernel, taus, summand, ks=None):
+    """Sums over k of summand(kernel(tau - k), k - tau), (phases, k)
+    matrices in and axis 1 summed, for every phase tau in [0, 1), one
+    kernel evaluation per block of phases.  ks defaults to every k that
+    reaches a phase."""
+    if ks is None:
+        ks = _k_window(kernel, 0.5)
+        ks = np.arange(ks[0] - 1, ks[-1] + 2)
+    out = []
+    for start in range(0, max(taus.size, 1), _PHASE_BLOCK):
+        d = ks - taus[start:start + _PHASE_BLOCK, None]
+        vals = kernel.eval_log(-d.ravel()).reshape(d.shape)
+        out.append(np.sum(summand(vals, d), axis=1))
+    return np.concatenate(out)
+
+
 def phase_moments(chi, j, log_u):
     """Discrete moments m_0 .. m_j of chi at u = e^{log_u}, one row per
     entry of log_u (shape (len(log_u), j + 1)).
 
     The sums are 1-periodic in log u, so only the phase frac(log u)
     matters; taking the log keeps u = x^w usable where x^w overflows.
-    One kernel evaluation serves all phases and orders.
     """
     taus = np.mod(np.atleast_1d(np.asarray(log_u, dtype=float)), 1.0)
-    ks = np.arange(_k_window(chi, 0.0)[0], _k_window(chi, 1.0)[-1] + 1)
-    d = ks[None, :] - taus[:, None]
-    vals = chi.eval_log(-d.ravel()).reshape(d.shape)
-    return np.sum(vals[:, :, None] * d[:, :, None] ** np.arange(j + 1), axis=1)
+    powers = np.arange(j + 1)
+    return _phase_sums(chi, taus,
+                       lambda vals, d: vals[:, :, None] * d[:, :, None] ** powers)
 
 
 # Closed-form continuous moments.  The order-n spline is the n-fold
@@ -318,17 +337,12 @@ _BSPLINE_CONTINUOUS = {
 
 
 def _quad_moment(phi, nu, cfg, absolute=False):
-    total = 0.0
-    iv = LogInterval(*phi.support)
     extra = (0.0,) if absolute else ()
-    for nodes, weights in _panel_nodes(iv, cfg, phi.knots + extra):
-        vals = np.asarray(phi.eval_log(nodes), dtype=float)
-        if absolute:
-            vals = np.abs(vals)
-            total += float(np.sum(weights * vals * np.abs(nodes) ** nu))
-        else:
-            total += float(np.sum(weights * vals * nodes ** nu))
-    return total
+    nodes, weights = log_rule(LogInterval(*phi.support), cfg, phi.knots + extra)
+    vals = phi.eval_log(nodes)
+    if absolute:
+        vals, nodes = np.abs(vals), np.abs(nodes)
+    return float(np.sum(weights * vals * nodes ** nu))
 
 
 def continuous_moment(phi, nu, cfg=DEFAULT_CONFIG):
@@ -368,13 +382,9 @@ def absolute_moment(kernel, nu, side, cfg=DEFAULT_CONFIG):
     """
     if side == "discrete":
         taus = np.linspace(0.0, 1.0, _SUP_GRID, endpoint=False)
-        best = 0.0
-        ks = _k_window(kernel, 0.5)
-        ks = np.arange(ks[0] - 1, ks[-1] + 2)
-        for tau in taus:
-            vals = np.abs(kernel.eval_log(tau - ks))
-            best = max(best, float(np.sum(vals * np.abs(ks - tau) ** nu)))
-        return best
+        sums = _phase_sums(kernel, taus,
+                           lambda vals, d: np.abs(vals) * np.abs(d) ** nu)
+        return float(sums.max())
     if side == "continuous":
         kern = _with_sign_change_knots(kernel)
         return _quad_moment(kern, nu, cfg, absolute=True)
@@ -382,30 +392,23 @@ def absolute_moment(kernel, nu, side, cfg=DEFAULT_CONFIG):
 
 
 def _with_sign_change_knots(kernel):
-    """Return the kernel with knots augmented by its sign-change points,
-    located by bisection between knots (the evaluator is cheap)."""
+    """Return the kernel with knots augmented by its sign-change points:
+    every bracket of a 4096-point probe where the sign flips is bisected
+    80 times, all brackets in one kernel evaluation per step."""
     lo, hi = kernel.support
     probe = np.linspace(lo, hi, 4096)
-    vals = np.asarray(kernel.eval_log(probe), dtype=float)
-    roots = []
-    for i in range(len(probe) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0 or a * b >= 0:
-            continue
-        x0, x1 = probe[i], probe[i + 1]
-        for _ in range(80):
-            mid = 0.5 * (x0 + x1)
-            fm = float(kernel.eval_log(mid))
-            if a * fm <= 0:
-                x1 = mid
-            else:
-                x0 = mid
-        roots.append(0.5 * (x0 + x1))
-    if not roots:
+    vals = kernel.eval_log(probe)
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    if i.size == 0:
         return kernel
-    out = Kernel(kernel.name, kernel.descriptor, kernel._eval_log,
-                 kernel.support, kernel.knots + tuple(roots), kernel.role)
-    return out
+    a, x0, x1 = vals[i], probe[i], probe[i + 1]
+    for _ in range(80):
+        mid = 0.5 * (x0 + x1)
+        left = a * kernel.eval_log(mid) <= 0
+        x0, x1 = np.where(left, x0, mid), np.where(left, mid, x1)
+    roots = tuple((0.5 * (x0 + x1)).tolist())
+    return Kernel(kernel.name, kernel.descriptor, kernel._eval_log,
+                  kernel.support, kernel.knots + roots, kernel.role)
 
 
 def poisson_moment(chi, j, K=3, cfg=DEFAULT_CONFIG):
@@ -499,13 +502,9 @@ def verify_kernel(chi, phi, r=1, tol=1e-8, cfg=DEFAULT_CONFIG):
     finite and the tail of the chi sum beyond the support radius vanishes.
     Failures are reported with measured residuals, never raised.
     """
-    taus = np.linspace(0.0, 1.0, 1000, endpoint=False)
-    ks = _k_window(chi, 0.5)
-    ks = np.arange(ks[0] - 1, ks[-1] + 2)
-    worst = 0.0
-    for tau in taus:
-        s = float(np.sum(chi.eval_log(tau - ks)))
-        worst = max(worst, abs(s - 1.0))
+    sums = _phase_sums(chi, np.linspace(0.0, 1.0, 1000, endpoint=False),
+                       lambda vals, d: vals)
+    worst = float(np.max(np.abs(sums - 1.0)))
     partition = ConditionResult("partition of unity", worst <= tol, worst)
 
     integral = continuous_moment(phi, 0, cfg)
@@ -518,13 +517,13 @@ def verify_kernel(chi, phi, r=1, tol=1e-8, cfg=DEFAULT_CONFIG):
     moments = ConditionResult(f"absolute moments of order {r} finite",
                               finite, m_r + mhat_r if finite else math.inf)
 
+    # each phase keeps the k beyond gamma of the union of its windows
     gamma = chi.log_support_radius
-    tail = 0.0
-    for tau in np.linspace(0.0, 1.0, 64, endpoint=False):
-        far = np.arange(math.floor(tau - gamma) - 50, math.ceil(tau + gamma) + 51)
-        far = far[np.abs(far - tau) > gamma]
-        vals = np.abs(chi.eval_log(tau - far))
-        tail = max(tail, float(np.sum(vals * np.abs(far - tau) ** r)))
+    taus = np.linspace(0.0, 1.0, 64, endpoint=False)
+    far = np.arange(math.floor(-gamma) - 50, math.ceil(taus[-1] + gamma) + 51)
+    tails = _phase_sums(chi, taus, lambda vals, d: np.where(
+        np.abs(d) > gamma, np.abs(vals) * np.abs(d) ** r, 0.0), far)
+    tail = float(tails.max())
     tail_ok = tail < max(tol, 1e-12)
     tail_res = ConditionResult("tail vanishing", tail_ok, tail)
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import EvaluationError, SamplingError
 from .functions import RealFunction
 from .kernels import Kernel
-from .quadrature import DEFAULT_CONFIG, LogInterval, QuadratureConfig, _panel_nodes
+from .quadrature import DEFAULT_CONFIG, LogInterval, QuadratureConfig, log_rule
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,22 @@ def _admissibility_warning(f):
             stacklevel=3)
 
 
+# beyond 2^52 consecutive integers are no longer exactly representable
+# around w log x, so the lattice indices of a window would be wrong
+_MAX_CENTRE = 2.0 ** 52
+
+
 def _windows(chi, w, xs, radius=None):
     """Centres w log x and the ranges kmin..kmax of integers k with
     chi(e^{-k} x^w) != 0 (possibly narrowed by radius), one per x."""
     tc = w * np.array([math.log(x) for x in xs], dtype=float)
+    big = np.abs(tc) >= _MAX_CENTRE
+    if np.any(big):
+        i = int(np.argmax(big))
+        raise EvaluationError(
+            f"w log x = {tc[i]:.6g} for w={w}, x={xs[i]}: at |w log x| >= "
+            "2^52 the lattice indices around it are not exact in double "
+            "precision")
     lo, hi = chi.support
     kmin = np.floor(tc - hi)
     kmax = np.ceil(tc - lo)
@@ -102,24 +114,24 @@ def _convolution_log(phi, f, w, log_s, cfg):
     lo, hi = phi.support
     iv = LogInterval(log_s + lo / w, log_s + hi / w)
     knots = tuple(log_s + k / w for k in phi.knots)
+    nodes, weights = log_rule(iv, cfg, knots)
+    phis = np.asarray(phi.eval_log(w * (nodes - log_s)), dtype=float)
     total = 0.0
-    for nodes, weights in _panel_nodes(iv, cfg, knots):
-        phis = np.asarray(phi.eval_log(w * (nodes - log_s)), dtype=float)
-        for u, wt, pv in zip(nodes, weights, phis):
-            if pv == 0.0:
-                continue
-            t = math.exp(u)
-            try:
-                fv = f(t)
-            except EvaluationError as exc:
-                raise EvaluationError(
-                    f"evaluating f at t={t!r} inside the convolution window "
-                    f"around s=e^{log_s:.6g}: {exc}") from exc
-            if not math.isfinite(fv):
-                raise EvaluationError(
-                    f"non-finite value of f at t={t!r} inside the "
-                    f"convolution window around s=e^{log_s:.6g}")
-            total += wt * pv * fv
+    for u, wt, pv in zip(nodes, weights, phis):
+        if pv == 0.0:
+            continue
+        t = math.exp(u)
+        try:
+            fv = f(t)
+        except EvaluationError as exc:
+            raise EvaluationError(
+                f"evaluating f at t={t!r} inside the convolution window "
+                f"around s=e^{log_s:.6g}: {exc}") from exc
+        if not math.isfinite(fv):
+            raise EvaluationError(
+                f"non-finite value of f at t={t!r} inside the "
+                f"convolution window around s=e^{log_s:.6g}")
+        total += wt * pv * fv
     return float(w * total)
 
 
@@ -137,7 +149,7 @@ def mellin_convolution(phi, f, w, s, cfg=DEFAULT_CONFIG):
 # is cut at the knots k + knot of phi, and all those cuts fall on the
 # lattice m + p over the knot phases p = knot mod 1.  So one rule over the
 # union of the windows serves every k and every x: it is one period rule
-# (the cells between consecutive phases, subdivided like _panel_nodes)
+# (the cells between consecutive phases, subdivided like every log_rule)
 # repeated at the offsets m/w.  In the scaled coordinate b = w u a node of
 # period m sits at m + b_j, and phi(b - k) depends only on d = m - k, so the
 # phi weights of all windows form a small (d, j) template and the inner
@@ -162,9 +174,7 @@ def _period_rule(phases, w, cfg):
     """Nodes and weights of the rule on one period [p0/w, (p0 + 1)/w) of
     the log coordinate, cut at every phase."""
     iv = LogInterval(phases[0] / w, (phases[0] + 1.0) / w)
-    panels = list(_panel_nodes(iv, cfg, [p / w for p in phases[1:]]))
-    return (np.concatenate([n for n, _ in panels]),
-            np.concatenate([wt for _, wt in panels]))
+    return log_rule(iv, cfg, [p / w for p in phases[1:]])
 
 
 def _clusters(kmin, kmax, reach):
@@ -297,20 +307,19 @@ def kantorovich_eval(chi, f, w, x, cfg=DEFAULT_CONFIG):
             continue
         iv = LogInterval(k / w, (k + 1) / w)
         inner = 0.0
-        for nodes, wts in _panel_nodes(iv, cfg):
-            for u, wt in zip(nodes, wts):
-                t = math.exp(u)
-                try:
-                    fv = f(t)
-                except EvaluationError as exc:
-                    raise EvaluationError(
-                        f"evaluating f at t={t!r} in the mean over "
-                        f"[{k}/{w}, {k + 1}/{w}]: {exc}") from exc
-                if not math.isfinite(fv):
-                    raise EvaluationError(
-                        f"non-finite value of f at t={t!r} in the "
-                        f"mean over [{k}/{w}, {k + 1}/{w}]")
-                inner += wt * fv
+        for u, wt in zip(*log_rule(iv, cfg)):
+            t = math.exp(u)
+            try:
+                fv = f(t)
+            except EvaluationError as exc:
+                raise EvaluationError(
+                    f"evaluating f at t={t!r} in the mean over "
+                    f"[{k}/{w}, {k + 1}/{w}]: {exc}") from exc
+            if not math.isfinite(fv):
+                raise EvaluationError(
+                    f"non-finite value of f at t={t!r} in the "
+                    f"mean over [{k}/{w}, {k + 1}/{w}]")
+            inner += wt * fv
         total += cw * w * inner
     return float(total)
 

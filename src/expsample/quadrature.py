@@ -71,9 +71,10 @@ def _leggauss(n):
     return x, w
 
 
-def _panel_nodes(iv, cfg, breakpoints=()):
-    """Panels covering iv, split at the given breakpoints and then
-    subdivided to respect panel_max_width.  Yields (nodes, weights).
+def log_rule(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
+    """Composite Gauss-Legendre rule on iv as flat (nodes, weights)
+    arrays: panels cut at the breakpoints, then subdivided to respect
+    panel_max_width.
 
     Each panel gets at least max(6, 0.7 * nodes_per_unit) points so that
     short panels stay honest: the floor scales with the configured density,
@@ -88,6 +89,7 @@ def _panel_nodes(iv, cfg, breakpoints=()):
             cuts.append(b)
     cuts.append(iv.hi)
     floor = max(6, math.ceil(0.7 * cfg.nodes_per_unit))
+    nodes, weights = [np.empty(0)], [np.empty(0)]
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b <= a:
             continue
@@ -98,9 +100,10 @@ def _panel_nodes(iv, cfg, breakpoints=()):
             hi = a + (i + 1) * step
             n = max(floor, math.ceil(cfg.nodes_per_unit * (hi - lo)))
             x, w = _leggauss(n)
-            mid = 0.5 * (lo + hi)
             half = 0.5 * (hi - lo)
-            yield mid + half * x, half * w
+            nodes.append(0.5 * (lo + hi) + half * x)
+            weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def integrate_log(g, iv, cfg=DEFAULT_CONFIG, breakpoints=()):
@@ -113,12 +116,11 @@ def integrate_log(g, iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     the rule exact for piecewise polynomials).
     """
     total = 0.0
-    for nodes, weights in _panel_nodes(iv, cfg, breakpoints):
-        for u, wt in zip(nodes, weights):
-            val = g(u)
-            if not math.isfinite(val):
-                raise EvaluationError(f"non-finite integrand value {val!r} at u={u!r}")
-            total += wt * val
+    for u, wt in zip(*log_rule(iv, cfg, breakpoints)):
+        val = g(u)
+        if not math.isfinite(val):
+            raise EvaluationError(f"non-finite integrand value {val!r} at u={u!r}")
+        total += wt * val
     return float(total)
 
 
@@ -190,15 +192,13 @@ def mellin_transform(f, point, cfg=DEFAULT_CONFIG, support=None, order=0):
 
     eval_log = getattr(f, "eval_log", None)
 
+    nodes, weights = log_rule(support, cfg, knots)
+    if eval_log is not None:
+        vals = np.asarray(eval_log(nodes), dtype=float)
+    else:
+        vals = np.array([f(math.exp(u)) for u in nodes], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        bad = nodes[~np.isfinite(vals)][0]
+        raise EvaluationError(f"non-finite transform integrand at u={bad!r}")
     s = complex(point.c, point.t)
-    total = 0.0 + 0.0j
-    for nodes, weights in _panel_nodes(support, cfg, knots):
-        if eval_log is not None:
-            vals = np.asarray(eval_log(nodes), dtype=float)
-        else:
-            vals = np.array([f(math.exp(u)) for u in nodes], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            bad = nodes[~np.isfinite(vals)][0]
-            raise EvaluationError(f"non-finite transform integrand at u={bad!r}")
-        total += np.sum(weights * vals * nodes**order * np.exp(s * nodes))
-    return total
+    return np.sum(weights * vals * nodes**order * np.exp(s * nodes))

@@ -184,6 +184,31 @@ class TestVoronovskaya:
                                    3, combination=comb)
         assert check.predicted == pytest.approx(5.0 / 6.0 * -math.cos(1.0), rel=1e-9)
         assert check.relative_deviation <= 0.10
+        assert check.lower_orders_cancel
+
+    def test_uncancelled_lower_orders_flagged(self, psi, b2):
+        # at x = 2 the second moment of psi differs between the phases of
+        # x^w, x^2w and x^3w, so the p = 3 combination leaves an order-2
+        # term and the order-3 prediction (about -0.64) misses the
+        # measured 0.17, 0.78, 2.51, 1.00
+        f = builtin("sinlog")
+        check = voronovskaya_check(f, OperatorSpec(psi, b2, 1.0), 2.0,
+                                   [25.0, 50.0, 100.0, 200.0], 3,
+                                   combination=solve_coefficients(3))
+        assert not check.lower_orders_cancel
+        assert check.max_deviation > 0.5
+
+    def test_bspline_lower_orders_cancel(self, b4, b2):
+        f = builtin("sinlog")
+        check = voronovskaya_check(f, OperatorSpec(b4, b2, 1.0), 2.0,
+                                   [25.0, 50.0, 100.0, 200.0], 3,
+                                   combination=solve_coefficients(3))
+        assert check.lower_orders_cancel
+
+    def test_lower_orders_unchecked_without_combination(self, psi, b2):
+        check = voronovskaya_check(builtin("sinlog"), OperatorSpec(psi, b2, 1.0),
+                                   2.0, [25.0, 50.0, 100.0, 200.0], 3)
+        assert check.lower_orders_cancel
 
     def test_requires_closed_form_derivative(self, b4, b2):
         spec = OperatorSpec(b4, b2, 1.0)

@@ -131,6 +131,18 @@ class TestRatesAndVoronovskaya:
         assert doc["metadata"]["x"] == 2.0
         assert doc["limit"] is False
         assert len(doc["predictions"]) == 4
+        assert doc["lower_orders_cancel"] is True
+        assert "lower orders" not in text
+
+    def test_voronovskaya_flags_uncancelled_lower_orders(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        assert main(["voronovskaya", "--chi", "translates:2:a=e^-2,b=e^-3",
+                     "--phi", "bspline:2", "--fn", "name:sinlog", "--x", "2",
+                     "--j", "3", "--w", "25,50,100,200", "--combine", "p=3",
+                     "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "lower orders:          do not cancel at every w" in text
+        assert json.loads(out.read_text())["lower_orders_cancel"] is False
 
 
 class TestFlagHandling:

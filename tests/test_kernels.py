@@ -6,23 +6,34 @@ hand integrals for the continuous ones (the hat-function moments
 integral (1-|u|) u^nu du are 1, 0, 1/6, 0, 1/15 for nu = 0..4).
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from expsample import (
+    DEFAULT_CONFIG,
+    Kernel,
     KernelError,
+    LogInterval,
     absolute_moment,
     bspline_eval,
     characteristic,
     continuous_moment,
     discrete_moment,
+    integrate_log,
     make_translate_combination,
     mellin_bspline,
     parse_kernel,
     poisson_moment,
     verify_kernel,
+)
+from expsample.kernels import (
+    _PHASE_BLOCK,
+    _k_window,
+    _with_sign_change_knots,
+    phase_moments,
 )
 from conftest import cox_de_boor, direct_discrete_moment
 
@@ -297,3 +308,155 @@ class TestDescriptors:
     def test_unknown(self):
         with pytest.raises(KernelError):
             parse_kernel("gauss:3")
+
+
+# --- reference loops ---------------------------------------------------------
+#
+# The per-phase and per-root loops that the blocked array evaluations of
+# kernels.py replaced, kept as oracles: one kernel call per phase, per
+# bisection step, or per quadrature node.
+
+def _loop_window(chi):
+    ks = _k_window(chi, 0.5)
+    return np.arange(ks[0] - 1, ks[-1] + 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_absolute_discrete(kernel):
+    """Orders 0..4 from one pass over the phases."""
+    best = [0.0] * 5
+    ks = _loop_window(kernel)
+    for tau in np.linspace(0.0, 1.0, 2048, endpoint=False):
+        vals = np.abs(kernel.eval_log(tau - ks))
+        for nu in range(5):
+            best[nu] = max(best[nu], float(np.sum(vals * np.abs(ks - tau) ** nu)))
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def _loop_sign_changes(kernel):
+    lo, hi = kernel.support
+    probe = np.linspace(lo, hi, 4096)
+    vals = np.asarray(kernel.eval_log(probe), dtype=float)
+    roots = []
+    for i in range(len(probe) - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0 or a * b >= 0:
+            continue
+        x0, x1 = probe[i], probe[i + 1]
+        for _ in range(80):
+            mid = 0.5 * (x0 + x1)
+            if a * float(kernel.eval_log(mid)) <= 0:
+                x1 = mid
+            else:
+                x0 = mid
+        roots.append(0.5 * (x0 + x1))
+    return tuple(roots)
+
+
+def _loop_absolute_continuous(kernel, nu):
+    knots = kernel.knots + _loop_sign_changes(kernel) + (0.0,)
+    return integrate_log(
+        lambda u: abs(kernel.eval_log(u)) * abs(u) ** nu,
+        LogInterval(*kernel.support), DEFAULT_CONFIG, knots)
+
+
+def _loop_partition(chi):
+    ks = _loop_window(chi)
+    worst = 0.0
+    for tau in np.linspace(0.0, 1.0, 1000, endpoint=False):
+        worst = max(worst, abs(float(np.sum(chi.eval_log(tau - ks))) - 1.0))
+    return worst
+
+
+def _loop_tail(chi, r):
+    gamma = chi.log_support_radius
+    tail = 0.0
+    for tau in np.linspace(0.0, 1.0, 64, endpoint=False):
+        far = np.arange(math.floor(tau - gamma) - 50, math.ceil(tau + gamma) + 51)
+        far = far[np.abs(far - tau) > gamma]
+        vals = np.abs(chi.eval_log(tau - far))
+        tail = max(tail, float(np.sum(vals * np.abs(far - tau) ** r)))
+    return tail
+
+
+def _close(got, ref):
+    # partition and tail residuals are differences of sums of order 1, so
+    # they are compared on that scale
+    return abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+EQUIVALENCE_KERNELS = [f"bspline:{n}" for n in range(1, 7)] + [
+    "char", "translates:2:a=e^-2,b=e^-3",
+    # non-integer logs: knots at two different phases mod 1
+    "translates:3:a=2,b=3"]
+
+
+def _wave():
+    """cos(2v) on |v| < 1.5: sign changes at -pi/4 and pi/4."""
+    def eval_log(v):
+        return np.where(np.abs(v) < 1.5, np.cos(2.0 * v), 0.0)
+    return Kernel("wave", "wave", eval_log, (-1.5, 1.5), (-1.5, 1.5))
+
+
+def _stretched_hat():
+    """B2(v / 1.5) / 1.5: unit integral, but its integer translates do
+    not sum to 1."""
+    base = mellin_bspline(2)
+    def eval_log(v):
+        return base.eval_log(v / 1.5) / 1.5
+    return Kernel("stretched", "stretched", eval_log, (-1.5, 1.5), (-1.5, 0.0, 1.5))
+
+
+class TestVectorisedRoutes:
+    @pytest.mark.parametrize("descriptor", EQUIVALENCE_KERNELS)
+    def test_absolute_moments_match_loops(self, descriptor):
+        kernel = parse_kernel(descriptor)
+        for nu in range(5):
+            assert absolute_moment(kernel, nu, "discrete") == pytest.approx(
+                _loop_absolute_discrete(kernel)[nu], rel=1e-13, abs=0.0), nu
+            assert absolute_moment(kernel, nu, "continuous") == pytest.approx(
+                _loop_absolute_continuous(kernel, nu), rel=1e-13, abs=0.0), nu
+
+    @pytest.mark.parametrize("descriptor", EQUIVALENCE_KERNELS)
+    def test_verify_residuals_match_loops(self, descriptor, b2):
+        chi = parse_kernel(descriptor)
+        partition = _loop_partition(chi)
+        for r in (1, 2, 3):
+            report = verify_kernel(chi, b2, r=r)
+            assert _close(report.partition_of_unity.residual, partition)
+            assert _close(report.tail_vanishing.residual, _loop_tail(chi, r))
+            moments = (_loop_absolute_discrete(chi)[r]
+                       + _loop_absolute_continuous(b2, r))
+            assert report.moments_finite.residual == pytest.approx(
+                moments, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("count", [1, _PHASE_BLOCK, 2 * _PHASE_BLOCK + 5])
+    def test_phase_blocks_match_loop(self, psi, count):
+        # block boundaries fall inside the grid unless it is one block
+        log_u = np.linspace(-3.0, 7.0, count)
+        got = phase_moments(psi, 4, log_u)
+        assert got.shape == (count, 5)
+        for row, lu in zip(got, log_u):
+            tau = lu % 1.0
+            ks = np.arange(_k_window(psi, tau)[0], _k_window(psi, tau)[-1] + 1)
+            vals = psi.eval_log(tau - ks)
+            ref = [float(np.sum(vals * (ks - tau) ** nu)) for nu in range(5)]
+            assert np.allclose(row, ref, rtol=1e-13, atol=1e-12)
+
+    def test_batched_roots_match_scalar_bisection(self):
+        kernel = _wave()
+        ref = _loop_sign_changes(kernel)
+        got = sorted(set(_with_sign_change_knots(kernel).knots) - set(kernel.knots))
+        assert len(ref) == 2
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(got, [-math.pi / 4, math.pi / 4], rtol=0.0, atol=1e-12)
+
+    def test_failing_partition_reports_same_residual(self, b2):
+        chi = _stretched_hat()
+        report = verify_kernel(chi, b2, r=1)
+        residual = report.partition_of_unity.residual
+        assert not report.partition_of_unity.passed
+        assert "partition of unity: FAIL" in str(report.partition_of_unity)
+        assert residual > 0.1
+        assert _close(residual, _loop_partition(chi))

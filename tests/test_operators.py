@@ -149,6 +149,24 @@ class TestDurrmeyer:
             scalar = durrmeyer_eval(spec, f, x)
             assert abs(value - scalar) <= 1e-13 * abs(scalar)
 
+    def test_window_beyond_integer_precision_raises(self, b4):
+        # w log 2 = 6.9e16 > 2^52: the old code returned 0.42597 for 0.63896
+        f = builtin("sinlog")
+        spec = OperatorSpec(b4, b4, 1e17)
+        message = r"w log x = 6\.93147e\+16 for w=1e\+17, x=2\.0: .*2\^52"
+        with pytest.raises(EvaluationError, match=message):
+            durrmeyer_eval(spec, f, 2.0)
+        with pytest.raises(EvaluationError, match=message):
+            kantorovich_eval(b4, f, 1e17, 2.0)
+        with pytest.raises(EvaluationError, match=message):
+            sampling_eval(b4, SampleAccessor.from_function(f), 1e17, 2.0)
+
+    def test_window_below_integer_precision_evaluates(self, b4):
+        # w log 2 = 6.9e14 < 2^52: the lattice indices are still exact
+        f = builtin("sinlog")
+        value = durrmeyer_eval(OperatorSpec(b4, b4, 1e15), f, 2.0)
+        assert abs(value - f(2.0)) <= 1e-14
+
     def test_array_x_validation(self, b4, b2):
         spec = OperatorSpec(b4, b2, 12.0)
         with pytest.raises(ValueError, match="positive"):
