@@ -9,20 +9,18 @@ an order faster than reading off the last a_w directly.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .combinations import combined_eval, combined_moment, solve_coefficients
-from .kernels import absolute_moment, continuous_moment
-from .operators import OperatorSpec, durrmeyer_eval
+from .combinations import (combine, combined_eval, combined_moment,
+                           solve_coefficients)
+from .operators import durrmeyer_eval, write_atomic
 from .quadrature import DEFAULT_CONFIG
 
 
@@ -71,14 +69,9 @@ class ErrorTable:
     metadata: dict
 
     def to_csv(self, path):
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("x", "label", "fx", "value", "abs_err"))
-            for x, label, fx, value in self.rows:
-                writer.writerow([repr(x), label, repr(fx), repr(value),
-                                 repr(abs(fx - value))])
-        os.replace(tmp, path)
+        write_atomic(path, [("x", "label", "fx", "value", "abs_err"), *(
+            [repr(x), label, repr(fx), repr(value), repr(abs(fx - value))]
+            for x, label, fx, value in self.rows)])
 
     def to_json(self, path=None):
         doc = {
@@ -89,13 +82,8 @@ class ErrorTable:
                 for x, label, fx, value in self.rows
             ],
         }
-        if path is None:
-            return doc
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
+        if path is not None:
+            write_atomic(path, doc=doc)
         return doc
 
     def cell(self, x, label):
@@ -108,21 +96,29 @@ class ErrorTable:
 def error_table(f, spec, xs, columns):
     """Cross product of evaluation points and columns, row-major.
 
-    Each column is one evaluation of the operator (combined when the
-    column says so) on the array of points, at full precision; the
-    metadata digest pins kernels, scales, points, and quadrature so a
-    rerun can be matched byte for byte.
+    The plain columns are one durrmeyer_eval call over all their (x, w)
+    pairs and the combined columns one more over all their (x, i w); values
+    are kept at full precision, and the metadata digest pins kernels,
+    scales, points, and quadrature so a rerun can be matched byte for byte.
     """
     cols = [c if isinstance(c, Column) else Column(float(c)) for c in columns]
-    points = np.array(xs, dtype=float)
-    by_column = []
-    for col in cols:
-        if col.p == 1:
-            values = durrmeyer_eval(spec.with_w(col.w), f, points)
-        else:
-            comb = solve_coefficients(col.p)
-            values = combined_eval(comb, spec.with_w(col.w), f, points)
-        by_column.append(values.tolist())
+    points = np.array(xs, dtype=float)[:, None]
+    by_column = [None] * len(cols)
+    plain = [n for n, c in enumerate(cols) if c.p == 1]
+    if plain:
+        values = durrmeyer_eval(spec, f, points, [cols[n].w for n in plain])
+        for n, column in zip(plain, values.T.tolist()):
+            by_column[n] = column
+    combined = [(n, solve_coefficients(c.p)) for n, c in enumerate(cols)
+                if c.p != 1]
+    if combined:
+        scales = [i * cols[n].w for n, comb in combined
+                  for i in range(1, comb.p + 1)]
+        values = durrmeyer_eval(spec, f, points, scales).T
+        start = 0
+        for n, comb in combined:
+            by_column[n] = combine(comb, values[start:start + comb.p]).tolist()
+            start += comb.p
     rows = []
     for i, x in enumerate(xs):
         fx = f(x)
@@ -172,6 +168,13 @@ def richardson(ws, values):
     return values[-1] + (values[-1] - values[-2]) / (q - 1.0)
 
 
+def _sweep(f, spec, x, ws, combination):
+    """(I_w f)(x), or the combination, at every w of ws: one engine call."""
+    if combination is None:
+        return durrmeyer_eval(spec, f, x, ws).tolist()
+    return combined_eval(combination, spec, f, x, ws).tolist()
+
+
 def empirical_order(f, spec, x, ws, combination=None, target_order=None):
     """Fit the empirical convergence order of the (combined) operator.
 
@@ -184,13 +187,7 @@ def empirical_order(f, spec, x, ws, combination=None, target_order=None):
     if any(b >= a for a, b in zip(ws[1:], ws[:-1])):
         raise ValueError("w sequence must be strictly increasing")
     fx = f(x)
-    errors = []
-    for w in ws:
-        if combination is None:
-            val = durrmeyer_eval(spec.with_w(w), f, x)
-        else:
-            val = combined_eval(combination, spec.with_w(w), f, x)
-        errors.append(val - fx)
+    errors = [val - fx for val in _sweep(f, spec, x, ws, combination)]
     if any(e == 0.0 for e in errors):
         return RateReport(x=x, w_sequence=tuple(ws), errors=tuple(errors),
                           fitted_order=math.inf, extrapolated_constant=0.0,
@@ -211,15 +208,17 @@ class AsymptoticCheck:
     """Predicted-vs-measured record for the order-j error constant.
 
     predictions[i] is the moment-formula value of w^j (I_w f - f)(x) at
-    the i-th scale, scaled_errors[i] its measurement.  When the
-    predictions agree (to 1e-12 relative) the limit exists: has_limit is
-    set, predicted is that constant and extrapolated its Richardson
-    estimate.  Otherwise there is no limit and both are None; the
-    measurement is then compared scale by scale (max_deviation).
-    lower_orders_cancel is False when a combination (p > 1) leaves an
-    order below j uncancelled at some scale, so that the order-j
-    prediction does not describe the error there; it is checked only
-    for such combinations.
+    the i-th scale, scaled_errors[i] its measurement.  magnitude is the
+    largest over the scales of the summed magnitudes of the terms of a
+    prediction; a prediction within 1e-12 of it is zero up to roundoff
+    and is reported as 0.0.  When the predictions agree to 1e-12 of
+    magnitude the limit exists: has_limit is set, predicted is that
+    constant and extrapolated its Richardson estimate.  Otherwise there
+    is no limit and both are None; the measurement is then compared
+    scale by scale (max_deviation).  lower_orders_cancel is False when a
+    combination (p > 1) leaves an order below j uncancelled at some
+    scale, so that the order-j prediction does not describe the error
+    there; it is checked only for such combinations.
     """
 
     x: float
@@ -230,6 +229,7 @@ class AsymptoticCheck:
     diverged: bool
     predictions: tuple
     has_limit: bool
+    magnitude: float
     lower_orders_cancel: bool = True
 
     @property
@@ -239,13 +239,19 @@ class AsymptoticCheck:
 
     @property
     def relative_deviation(self):
-        """|extrapolated - predicted| / |predicted| when the limit exists,
-        else max_deviation over the largest |pred_w|."""
+        """|extrapolated - predicted| / |predicted| when the limit exists;
+        when that limit is 0 (its terms cancel), |extrapolated| over
+        magnitude, the size of the cancelling terms; without a limit,
+        max_deviation over the largest |pred_w|."""
         if not self.has_limit:
             return self.max_deviation / max(abs(p) for p in self.predictions)
         if self.predicted == 0.0:
-            return math.inf if self.extrapolated != 0.0 else 0.0
+            return abs(self.extrapolated) / self.magnitude
         return abs(self.extrapolated - self.predicted) / abs(self.predicted)
+
+
+# relative size below which a moment coefficient is zero up to roundoff
+_ROUNDOFF = 1e-12
 
 
 def voronovskaya_check(f, spec, x, ws, j, combination=None):
@@ -260,11 +266,14 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
     extrapolation of the scaled errors.  For kernels whose lattice
     moments oscillate, such as translate combinations, the predictions
     move with w and there is no limit: has_limit is False and each scaled
-    error is compared with its own prediction.  With a combination the
-    prediction covers order j only: the orders below j cancel only where
-    their coefficients are the same at every x^{iw}, which
-    lower_orders_cancel reports.  Divergence of the scaled-error sequence
-    is flagged, not raised.
+    error is compared with its own prediction.  Predictions and their
+    spread are judged against the size of their terms, so a coefficient
+    that vanishes (such as order p of a b-spline combination of order p)
+    has the limit 0.0.  With a combination the prediction covers order j
+    only: the orders below j cancel only where their coefficients are the
+    same at every x^{iw}, which lower_orders_cancel reports.  Divergence
+    of the scaled-error sequence is flagged, not raised.  The operator
+    values at all the scales are one engine call.
     """
     ws = [float(w) for w in ws]
     if len(ws) < 3:
@@ -279,20 +288,20 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
     comb = combination if combination is not None else solve_coefficients(1)
     # the phase comes from w log x: x^w itself overflows
     log_u = np.array(ws) * math.log(x)
-    coeffs = combined_moment(comb, spec.chi, spec.phi, j, cfg=spec.quadrature,
-                             log_u=log_u)
-    predictions = tuple(float(c) for c in deriv(x) / math.factorial(j) * coeffs)
+    coeffs, sizes = combined_moment(comb, spec.chi, spec.phi, j,
+                                    cfg=spec.quadrature, log_u=log_u,
+                                    with_size=True)
+    factor = deriv(x) / math.factorial(j)
+    sizes = abs(factor) * sizes
+    predictions = tuple(0.0 if abs(p) <= _ROUNDOFF * s else float(p)
+                        for p, s in zip(factor * coeffs, sizes))
+    magnitude = float(sizes.max())
     spread = max(abs(p - predictions[-1]) for p in predictions)
-    has_limit = spread <= 1e-12 * max(abs(p) for p in predictions)
+    has_limit = spread <= _ROUNDOFF * magnitude
 
     fx = f(x)
-    scaled = []
-    for w in ws:
-        if combination is None:
-            val = durrmeyer_eval(spec.with_w(w), f, x)
-        else:
-            val = combined_eval(combination, spec.with_w(w), f, x)
-        scaled.append(w ** j * (val - fx))
+    scaled = [w ** j * (val - fx)
+              for w, val in zip(ws, _sweep(f, spec, x, ws, combination))]
     mags = [abs(s) for s in scaled]
     diverged = len(mags) >= 3 and mags[-1] > 2.0 * mags[0] and mags[-1] > mags[-2] > mags[-3]
     return AsymptoticCheck(
@@ -300,23 +309,18 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
         predicted=predictions[-1] if has_limit else None,
         extrapolated=richardson(ws, scaled) if has_limit else None,
         scaled_errors=tuple(scaled), diverged=diverged,
-        predictions=predictions, has_limit=has_limit,
+        predictions=predictions, has_limit=has_limit, magnitude=magnitude,
         lower_orders_cancel=comb.p == 1 or _lower_orders_cancel(
             comb, spec.chi, spec.phi, j, log_u, spec.quadrature))
 
 
 def _lower_orders_cancel(comb, chi, phi, j, log_u, cfg):
     """Whether the combined coefficients of orders 1 .. j-1 vanish at
-    every entry of log_u, to 1e-12 relative to the sum of the magnitudes
-    of their terms beta_i / i^k binom(k, eta) mhat_{k-eta} chi(tau - l)
-    (l - tau)^eta, bounded through the absolute lattice moments."""
-    mhat = [abs(continuous_moment(phi, n, cfg)) for n in range(j)]
-    sup = [absolute_moment(chi, n, "discrete", cfg) for n in range(j)]
+    every entry of log_u, to 1e-12 of the sum of the magnitudes of their
+    terms there."""
     for k in range(1, j):
-        value = combined_moment(comb, chi, phi, k, cfg=cfg, log_u=log_u)
-        scale = (sum(abs(b) / i ** k for i, b in enumerate(comb.beta, start=1))
-                 * sum(math.comb(k, eta) * mhat[k - eta] * sup[eta]
-                       for eta in range(k + 1)))
-        if np.any(np.abs(value) > 1e-12 * scale):
+        value, size = combined_moment(comb, chi, phi, k, cfg=cfg, log_u=log_u,
+                                      with_size=True)
+        if np.any(np.abs(value) > _ROUNDOFF * size):
             return False
     return True

@@ -9,9 +9,9 @@ file output is written atomically (temp file, then rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -33,7 +33,7 @@ from .kernels import (
     poisson_moment,
     verify_kernel,
 )
-from .operators import OperatorSpec, batch_eval, write_batch_csv
+from .operators import OperatorSpec, batch_eval, write_atomic, write_batch_csv
 from .quadrature import QuadratureConfig
 
 
@@ -97,7 +97,10 @@ def _add_output(parser):
                         help="output format (default csv)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, so repeated main() calls can share it."""
     parser = argparse.ArgumentParser(
         prog="expsample",
         description="Exponential sampling operators: kernels, moments, "
@@ -225,17 +228,13 @@ def _cmd_eval(args):
     spec = OperatorSpec(chi, phi, ws[0], quadrature=cfg)
     p = _parse_combine(args.combine) if args.combine else None
 
-    evaluator = None
+    comb = None
     if p is not None:
-        from .combinations import combined_eval
         comb = solve_coefficients(p)
-
-        def evaluator(xs, w):
-            return combined_eval(comb, spec.with_w(w), f, xs)
         print("combination coefficients:", " ".join(_fmt(b) for b in comb.beta))
 
     points = [(x, w) for x in xs for w in ws]
-    rows = batch_eval(spec, f, points, evaluator=evaluator)
+    rows = batch_eval(spec, f, points, combination=comb)
     payload = {"command": "eval", "chi": chi.descriptor, "phi": phi.descriptor,
                "fn": args.fn, "x": xs, "w": ws, "p": p,
                "quadrature": {"nodes_per_unit": cfg.nodes_per_unit,
@@ -248,7 +247,7 @@ def _cmd_eval(args):
             doc = {"metadata": {"digest": config_digest(payload), **payload},
                    "rows": [dict(zip(("x", "w", "fx", "Iwfx", "abs_err"), r))
                             for r in rows]}
-            _atomic_json(doc, args.out)
+            write_atomic(args.out, doc=doc)
         note = f"wrote {len(rows)} rows to {args.out}"
     else:
         for x, w, fx, val, err in rows:
@@ -256,14 +255,6 @@ def _cmd_eval(args):
         note = f"{len(rows)} evaluations"
     _summary("eval", payload, note)
     return 0
-
-
-def _atomic_json(doc, path):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _cmd_table(args):
@@ -328,7 +319,7 @@ def _cmd_rates(args):
                "extrapolated_constant": report.extrapolated_constant,
                "target_order": report.target_order,
                "zero_error": report.zero_error}
-        _atomic_json(doc, args.out)
+        write_atomic(args.out, doc=doc)
     _summary("rates", payload, f"fitted order {report.fitted_order:.3f}")
     return 0
 
@@ -375,7 +366,7 @@ def _cmd_voronovskaya(args):
                "relative_deviation": check.relative_deviation,
                "scaled_errors": list(check.scaled_errors),
                "diverged": check.diverged}
-        _atomic_json(doc, args.out)
+        write_atomic(args.out, doc=doc)
     _summary("voronovskaya", payload, note)
     return 0
 

@@ -67,12 +67,24 @@ def residuals(spec):
     return out
 
 
-def combined_eval(spec, op, f, x):
-    """sum_i beta_i (I_{i w} f)(x) at a float or an array of x; the scaled
+def combined_eval(spec, op, f, x, w=None):
+    """sum_i beta_i (I_{i w} f)(x) at a float or an array of x; w, when
+    given (a float or an array), replaces op.w and broadcasts against x.
+    All the pairs (x, i w) are one durrmeyer_eval call; the scaled
     evaluations are summed in index order for determinism."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(op.w if w is None else w, dtype=float)
+    i = np.arange(1, spec.p + 1).reshape((-1,) + (1,) * max(x.ndim, w.ndim))
+    total = combine(spec, durrmeyer_eval(op, f, x, i * w))
+    return float(total) if total.ndim == 0 else total
+
+
+def combine(spec, values):
+    """sum_i beta_i values[i - 1], in index order, over the leading axis
+    of values (the evaluations at the scales w, 2w, ..., pw)."""
     total = 0.0
-    for i, beta in enumerate(spec.beta, start=1):
-        total += beta * durrmeyer_eval(op.with_w(i * op.w), f, x)
+    for beta, value in zip(spec.beta, values):
+        total = total + beta * value
     return total
 
 
@@ -90,7 +102,8 @@ def pair_moment(chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG):
     return combined_moment(solve_coefficients(1), chi, phi, j, u, cfg)
 
 
-def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None):
+def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None,
+                    with_size=False):
     """Order-j coefficient for the combined operator:
 
         sum_i beta_i / i^j * pair_moment(chi, phi, j, u^i)
@@ -102,11 +115,23 @@ def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None):
     are computed once for all entries.  Vanishes for j = 1 .. p-1 by
     construction of the beta whenever the pair moment is the same at
     every u^i, as for b-spline pairs.
+
+    with_size=True returns (coefficient, size), where size is the sum of
+    the magnitudes of its terms beta_i / i^j binom(j, eta) mhat_{j-eta}
+    chi(tau - l) (l - tau)^eta at the same phases: the scale of the
+    roundoff in the coefficient, so a coefficient below about 1e-12 of
+    its size is zero.
     """
     weights = np.array([math.comb(j, eta) * continuous_moment(phi, j - eta, cfg)
                         for eta in range(j + 1)])
     logs = np.asarray(math.log(u) if log_u is None else log_u, dtype=float)
-    total = 0.0
-    for i, beta in enumerate(spec.beta, start=1):
-        total = total + beta / i ** j * (phase_moments(chi, j, i * logs) @ weights)
-    return total if logs.ndim else float(total[0])
+
+    def terms(absolute):
+        total = 0.0
+        for i, beta in enumerate(spec.beta, start=1):
+            coeff, factors = ((abs(beta), np.abs(weights)) if absolute
+                              else (beta, weights))
+            total = total + coeff / i ** j * (
+                phase_moments(chi, j, i * logs, absolute) @ factors)
+        return total if logs.ndim else float(total[0])
+    return (terms(False), terms(True)) if with_size else terms(False)

@@ -311,17 +311,22 @@ def _phase_sums(kernel, taus, summand, ks=None):
     return np.concatenate(out)
 
 
-def phase_moments(chi, j, log_u):
+def phase_moments(chi, j, log_u, absolute=False):
     """Discrete moments m_0 .. m_j of chi at u = e^{log_u}, one row per
-    entry of log_u (shape (len(log_u), j + 1)).
+    entry of log_u (shape (len(log_u), j + 1)); absolute=True gives the
+    sums of |chi(e^{-k} u)| |k - log u|^nu instead.
 
     The sums are 1-periodic in log u, so only the phase frac(log u)
     matters; taking the log keeps u = x^w usable where x^w overflows.
     """
     taus = np.mod(np.atleast_1d(np.asarray(log_u, dtype=float)), 1.0)
     powers = np.arange(j + 1)
-    return _phase_sums(chi, taus,
-                       lambda vals, d: vals[:, :, None] * d[:, :, None] ** powers)
+
+    def summand(vals, d):
+        if absolute:
+            vals, d = np.abs(vals), np.abs(d)
+        return vals[:, :, None] * d[:, :, None] ** powers
+    return _phase_sums(chi, taus, summand)
 
 
 # Closed-form continuous moments.  The order-n spline is the n-fold

@@ -19,6 +19,7 @@ sample values.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
 import warnings
@@ -30,7 +31,8 @@ import numpy as np
 from .errors import EvaluationError, SamplingError
 from .functions import RealFunction
 from .kernels import Kernel
-from .quadrature import DEFAULT_CONFIG, LogInterval, QuadratureConfig, log_rule
+from .quadrature import (DEFAULT_CONFIG, LogInterval, QuadratureConfig,
+                         log_rule, panel_sizes)
 
 
 @dataclass(frozen=True)
@@ -80,14 +82,16 @@ _MAX_CENTRE = 2.0 ** 52
 
 def _windows(chi, w, xs, radius=None):
     """Centres w log x and the ranges kmin..kmax of integers k with
-    chi(e^{-k} x^w) != 0 (possibly narrowed by radius), one per x."""
-    tc = w * np.array([math.log(x) for x in xs], dtype=float)
+    chi(e^{-k} x^w) != 0 (possibly narrowed by radius), one per x; w is
+    a float or an array of one scale per x."""
+    ws = np.broadcast_to(np.asarray(w, dtype=float), (len(xs),))
+    tc = ws * np.array([math.log(x) for x in xs], dtype=float)
     big = np.abs(tc) >= _MAX_CENTRE
     if np.any(big):
         i = int(np.argmax(big))
         raise EvaluationError(
-            f"w log x = {tc[i]:.6g} for w={w}, x={xs[i]}: at |w log x| >= "
-            "2^52 the lattice indices around it are not exact in double "
+            f"w log x = {tc[i]:.6g} for w={ws[i]}, x={xs[i]}: at |w log x| "
+            ">= 2^52 the lattice indices around it are not exact in double "
             "precision")
     lo, hi = chi.support
     kmin = np.floor(tc - hi)
@@ -97,9 +101,10 @@ def _windows(chi, w, xs, radius=None):
         kmax = np.minimum(kmax, np.floor(tc + radius))
     empty = kmin > kmax
     if np.any(empty):
-        x = xs[int(np.argmax(empty))]
+        i = int(np.argmax(empty))
         raise EvaluationError(
-            f"empty summation window for w={w}, x={x}: check truncation_radius")
+            f"empty summation window for w={ws[i]}, x={xs[i]}: check "
+            "truncation_radius")
     return tc, kmin.astype(np.int64), kmax.astype(np.int64)
 
 
@@ -154,6 +159,13 @@ def mellin_convolution(phi, f, w, s, cfg=DEFAULT_CONFIG):
 # period m sits at m + b_j, and phi(b - k) depends only on d = m - k, so the
 # phi weights of all windows form a small (d, j) template and the inner
 # integrals are a banded sum over d.
+#
+# In b only the panel subdivision of the period rule depends on w (small w
+# gets more panels).  Scales whose period rules have the same panel sizes
+# share one rule in b, one template and one reduction: every cluster of
+# pairs (x, w) with equal w and nearby windows owns a block of consecutive
+# period rows, the blocks are stacked, and the banded sum runs over the
+# whole stack (its rows that straddle two blocks are never read).
 
 _PHASE_TOL = 1e-12
 
@@ -170,30 +182,27 @@ def _knot_phases(phi):
     return tuple(phases)
 
 
-def _period_rule(phases, w, cfg):
-    """Nodes and weights of the rule on one period [p0/w, (p0 + 1)/w) of
-    the log coordinate, cut at every phase."""
-    iv = LogInterval(phases[0] / w, (phases[0] + 1.0) / w)
-    return log_rule(iv, cfg, [p / w for p in phases[1:]])
+def _period_cuts(phases, w):
+    """One period [p0/w, (p0 + 1)/w) of the log coordinate and its cuts
+    at the other phases."""
+    return (LogInterval(phases[0] / w, (phases[0] + 1.0) / w),
+            [p / w for p in phases[1:]])
 
 
-def _clusters(kmin, kmax, reach):
-    """Split the x, given by their k-ranges, into clusters of sorted x
-    whose k-ranges come within reach of each other, so memory grows with
-    the windows covered and not with the span of x.  Yields (indices of
-    the x, lowest k, highest k)."""
-    order = np.argsort(kmin, kind="stable")
-    top = np.maximum.accumulate(kmax[order])
-    breaks = np.flatnonzero(kmin[order][1:] > top[:-1] + reach) + 1
-    for idx, last in zip(np.split(order, breaks),
-                         np.append(breaks, order.size) - 1):
-        yield idx, int(kmin[idx[0]]), int(top[last])
+def _rule_groups(phases, scales, cfg):
+    """Indices into scales, grouped by the panel sizes of their period
+    rules."""
+    groups = {}
+    for s, w in enumerate(scales):
+        iv, cuts = _period_cuts(phases, w)
+        groups.setdefault(panel_sizes(iv, cfg, cuts), []).append(s)
+    return list(groups.values())
 
 
 def _f_at_nodes(f, us, where):
     """f at t = e^u for every u: one array call for a RealFunction, then
     point by point when that fails or for any other callable, so an error
-    names the first offending t and its window (where(u))."""
+    names the first offending t and its window (where(i) for us[i])."""
     ts = np.exp(us)
     if isinstance(f, RealFunction):
         try:
@@ -208,85 +217,121 @@ def _f_at_nodes(f, us, where):
             fv = f(t)
         except EvaluationError as exc:
             raise EvaluationError(
-                f"evaluating f at t={t!r} inside {where(us[i])}: {exc}") from exc
+                f"evaluating f at t={t!r} inside {where(i)}: {exc}") from exc
         if not math.isfinite(fv):
             raise EvaluationError(
-                f"non-finite value of f at t={t!r} inside {where(us[i])}")
+                f"non-finite value of f at t={t!r} inside {where(i)}")
         values[i] = fv
     return values
 
 
-def _shared_lattice(spec, f, xs):
-    """Operator values at the 1-d array xs (all > 0) on one shared rule."""
-    chi, phi, w = spec.chi, spec.phi, spec.w
-    tc, kmin, kmax = _windows(chi, w, xs, spec.truncation_radius)
+def _shared_lattice(spec, f, xs, ws):
+    """Operator values at the pairs (xs[i], ws[i]) of 1-d arrays, x > 0."""
+    chi, phi, cfg = spec.chi, spec.phi, spec.quadrature
+    tc, kmin, kmax = _windows(chi, ws, xs.tolist(), spec.truncation_radius)
     ks = kmin[:, None] + np.arange(int((kmax - kmin).max()) + 1)
     chi_rows = np.asarray(chi.eval_log((tc[:, None] - ks).ravel()),
                           dtype=float).reshape(ks.shape)
     chi_rows[ks > kmax[:, None]] = 0.0
 
     phases = _knot_phases(phi)
-    nodes, weights = _period_rule(phases, w, spec.quadrature)
-    offsets = w * nodes
     lo, hi = phi.support
     ds = np.arange(math.floor(lo - phases[0] - 1.0),
                    math.ceil(hi - phases[0]) + 1)
-    phi_rows = np.asarray(phi.eval_log((ds[:, None] + offsets).ravel()),
-                          dtype=float).reshape(ds.size, offsets.size)
-    band = phi_rows * weights
     nd = ds.size
-
-    # clusters more than nd apart share no period of the node grid
-    clusters = []
-    for idx, k0, k1 in _clusters(kmin, kmax, nd):
-        nk = k1 - k0 + 1
-        needed = np.zeros(nk, dtype=bool)
-        needed[ks[idx][chi_rows[idx] != 0.0] - k0] = True
-        # period m = k0 + ds[0] + r for row r of the node grid
-        mask = np.zeros((nk + nd - 1, nodes.size), dtype=bool)
+    scales, scale_of = np.unique(ws, return_inverse=True)
+    blocks = []
+    for group in _rule_groups(phases, scales.tolist(), cfg):
+        # the group's first scale w0 gives the rule: in the u of scale w a
+        # node of period m sits at (m + w0 u_j) / w, with weight w0 v_j / w
+        w0 = float(scales[group[0]])
+        iv, cuts = _period_cuts(phases, w0)
+        nodes, weights = log_rule(iv, cfg, cuts)
+        phi_rows = np.asarray(phi.eval_log((ds[:, None] + w0 * nodes).ravel()),
+                              dtype=float).reshape(nd, nodes.size)
+        # pairs by scale, then by centre: within a scale both ends of the
+        # k-ranges then ascend, and a cluster ends where the next range
+        # starts more than nd past the last one (memory then grows with the
+        # windows covered, not with the span of x)
+        pairs = np.flatnonzero(np.isin(scale_of, group))
+        pairs = pairs[np.lexsort((tc[pairs], scale_of[pairs]))]
+        pw, k0, k1 = ws[pairs], kmin[pairs], kmax[pairs]
+        first = np.flatnonzero(np.r_[True, (pw[1:] != pw[:-1])
+                                     | (k0[1:] > k1[:-1] + nd)])
+        last = np.r_[first[1:], pairs.size] - 1
+        rows = k1[last] - k0[first] + nd
+        start = np.cumsum(rows) - rows
+        nrow = int(rows.sum()) - nd + 1
+        # k of a pair sits at row start + k - k0 of its cluster's block
+        shift = np.repeat(start - k0[first], last - first + 1)
+        pos = np.minimum(ks[pairs] + shift[:, None], nrow - 1)
+        needed = np.zeros(nrow, dtype=bool)
+        needed[pos[chi_rows[pairs] != 0.0]] = True
+        mask = np.zeros((nrow + nd - 1, nodes.size), dtype=bool)
         for r in range(nd):
-            mask[r:r + nk] |= needed[:, None] & (phi_rows[r] != 0.0)
-        periods = k0 + ds[0] + np.arange(nk + nd - 1)
-        us = (periods[:, None] / w + nodes)[mask]
-        clusters.append((idx, k0, nk, needed, mask, us))
+            mask[r:r + nrow] |= needed[:, None] & (phi_rows[r] != 0.0)
+        # row t of a block holds period k0 + ds[0] + t of its cluster; this
+        # form of (m + w0 u_j) / w gives scale w0 exactly its own nodes
+        periods = np.arange(mask.shape[0]) + np.repeat(
+            k0[first] + ds[0] - start, rows)
+        row_w = np.repeat(pw[first], rows)
+        us = ((periods / row_w)[:, None] + np.outer(w0 / row_w, nodes))[mask]
+        blocks.append((pairs, pos, w0, phi_rows * weights, mask, row_w, us))
 
-    def where(u):
-        # the needed window whose centre is nearest to u contains it
-        needed_ks = np.concatenate([k0 + np.flatnonzero(needed)
-                                    for _, k0, _, needed, _, _ in clusters])
-        k = needed_ks[np.argmin(np.abs(w * u - needed_ks - 0.5 * (lo + hi)))]
+    def where(i):
+        # the needed window at the node's scale whose centre is nearest
+        # to the node contains it
+        for *_, mask, row_w, us in blocks:
+            if i < us.size:
+                break
+            i -= us.size
+        w = row_w[np.nonzero(mask)[0][i]]
+        at = ws == w
+        needed_ks = ks[at][chi_rows[at] != 0.0]
+        k = needed_ks[np.argmin(np.abs(w * us[i] - needed_ks - 0.5 * (lo + hi)))]
         return f"the convolution window around s=e^{k / w:.6g}"
 
-    values = _f_at_nodes(f, np.concatenate([c[-1] for c in clusters]), where)
+    values = _f_at_nodes(f, np.concatenate([blk[-1] for blk in blocks]), where)
     out = np.empty(xs.size)
     start = 0
-    for idx, k0, nk, needed, mask, us in clusters:
+    for pairs, pos, w0, band, mask, _, us in blocks:
         grid = np.zeros(mask.shape)
         grid[mask] = values[start:start + us.size]
         start += us.size
-        inner = sum(grid[r:r + nk] @ band[r] for r in range(nd)) * w
-        cols = np.clip(ks[idx] - k0, 0, nk - 1)
-        out[idx] = np.sum(chi_rows[idx] * inner[cols], axis=1)
+        nrow = grid.shape[0] - nd + 1
+        # band holds the weights in the u of scale w0; w0 makes them b's
+        inner = sum(grid[r:r + nrow] @ band[r] for r in range(nd)) * w0
+        out[pairs] = np.sum(chi_rows[pairs] * inner[pos], axis=1)
     return out
 
 
-def durrmeyer_eval(spec, f, x):
+def durrmeyer_eval(spec, f, x, w=None):
     """Evaluate the convolution-sampling operator at x > 0, a float or a
-    numpy array of points (the result has the same shape).
+    numpy array of points.
 
-    Exact finite sum over the support window of chi; each term weights the
-    convolution mean of f around the node e^{k/w}.  All points share one
-    knot-aligned rule and one evaluation of f on its nodes.
+    w, when given (a float or an array), replaces spec.w and broadcasts
+    against x; the result has the broadcast shape, or is a float when
+    both are scalars.  Exact finite sum over the support window of chi;
+    each term weights the convolution mean of f around the node e^{k/w}.
+    All pairs (x, w) share one evaluation of f, and all scales whose
+    period rules have the same panels share one knot-aligned rule in the
+    scaled coordinate w log t and one reduction.
     """
-    xs = np.asarray(x, dtype=float)
+    xs, ws = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                 np.asarray(spec.w if w is None else w,
+                                            dtype=float))
     if not np.all(xs > 0):
         raise ValueError("x must be positive")
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
+    if not np.all(ws > 0):
+        raise ValueError("w must be positive")
+    if not np.all(np.isfinite(ws)):
+        raise ValueError("w must be finite")
     _admissibility_warning(f)
     if xs.size == 0:
         return np.empty(xs.shape)
-    values = _shared_lattice(spec, f, xs.ravel())
+    values = _shared_lattice(spec, f, xs.ravel(), ws.ravel())
     if xs.ndim == 0:
         return float(values[0])
     return values.reshape(xs.shape)
@@ -369,29 +414,24 @@ def sampling_eval(chi, samples, w, x):
 
 # --- batch evaluation -------------------------------------------------------
 
-def batch_eval(spec, f, points, evaluator=None):
-    """Evaluate the operator on a grid of (x, w) pairs.
+def batch_eval(spec, f, points, combination=None):
+    """Evaluate the operator, or the combination sum_i beta_i I_{iw} when
+    one is given, at a list of (x, w) pairs.
 
-    Points are grouped by w and each group is one evaluator call on the
-    array of its x, so the points of one scale share one lattice.  The
-    evaluator maps (array of x, w) to the array of values and defaults to
-    durrmeyer_eval.  Returns rows (x, w, f(x), value, abs_err) in input
-    order, with f(x) from a scalar call.
+    All points are one durrmeyer_eval (or combined_eval) call, so the
+    points of one scale share one lattice and all scales one evaluation
+    of f.  Returns rows (x, w, f(x), value, abs_err) in input order, with
+    f(x) from a scalar call.
     """
-    if evaluator is None:
-        def evaluator(xs, w):
-            return durrmeyer_eval(spec.with_w(w), f, xs)
-
-    groups = {}
-    for i, (_, w) in enumerate(points):
-        groups.setdefault(w, []).append(i)
-    values = [None] * len(points)
-    for w, idx in groups.items():
-        xs = np.array([points[i][0] for i in idx], dtype=float)
-        for i, value in zip(idx, np.asarray(evaluator(xs, w)).tolist()):
-            values[i] = value
+    xs = np.array([x for x, _ in points], dtype=float)
+    ws = np.array([w for _, w in points], dtype=float)
+    if combination is None:
+        values = durrmeyer_eval(spec, f, xs, ws)
+    else:
+        from .combinations import combined_eval
+        values = combined_eval(combination, spec, f, xs, ws)
     rows = []
-    for (x, w), value in zip(points, values):
+    for (x, w), value in zip(points, values.tolist()):
         fx = f(x)
         rows.append((x, w, fx, value, abs(fx - value)))
     return rows
@@ -400,12 +440,21 @@ def batch_eval(spec, f, points, evaluator=None):
 BATCH_CSV_COLUMNS = ("x", "w", "fx", "Iwfx", "abs_err")
 
 
+def write_atomic(path, rows=None, doc=None):
+    """Write CSV rows (header first) or, when doc is given, a JSON document
+    (2-space indent, final newline) to path: into a temporary file beside
+    it, then renamed over it, so no reader sees a partial file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", newline="" if doc is None else None) as fh:
+        if doc is None:
+            csv.writer(fh).writerows(rows)
+        else:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    os.replace(tmp, path)
+
+
 def write_batch_csv(rows, path):
     """Serialize batch rows with the documented column set, atomically."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BATCH_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(v) for v in row])
-    os.replace(tmp, path)
+    write_atomic(path, [BATCH_CSV_COLUMNS, *([repr(v) for v in row]
+                                             for row in rows)])

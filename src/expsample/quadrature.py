@@ -71,6 +71,31 @@ def _leggauss(n):
     return x, w
 
 
+def _panels(iv, cfg, breakpoints):
+    """(lo, hi, points) of every panel of log_rule(iv, cfg, breakpoints)."""
+    cuts = [iv.lo]
+    for b in sorted(set(breakpoints)):
+        if iv.lo < b < iv.hi:
+            cuts.append(b)
+    cuts.append(iv.hi)
+    floor = max(6, math.ceil(0.7 * cfg.nodes_per_unit))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b <= a:
+            continue
+        npanels = max(1, math.ceil((b - a) / cfg.panel_max_width))
+        step = (b - a) / npanels
+        for i in range(npanels):
+            lo = a + i * step
+            hi = a + (i + 1) * step
+            yield lo, hi, max(floor, math.ceil(cfg.nodes_per_unit * (hi - lo)))
+
+
+def panel_sizes(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
+    """Points per panel of log_rule(iv, cfg, breakpoints), without
+    building the rule."""
+    return tuple(n for _, _, n in _panels(iv, cfg, breakpoints))
+
+
 def log_rule(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     """Composite Gauss-Legendre rule on iv as flat (nodes, weights)
     arrays: panels cut at the breakpoints, then subdivided to respect
@@ -83,26 +108,12 @@ def log_rule(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     density ~1e-10 accuracy on integrands oscillating up to ~10 radians
     per panel.
     """
-    cuts = [iv.lo]
-    for b in sorted(set(breakpoints)):
-        if iv.lo < b < iv.hi:
-            cuts.append(b)
-    cuts.append(iv.hi)
-    floor = max(6, math.ceil(0.7 * cfg.nodes_per_unit))
     nodes, weights = [np.empty(0)], [np.empty(0)]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        npanels = max(1, math.ceil((b - a) / cfg.panel_max_width))
-        step = (b - a) / npanels
-        for i in range(npanels):
-            lo = a + i * step
-            hi = a + (i + 1) * step
-            n = max(floor, math.ceil(cfg.nodes_per_unit * (hi - lo)))
-            x, w = _leggauss(n)
-            half = 0.5 * (hi - lo)
-            nodes.append(0.5 * (lo + hi) + half * x)
-            weights.append(half * w)
+    for lo, hi, n in _panels(iv, cfg, breakpoints):
+        x, w = _leggauss(n)
+        half = 0.5 * (hi - lo)
+        nodes.append(0.5 * (lo + hi) + half * x)
+        weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
 
 

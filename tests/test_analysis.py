@@ -1,16 +1,23 @@
 """Error tables, rate fits, and asymptotic-constant checks."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from expsample import (
     Column,
+    EvaluationError,
     OperatorSpec,
+    batch_eval,
     builtin,
+    combined_eval,
+    durrmeyer_eval,
     empirical_order,
     error_table,
+    parse_function,
     richardson,
     solve_coefficients,
     voronovskaya_check,
@@ -210,7 +217,81 @@ class TestVoronovskaya:
                                    2.0, [25.0, 50.0, 100.0, 200.0], 3)
         assert check.lower_orders_cancel
 
+    def test_vanishing_order_has_limit_zero(self, b4, b2):
+        # for a b-spline pair the order-3 coefficient of the p = 3
+        # combination vanishes at every w; its roundoff (1.2e-15, -4.6e-16,
+        # 8.0e-16, 7.7e-17 at x = 2) is judged against the size of its
+        # terms, not against itself
+        f = builtin("sinlog")
+        for x in (2.0, 5.0):
+            check = voronovskaya_check(f, OperatorSpec(b4, b2, 1.0), x,
+                                       [25.0, 50.0, 100.0, 200.0], 3,
+                                       combination=solve_coefficients(3))
+            assert check.has_limit
+            assert check.predicted == 0.0
+            assert check.predictions == (0.0, 0.0, 0.0, 0.0)
+            assert check.magnitude > 0.0
+            assert check.relative_deviation == (
+                abs(check.extrapolated) / check.magnitude)
+
     def test_requires_closed_form_derivative(self, b4, b2):
         spec = OperatorSpec(b4, b2, 1.0)
         with pytest.raises(ValueError, match="closed-form"):
             voronovskaya_check(builtin("fig2"), spec, 2.0, [10.0, 20.0, 40.0], 2)
+
+
+def _counting(f):
+    """f with a list that records the size of every array call."""
+    calls = []
+
+    def array_evaluator(x):
+        calls.append(x.size)
+        return f.array_evaluator(x)
+    return dataclasses.replace(f, array_evaluator=array_evaluator), calls
+
+
+class TestOneEngineCall:
+    # every scale of a w-sweep or a combination shares one array call of f
+    def test_instruments_call_f_once(self, b4, b2):
+        spec = OperatorSpec(b4, b2, 1.0)
+        ws = [50.0, 100.0, 200.0, 400.0]
+        comb = solve_coefficients(3)
+        for run in (
+                lambda f: empirical_order(f, spec, 2.0, ws),
+                lambda f: empirical_order(f, spec, 2.0, ws, combination=comb),
+                lambda f: voronovskaya_check(f, spec, 2.0, ws, 2),
+                lambda f: voronovskaya_check(f, spec, 2.0, ws, 3,
+                                             combination=comb),
+                lambda f: combined_eval(comb, spec.with_w(50.0), f, 2.0),
+                lambda f: combined_eval(comb, spec, f, np.array([1.5, 2.0]),
+                                        np.array([50.0, 80.0])),
+                lambda f: batch_eval(spec, f, [(2.0, 50.0), (3.0, 90.0)],
+                                     combination=comb)):
+            f, calls = _counting(builtin("sinlog"))
+            run(f)
+            assert len(calls) == 1
+
+    def test_error_table_calls_f_once_per_column_kind(self, b4, b2):
+        f, calls = _counting(builtin("sinlog"))
+        cols = [Column(10.0), Column(20.0), Column(10.0, p=2),
+                Column(10.0, p=3)]
+        table = error_table(f, OperatorSpec(b4, b2, 10.0), [1.5, 2.5], cols)
+        assert len(calls) == 2
+        spec = OperatorSpec(b4, b2, 10.0)
+        for x, label, _, value in table.rows:
+            col = cols[[c.label for c in cols].index(label)]
+            if col.p == 1:
+                ref = durrmeyer_eval(spec.with_w(col.w), f, x)
+            else:
+                ref = combined_eval(solve_coefficients(col.p),
+                                    spec.with_w(col.w), f, x)
+            assert abs(value - ref) <= 1e-13 * abs(ref)
+
+    def test_errors_name_t_and_window_through_a_sweep(self, b2):
+        f = parse_function("log(x - 5)")
+        spec = OperatorSpec(b2, b2, 1.0)
+        with pytest.raises(EvaluationError, match="t=.*window around s="):
+            empirical_order(f, spec, 6.0, [2.0, 50.0, 100.0])
+        with pytest.raises(EvaluationError, match="t=.*window around s="):
+            empirical_order(f, spec, 6.0, [2.0, 50.0, 100.0],
+                            combination=solve_coefficients(2))

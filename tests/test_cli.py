@@ -145,6 +145,28 @@ class TestRatesAndVoronovskaya:
         assert json.loads(out.read_text())["lower_orders_cancel"] is False
 
 
+class TestRepeatedCalls:
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        # the parser is built once per process: --combine (an appending
+        # flag) must not carry over into the next call, and a repeated
+        # call must reproduce stdout and file byte for byte
+        out = tmp_path / "t.csv"
+        argv = ["table", "--chi", "bspline:4", "--phi", "bspline:2",
+                "--fn", "name:fig2", "--x", "2.1,2.85", "--w", "10",
+                "--out", str(out)]
+        assert main(argv + ["--combine", "p=2"]) == 0
+        assert "p=2,w=10" in out.read_text()
+        capsys.readouterr()
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert "combination" not in runs[0][0]
+        assert b"p=" not in runs[0][1]
+        assert len(runs[0][1].splitlines()) == 3
+
+
 class TestFlagHandling:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -16,11 +16,13 @@ from expsample import (
     SamplingError,
     batch_eval,
     builtin,
+    combined_eval,
     durrmeyer_eval,
     kantorovich_eval,
     mellin_convolution,
     parse_function,
     sampling_eval,
+    solve_coefficients,
     write_batch_csv,
 )
 from conftest import dense_config_oracle, simpson_operator_oracle
@@ -181,6 +183,37 @@ class TestDurrmeyer:
             with pytest.raises(EvaluationError, match="t=.*window around s="):
                 durrmeyer_eval(spec, f, np.array([10.0, 2.0]))
 
+    def test_error_names_t_and_window_in_a_w_sweep(self, b2):
+        # only the w = 2 pairs reach t <= 5; the window named is the one
+        # at that scale (k = 3, s = e^{3/2}), not one of the w = 50 pairs
+        spec = OperatorSpec(b2, b2, 1.0)
+        for f in (parse_function("log(x - 5)"),
+                  lambda t: math.log(t - 5.0) if t > 5.0 else math.nan):
+            with pytest.raises(EvaluationError,
+                               match=r"t=2\.727.*window around s=e\^1\.5\b"):
+                durrmeyer_eval(spec, f, 6.0, np.array([50.0, 2.0, 50.0]))
+
+    def test_window_guard_names_the_offending_scale(self, b4):
+        spec = OperatorSpec(b4, b4, 10.0)
+        with pytest.raises(EvaluationError,
+                           match=r"for w=1e\+17, x=2\.0: .*2\^52"):
+            durrmeyer_eval(spec, builtin("sinlog"), 2.0, [10.0, 1e17])
+
+    def test_w_broadcasts_against_x(self, b4, b2):
+        spec = OperatorSpec(b4, b2, 12.0)
+        f = builtin("fig2")
+        xs = np.array([1.7, 3.0])
+        ws = np.array([[12.0], [40.0], [0.9]])
+        got = durrmeyer_eval(spec, f, xs, ws)
+        assert got.shape == (3, 2)
+        for i, w in enumerate(ws.ravel()):
+            for j, x in enumerate(xs):
+                scalar = durrmeyer_eval(spec.with_w(float(w)), f, float(x))
+                assert abs(got[i, j] - scalar) <= 1e-13 * abs(scalar)
+        assert isinstance(durrmeyer_eval(spec, f, 2.0, 30.0), float)
+        with pytest.raises(ValueError, match="w must be positive"):
+            durrmeyer_eval(spec, f, xs, np.array([12.0, -1.0]))
+
     def test_admissibility_warning(self, b4, b2):
         spec = OperatorSpec(b4, b2, 10.0)
         with warnings.catch_warnings(record=True) as caught:
@@ -278,6 +311,16 @@ class TestBatch:
             scalar = durrmeyer_eval(spec.with_w(w), f, x)
             assert abs(val - scalar) <= 1e-13 * abs(scalar)
             assert fx == f(x) and err == abs(fx - val)
+
+    def test_combination_rows_match_combined_eval(self, b4, b2):
+        spec = OperatorSpec(b4, b2, 10.0)
+        f = builtin("sinlog")
+        comb = solve_coefficients(3)
+        points = [(x, w) for x in (1.5, 3.5) for w in (5.0, 10.0)]
+        for x, w, fx, val, err in batch_eval(spec, f, points, combination=comb):
+            scalar = combined_eval(comb, spec.with_w(w), f, x)
+            assert abs(val - scalar) <= 1e-13 * abs(scalar)
+            assert err == abs(fx - val)
 
     def test_csv_deterministic(self, b4, b2, tmp_path):
         spec = OperatorSpec(b4, b2, 10.0)

@@ -76,6 +76,35 @@ def test_engine_matches_pointwise_composition(pair, w, xs):
         assert abs(single - ref) <= 1e-11 * max(1.0, abs(ref))
 
 
+SCALES = st.one_of(st.floats(0.5, 1.43), st.floats(2.0, 200.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=st.sampled_from(PAIRS),
+       points=st.lists(st.tuples(st.floats(0.2, 20.0), SCALES),
+                       min_size=1, max_size=6),
+       repeat=st.booleans(),
+       radius=st.one_of(st.none(), st.floats(0.0, 2.0)))
+def test_mixed_scales_match_per_pair_calls(pair, points, repeat, radius):
+    # pairs (x, w) with any mix of scales: small w (more panels per cell)
+    # next to w > 2, translates with knots on two phases as phi, several x
+    # at one w, and a finite truncation radius.  f = 2 + sin log lies in
+    # [1, 3], and so does every value of a nonnegative kernel pair; psi's
+    # negative lobes can cancel a value to near 0, so the tolerance is
+    # relative to max(1, |value|), the size of f
+    chi, phi = pair
+    if repeat:
+        points = points + [(2.0 * points[0][0], points[0][1])]
+    spec = OperatorSpec(chi, phi, 1.0, truncation_radius=None if radius is None
+                        else chi.log_support_radius + radius)
+    f = parse_function("2 + sin(log(x))")
+    xs, ws = (np.array(v) for v in zip(*points))
+    values = durrmeyer_eval(spec, f, xs, ws)
+    for x, w, value in zip(xs.tolist(), ws.tolist(), values.tolist()):
+        single = durrmeyer_eval(spec.with_w(w), f, x)
+        assert abs(value - single) <= 1e-13 * max(1.0, abs(single))
+
+
 @pytest.mark.parametrize("chi,phi,fn,ws,xs,tol", [
     (B[4], B[4], "fig1", (25.0, 45.0, 90.0),
      (3.55, 3.98, 4.22, 4.85, 5.35), 1e-12),
