@@ -56,6 +56,7 @@ from .combinations import (
     CombinationSpec,
     combined_eval,
     combined_moment,
+    combined_moment_size,
     pair_moment,
     residuals,
     solve_coefficients,

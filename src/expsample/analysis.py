@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .combinations import (combine, combined_eval, combined_moment,
-                           solve_coefficients)
-from .operators import durrmeyer_eval, write_atomic
+                           combined_moment_size, solve_coefficients)
+from .operators import durrmeyer_eval, write_csv, write_json
 from .quadrature import DEFAULT_CONFIG
 
 
@@ -69,7 +69,7 @@ class ErrorTable:
     metadata: dict
 
     def to_csv(self, path):
-        write_atomic(path, [("x", "label", "fx", "value", "abs_err"), *(
+        write_csv(path, [("x", "label", "fx", "value", "abs_err"), *(
             [repr(x), label, repr(fx), repr(value), repr(abs(fx - value))]
             for x, label, fx, value in self.rows)])
 
@@ -83,7 +83,7 @@ class ErrorTable:
             ],
         }
         if path is not None:
-            write_atomic(path, doc=doc)
+            write_json(path, doc)
         return doc
 
     def cell(self, x, label):
@@ -241,11 +241,14 @@ class AsymptoticCheck:
     def relative_deviation(self):
         """|extrapolated - predicted| / |predicted| when the limit exists;
         when that limit is 0 (its terms cancel), |extrapolated| over
-        magnitude, the size of the cancelling terms; without a limit,
+        magnitude, the size of the cancelling terms (inf, or 0.0 when
+        extrapolated is 0 too, if every term is 0); without a limit,
         max_deviation over the largest |pred_w|."""
         if not self.has_limit:
             return self.max_deviation / max(abs(p) for p in self.predictions)
         if self.predicted == 0.0:
+            if self.magnitude == 0.0:
+                return math.inf if self.extrapolated != 0.0 else 0.0
             return abs(self.extrapolated) / self.magnitude
         return abs(self.extrapolated - self.predicted) / abs(self.predicted)
 
@@ -288,11 +291,11 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
     comb = combination if combination is not None else solve_coefficients(1)
     # the phase comes from w log x: x^w itself overflows
     log_u = np.array(ws) * math.log(x)
-    coeffs, sizes = combined_moment(comb, spec.chi, spec.phi, j,
-                                    cfg=spec.quadrature, log_u=log_u,
-                                    with_size=True)
+    coeffs = combined_moment(comb, spec.chi, spec.phi, j,
+                             cfg=spec.quadrature, log_u=log_u)
     factor = deriv(x) / math.factorial(j)
-    sizes = abs(factor) * sizes
+    sizes = abs(factor) * combined_moment_size(
+        comb, spec.chi, spec.phi, j, cfg=spec.quadrature, log_u=log_u)
     predictions = tuple(0.0 if abs(p) <= _ROUNDOFF * s else float(p)
                         for p, s in zip(factor * coeffs, sizes))
     magnitude = float(sizes.max())
@@ -319,8 +322,8 @@ def _lower_orders_cancel(comb, chi, phi, j, log_u, cfg):
     every entry of log_u, to 1e-12 of the sum of the magnitudes of their
     terms there."""
     for k in range(1, j):
-        value, size = combined_moment(comb, chi, phi, k, cfg=cfg, log_u=log_u,
-                                      with_size=True)
+        value = combined_moment(comb, chi, phi, k, cfg=cfg, log_u=log_u)
+        size = combined_moment_size(comb, chi, phi, k, cfg=cfg, log_u=log_u)
         if np.any(np.abs(value) > _ROUNDOFF * size):
             return False
     return True

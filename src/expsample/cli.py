@@ -33,7 +33,7 @@ from .kernels import (
     poisson_moment,
     verify_kernel,
 )
-from .operators import OperatorSpec, batch_eval, write_atomic, write_batch_csv
+from .operators import OperatorSpec, batch_eval, write_batch_csv, write_json
 from .quadrature import QuadratureConfig
 
 
@@ -247,7 +247,7 @@ def _cmd_eval(args):
             doc = {"metadata": {"digest": config_digest(payload), **payload},
                    "rows": [dict(zip(("x", "w", "fx", "Iwfx", "abs_err"), r))
                             for r in rows]}
-            write_atomic(args.out, doc=doc)
+            write_json(args.out, doc)
         note = f"wrote {len(rows)} rows to {args.out}"
     else:
         for x, w, fx, val, err in rows:
@@ -319,7 +319,7 @@ def _cmd_rates(args):
                "extrapolated_constant": report.extrapolated_constant,
                "target_order": report.target_order,
                "zero_error": report.zero_error}
-        write_atomic(args.out, doc=doc)
+        write_json(args.out, doc)
     _summary("rates", payload, f"fitted order {report.fitted_order:.3f}")
     return 0
 
@@ -366,7 +366,7 @@ def _cmd_voronovskaya(args):
                "relative_deviation": check.relative_deviation,
                "scaled_errors": list(check.scaled_errors),
                "diverged": check.diverged}
-        write_atomic(args.out, doc=doc)
+        write_json(args.out, doc)
     _summary("voronovskaya", payload, note)
     return 0
 

@@ -102,8 +102,7 @@ def pair_moment(chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG):
     return combined_moment(solve_coefficients(1), chi, phi, j, u, cfg)
 
 
-def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None,
-                    with_size=False):
+def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None):
     """Order-j coefficient for the combined operator:
 
         sum_i beta_i / i^j * pair_moment(chi, phi, j, u^i)
@@ -115,23 +114,29 @@ def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None,
     are computed once for all entries.  Vanishes for j = 1 .. p-1 by
     construction of the beta whenever the pair moment is the same at
     every u^i, as for b-spline pairs.
-
-    with_size=True returns (coefficient, size), where size is the sum of
-    the magnitudes of its terms beta_i / i^j binom(j, eta) mhat_{j-eta}
-    chi(tau - l) (l - tau)^eta at the same phases: the scale of the
-    roundoff in the coefficient, so a coefficient below about 1e-12 of
-    its size is zero.
     """
+    return _moment_terms(spec, chi, phi, j, cfg, u, log_u, absolute=False)
+
+
+def combined_moment_size(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG,
+                         log_u=None):
+    """The sum of the magnitudes of the terms of combined_moment(spec,
+    chi, phi, j, u, cfg, log_u), |beta_i| / i^j binom(j, eta)
+    |mhat_{j-eta}| |chi(tau - l)| |l - tau|^eta at the same phases: the
+    scale of the roundoff in that coefficient, so a coefficient below
+    about 1e-12 of its size is zero."""
+    return _moment_terms(spec, chi, phi, j, cfg, u, log_u, absolute=True)
+
+
+def _moment_terms(spec, chi, phi, j, cfg, u, log_u, absolute):
+    """combined_moment, or with absolute its size."""
     weights = np.array([math.comb(j, eta) * continuous_moment(phi, j - eta, cfg)
                         for eta in range(j + 1)])
     logs = np.asarray(math.log(u) if log_u is None else log_u, dtype=float)
-
-    def terms(absolute):
-        total = 0.0
-        for i, beta in enumerate(spec.beta, start=1):
-            coeff, factors = ((abs(beta), np.abs(weights)) if absolute
-                              else (beta, weights))
-            total = total + coeff / i ** j * (
-                phase_moments(chi, j, i * logs, absolute) @ factors)
-        return total if logs.ndim else float(total[0])
-    return (terms(False), terms(True)) if with_size else terms(False)
+    total = 0.0
+    for i, beta in enumerate(spec.beta, start=1):
+        coeff, factors = ((abs(beta), np.abs(weights)) if absolute
+                          else (beta, weights))
+        total = total + coeff / i ** j * (
+            phase_moments(chi, j, i * logs, absolute) @ factors)
+    return total if logs.ndim else float(total[0])

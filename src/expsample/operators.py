@@ -18,7 +18,9 @@ sample values.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -32,7 +34,7 @@ from .errors import EvaluationError, SamplingError
 from .functions import RealFunction
 from .kernels import Kernel
 from .quadrature import (DEFAULT_CONFIG, LogInterval, QuadratureConfig,
-                         log_rule, panel_sizes)
+                         log_rule, min_panel_points, panel_rule)
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,9 @@ def _windows(chi, w, xs, radius=None):
     """Centres w log x and the ranges kmin..kmax of integers k with
     chi(e^{-k} x^w) != 0 (possibly narrowed by radius), one per x; w is
     a float or an array of one scale per x."""
-    ws = np.broadcast_to(np.asarray(w, dtype=float), (len(xs),))
-    tc = ws * np.array([math.log(x) for x in xs], dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    ws = np.broadcast_to(np.asarray(w, dtype=float), xs.shape)
+    tc = ws * np.log(xs)
     big = np.abs(tc) >= _MAX_CENTRE
     if np.any(big):
         i = int(np.argmax(big))
@@ -161,11 +164,13 @@ def mellin_convolution(phi, f, w, s, cfg=DEFAULT_CONFIG):
 # integrals are a banded sum over d.
 #
 # In b only the panel subdivision of the period rule depends on w (small w
-# gets more panels).  Scales whose period rules have the same panel sizes
-# share one rule in b, one template and one reduction: every cluster of
-# pairs (x, w) with equal w and nearby windows owns a block of consecutive
-# period rows, the blocks are stacked, and the banded sum runs over the
-# whole stack (its rows that straddle two blocks are never read).
+# gets more panels), so the rule is built in b from that subdivision alone:
+# scales with the same panels share one rule, one template and one
+# reduction, and a value never depends on the other scales of a call.
+# Every cluster of pairs (x, w) with equal w and nearby windows owns a
+# block of consecutive period rows, the blocks of a rule are stacked, and
+# the banded sum runs over the whole stack (its rows that straddle two
+# blocks are never read).
 
 _PHASE_TOL = 1e-12
 
@@ -182,21 +187,28 @@ def _knot_phases(phi):
     return tuple(phases)
 
 
-def _period_cuts(phases, w):
-    """One period [p0/w, (p0 + 1)/w) of the log coordinate and its cuts
-    at the other phases."""
-    return (LogInterval(phases[0] / w, (phases[0] + 1.0) / w),
-            [p / w for p in phases[1:]])
+def _subdivisions(phases, scales, cfg):
+    """Panels per cell and points per panel of the period rule at each
+    scale, as log_rule would subdivide the cells [p_i / w, p_{i+1} / w]
+    of one period: one row (panels..., points...) per scale."""
+    widths = np.diff([*phases, phases[0] + 1.0])[None, :] / scales[:, None]
+    panels = np.maximum(1.0, np.ceil(widths / cfg.panel_max_width))
+    points = np.maximum(min_panel_points(cfg),
+                        np.ceil(cfg.nodes_per_unit * widths / panels))
+    return np.hstack([panels, points]).astype(np.int64)
 
 
-def _rule_groups(phases, scales, cfg):
-    """Indices into scales, grouped by the panel sizes of their period
-    rules."""
-    groups = {}
-    for s, w in enumerate(scales):
-        iv, cuts = _period_cuts(phases, w)
-        groups.setdefault(panel_sizes(iv, cfg, cuts), []).append(s)
-    return list(groups.values())
+def _period_rule(phases, subdivision):
+    """Nodes and weights in b of one period [p0, p0 + 1), the cell between
+    consecutive phases cut into the given numbers of equal panels."""
+    ends = [*phases, phases[0] + 1.0]
+    cells = len(phases)
+    panels = []
+    for a, b, m, n in zip(ends[:-1], ends[1:], subdivision[:cells],
+                          subdivision[cells:]):
+        step = (b - a) / m
+        panels += [(a + i * step, a + (i + 1) * step, n) for i in range(m)]
+    return panel_rule(panels)
 
 
 def _f_at_nodes(f, us, where):
@@ -228,7 +240,7 @@ def _f_at_nodes(f, us, where):
 def _shared_lattice(spec, f, xs, ws):
     """Operator values at the pairs (xs[i], ws[i]) of 1-d arrays, x > 0."""
     chi, phi, cfg = spec.chi, spec.phi, spec.quadrature
-    tc, kmin, kmax = _windows(chi, ws, xs.tolist(), spec.truncation_radius)
+    tc, kmin, kmax = _windows(chi, ws, xs, spec.truncation_radius)
     ks = kmin[:, None] + np.arange(int((kmax - kmin).max()) + 1)
     chi_rows = np.asarray(chi.eval_log((tc[:, None] - ks).ravel()),
                           dtype=float).reshape(ks.shape)
@@ -240,20 +252,20 @@ def _shared_lattice(spec, f, xs, ws):
                    math.ceil(hi - phases[0]) + 1)
     nd = ds.size
     scales, scale_of = np.unique(ws, return_inverse=True)
+    rules = {}
+    rule_of = np.array([rules.setdefault(row, len(rules)) for row in map(
+        tuple, _subdivisions(phases, scales, cfg).tolist())])[scale_of]
     blocks = []
-    for group in _rule_groups(phases, scales.tolist(), cfg):
-        # the group's first scale w0 gives the rule: in the u of scale w a
-        # node of period m sits at (m + w0 u_j) / w, with weight w0 v_j / w
-        w0 = float(scales[group[0]])
-        iv, cuts = _period_cuts(phases, w0)
-        nodes, weights = log_rule(iv, cfg, cuts)
-        phi_rows = np.asarray(phi.eval_log((ds[:, None] + w0 * nodes).ravel()),
+    for rule, subdivision in enumerate(rules):
+        # a node of period m sits at b = m + b_j, that is u = (m + b_j) / w
+        nodes, weights = _period_rule(phases, subdivision)
+        phi_rows = np.asarray(phi.eval_log((ds[:, None] + nodes).ravel()),
                               dtype=float).reshape(nd, nodes.size)
         # pairs by scale, then by centre: within a scale both ends of the
         # k-ranges then ascend, and a cluster ends where the next range
         # starts more than nd past the last one (memory then grows with the
         # windows covered, not with the span of x)
-        pairs = np.flatnonzero(np.isin(scale_of, group))
+        pairs = np.flatnonzero(rule_of == rule)
         pairs = pairs[np.lexsort((tc[pairs], scale_of[pairs]))]
         pw, k0, k1 = ws[pairs], kmin[pairs], kmax[pairs]
         first = np.flatnonzero(np.r_[True, (pw[1:] != pw[:-1])
@@ -270,13 +282,12 @@ def _shared_lattice(spec, f, xs, ws):
         mask = np.zeros((nrow + nd - 1, nodes.size), dtype=bool)
         for r in range(nd):
             mask[r:r + nrow] |= needed[:, None] & (phi_rows[r] != 0.0)
-        # row t of a block holds period k0 + ds[0] + t of its cluster; this
-        # form of (m + w0 u_j) / w gives scale w0 exactly its own nodes
+        # row t of a block holds period k0 + ds[0] + t of its cluster
         periods = np.arange(mask.shape[0]) + np.repeat(
             k0[first] + ds[0] - start, rows)
         row_w = np.repeat(pw[first], rows)
-        us = ((periods / row_w)[:, None] + np.outer(w0 / row_w, nodes))[mask]
-        blocks.append((pairs, pos, w0, phi_rows * weights, mask, row_w, us))
+        us = ((periods[:, None] + nodes) / row_w[:, None])[mask]
+        blocks.append((pairs, pos, phi_rows * weights, mask, row_w, us))
 
     def where(i):
         # the needed window at the node's scale whose centre is nearest
@@ -294,14 +305,18 @@ def _shared_lattice(spec, f, xs, ws):
     values = _f_at_nodes(f, np.concatenate([blk[-1] for blk in blocks]), where)
     out = np.empty(xs.size)
     start = 0
-    for pairs, pos, w0, band, mask, _, us in blocks:
+    for pairs, pos, band, mask, _, us in blocks:
         grid = np.zeros(mask.shape)
         grid[mask] = values[start:start + us.size]
         start += us.size
         nrow = grid.shape[0] - nd + 1
-        # band holds the weights in the u of scale w0; w0 makes them b's
-        inner = sum(grid[r:r + nrow] @ band[r] for r in range(nd)) * w0
-        out[pairs] = np.sum(chi_rows[pairs] * inner[pos], axis=1)
+        # row by row rather than a matrix product, whose blocking of the
+        # rows would make a row's sum depend on the rows stacked around it
+        inner = sum((grid[r:r + nrow] * band[r]).sum(axis=1)
+                    for r in range(nd))
+        # k by k from the left, so the zeros that pad a short window to
+        # the longest of the call change nothing
+        out[pairs] = functools.reduce(np.add, (chi_rows[pairs] * inner[pos]).T)
     return out
 
 
@@ -315,7 +330,8 @@ def durrmeyer_eval(spec, f, x, w=None):
     each term weights the convolution mean of f around the node e^{k/w}.
     All pairs (x, w) share one evaluation of f, and all scales whose
     period rules have the same panels share one knot-aligned rule in the
-    scaled coordinate w log t and one reduction.
+    scaled coordinate w log t and one reduction.  The value at (x, w)
+    depends only on spec, f, x and w, not on the other pairs of the call.
     """
     xs, ws = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(spec.w if w is None else w,
@@ -440,21 +456,32 @@ def batch_eval(spec, f, points, combination=None):
 BATCH_CSV_COLUMNS = ("x", "w", "fx", "Iwfx", "abs_err")
 
 
-def write_atomic(path, rows=None, doc=None):
-    """Write CSV rows (header first) or, when doc is given, a JSON document
-    (2-space indent, final newline) to path: into a temporary file beside
-    it, then renamed over it, so no reader sees a partial file."""
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """A text file to write path through: a temporary file beside it,
+    renamed over path on leaving the block, so no reader sees a partial
+    file."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="" if doc is None else None) as fh:
-        if doc is None:
-            csv.writer(fh).writerows(rows)
-        else:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    with open(tmp, "w", newline=newline) as fh:
+        yield fh
     os.replace(tmp, path)
+
+
+def write_csv(path, rows):
+    """Write CSV rows (header first) to path atomically."""
+    with atomic_open(path, newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def write_json(path, doc):
+    """Write a JSON document (2-space indent, final newline) to path
+    atomically."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def write_batch_csv(rows, path):
     """Serialize batch rows with the documented column set, atomically."""
-    write_atomic(path, [BATCH_CSV_COLUMNS, *([repr(v) for v in row]
-                                             for row in rows)])
+    write_csv(path, [BATCH_CSV_COLUMNS, *([repr(v) for v in row]
+                                          for row in rows)])

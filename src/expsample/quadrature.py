@@ -71,6 +71,11 @@ def _leggauss(n):
     return x, w
 
 
+def min_panel_points(cfg):
+    """Fewest points a panel of log_rule gets (see there)."""
+    return max(6, math.ceil(0.7 * cfg.nodes_per_unit))
+
+
 def _panels(iv, cfg, breakpoints):
     """(lo, hi, points) of every panel of log_rule(iv, cfg, breakpoints)."""
     cuts = [iv.lo]
@@ -78,7 +83,7 @@ def _panels(iv, cfg, breakpoints):
         if iv.lo < b < iv.hi:
             cuts.append(b)
     cuts.append(iv.hi)
-    floor = max(6, math.ceil(0.7 * cfg.nodes_per_unit))
+    floor = min_panel_points(cfg)
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b <= a:
             continue
@@ -90,10 +95,16 @@ def _panels(iv, cfg, breakpoints):
             yield lo, hi, max(floor, math.ceil(cfg.nodes_per_unit * (hi - lo)))
 
 
-def panel_sizes(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
-    """Points per panel of log_rule(iv, cfg, breakpoints), without
-    building the rule."""
-    return tuple(n for _, _, n in _panels(iv, cfg, breakpoints))
+def panel_rule(panels):
+    """Flat (nodes, weights) of Gauss-Legendre panels given as
+    (lo, hi, points) triples."""
+    nodes, weights = [np.empty(0)], [np.empty(0)]
+    for lo, hi, n in panels:
+        x, w = _leggauss(n)
+        half = 0.5 * (hi - lo)
+        nodes.append(0.5 * (lo + hi) + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def log_rule(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
@@ -108,13 +119,7 @@ def log_rule(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     density ~1e-10 accuracy on integrands oscillating up to ~10 radians
     per panel.
     """
-    nodes, weights = [np.empty(0)], [np.empty(0)]
-    for lo, hi, n in _panels(iv, cfg, breakpoints):
-        x, w = _leggauss(n)
-        half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (lo + hi) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return panel_rule(_panels(iv, cfg, breakpoints))
 
 
 def integrate_log(g, iv, cfg=DEFAULT_CONFIG, breakpoints=()):

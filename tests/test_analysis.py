@@ -234,6 +234,17 @@ class TestVoronovskaya:
             assert check.relative_deviation == (
                 abs(check.extrapolated) / check.magnitude)
 
+    def test_zero_derivative_gives_zero_magnitude(self, b4, b2):
+        # theta^3 log^2 x = 0: every term of the prediction is 0, so there
+        # is nothing to judge the measured constant against
+        check = voronovskaya_check(builtin("logsq"), OperatorSpec(b4, b2, 1.0),
+                                   2.0, [25.0, 50.0, 100.0, 200.0], 3)
+        assert check.has_limit
+        assert check.predicted == 0.0
+        assert check.magnitude == 0.0
+        assert check.extrapolated != 0.0
+        assert check.relative_deviation == math.inf
+
     def test_requires_closed_form_derivative(self, b4, b2):
         spec = OperatorSpec(b4, b2, 1.0)
         with pytest.raises(ValueError, match="closed-form"):
@@ -286,6 +297,23 @@ class TestOneEngineCall:
                 ref = combined_eval(solve_coefficients(col.p),
                                     spec.with_w(col.w), f, x)
             assert abs(value - ref) <= 1e-13 * abs(ref)
+
+    def test_values_do_not_depend_on_the_other_scales(self, b4, b2):
+        # a column's values are the same doubles whatever other columns
+        # share the engine call, and a sweep's are those of single calls
+        f = builtin("sinlog")
+        spec = OperatorSpec(b4, b2, 10.0)
+        both = error_table(f, spec, [1.5, 2.5], [Column(10.0), Column(20.0)])
+        alone = error_table(f, spec, [1.5, 2.5], [Column(20.0)])
+        assert [r for r in both.rows if r[1] == "w=20"] == alone.rows
+        ws = [50.0, 100.0, 200.0, 400.0]
+        report = empirical_order(f, spec, 2.0, ws)
+        assert list(report.errors) == [
+            durrmeyer_eval(spec.with_w(w), f, 2.0) - f(2.0) for w in ws]
+        comb = solve_coefficients(3)
+        report = empirical_order(f, spec, 2.0, ws, combination=comb)
+        assert list(report.errors) == [
+            combined_eval(comb, spec.with_w(w), f, 2.0) - f(2.0) for w in ws]
 
     def test_errors_name_t_and_window_through_a_sweep(self, b2):
         f = parse_function("log(x - 5)")

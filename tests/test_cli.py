@@ -1,6 +1,7 @@
 """Command-line interface behavior."""
 
 import json
+import math
 
 import pytest
 
@@ -143,6 +144,18 @@ class TestRatesAndVoronovskaya:
         text = capsys.readouterr().out
         assert "lower orders:          do not cancel at every w" in text
         assert json.loads(out.read_text())["lower_orders_cancel"] is False
+
+
+    def test_voronovskaya_with_vanishing_prediction(self, tmp_path, capsys):
+        # theta^3 log^2 x = 0, so the prediction and all its terms are 0
+        out = tmp_path / "v.json"
+        assert main(["voronovskaya", "--chi", "bspline:4", "--phi",
+                     "bspline:2", "--fn", "name:logsq", "--x", "2", "--j", "3",
+                     "--w", "25,50,100,200", "--out", str(out)]) == 0
+        assert "relative deviation:    inf%" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["limit"] is True and doc["predicted"] == 0.0
+        assert doc["relative_deviation"] == math.inf
 
 
 class TestRepeatedCalls:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from expsample import (
@@ -9,6 +10,7 @@ from expsample import (
     builtin,
     combined_eval,
     combined_moment,
+    combined_moment_size,
     durrmeyer_eval,
     pair_moment,
     residuals,
@@ -94,3 +96,17 @@ class TestCombinedMoments:
         comb = solve_coefficients(3)
         got = combined_moment(comb, psi, b2, 3, math.e)
         assert got == pytest.approx(5.0, abs=1e-9)
+
+    def test_size_bounds_the_coefficient(self, b4, b2, psi):
+        # a nonnegative pair's partition of unity has size 1; a vanishing
+        # coefficient keeps the size of its terms; psi's lobes cancel
+        p1, p3 = solve_coefficients(1), solve_coefficients(3)
+        assert combined_moment_size(p1, b4, b2, 0, 2.0) == pytest.approx(1.0)
+        log_u = np.array([0.3, 7.9])
+        for j in (1, 2):
+            value = combined_moment(p3, b4, b2, j, log_u=log_u)
+            size = combined_moment_size(p3, b4, b2, j, log_u=log_u)
+            assert np.all(size > 0.1)
+            assert np.all(np.abs(value) <= 1e-12 * size)
+        value = combined_moment(p1, psi, b2, 2, math.e)
+        assert combined_moment_size(p1, psi, b2, 2, math.e) > abs(value) + 1.0

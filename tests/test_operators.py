@@ -330,3 +330,5 @@ class TestBatch:
         write_batch_csv(batch_eval(spec, f, points), str(p1))
         write_batch_csv(batch_eval(spec, f, points), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+        # written through a temporary file that is renamed over the target
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
