@@ -15,25 +15,15 @@ import math
 import sys
 
 from . import __version__
-from .analysis import (
-    Column,
-    config_digest,
-    empirical_order,
-    error_table,
-    voronovskaya_check,
-)
+from .analysis import (Column, config_digest, empirical_order, error_table,
+                       voronovskaya_check)
 from .combinations import solve_coefficients
 from .errors import EvaluationError, ExpSampleError, SamplingError
 from .functions import function_from_spec
-from .kernels import (
-    absolute_moment,
-    continuous_moment,
-    discrete_moment,
-    parse_kernel,
-    poisson_moment,
-    verify_kernel,
-)
-from .operators import OperatorSpec, batch_eval, write_batch_csv, write_json
+from .kernels import (absolute_moment, continuous_moment, discrete_moment,
+                      parse_kernel, poisson_moment, verify_kernel)
+from .operators import (BATCH_CSV_COLUMNS, OperatorSpec, batch_eval,
+                        write_batch_csv, write_json)
 from .quadrature import QuadratureConfig
 
 
@@ -68,20 +58,51 @@ def _parse_combine(text):
         raise ExpSampleError(f"--combine expects p=<int>, got {text!r}") from None
 
 
-def _fmt(v):
-    return f"{v:g}"
-
-
 def _quad_config(args):
     return QuadratureConfig(nodes_per_unit=args.nodes_per_unit,
                             panel_max_width=args.panel_max_width)
 
 
-def _summary(command, payload, note):
-    digest = config_digest(payload)
+def _summary(command, payload, note, digest=None):
+    """The run's summary: a note and the digest (by default that of the
+    payload), then the payload itself."""
+    digest = digest or config_digest(payload)
     print(f"expsample {command}: {note} digest={digest}")
     print(f"config: {json.dumps(payload, sort_keys=True)}")
-    return digest
+
+
+def _payload(command, spec, args, **fields):
+    return {"command": command, "chi": spec.chi.descriptor,
+            "phi": spec.phi.descriptor, "fn": args.fn, **fields,
+            "version": __version__}
+
+
+def _write_doc(path, payload, **fields):
+    """Write the JSON document {"metadata": {digest, **payload}, **fields}."""
+    write_json(path, {"metadata": {"digest": config_digest(payload),
+                                   **payload}, **fields})
+
+
+def _operator_inputs(args, label=None):
+    """What the operator commands share: f, the points (a list when --x
+    is one), the scales, the OperatorSpec of both kernels with the
+    quadrature flags at the first scale, and one combination per
+    --combine.  When label is given, each combination's coefficients are
+    printed after it (formatted with the order p)."""
+    chi, phi = parse_kernel(args.chi), parse_kernel(args.phi)
+    f = function_from_spec(args.fn)
+    xs = _parse_reals(args.x, "--x") if isinstance(args.x, str) else args.x
+    ws = _parse_reals(args.w, "--w")
+    spec = OperatorSpec(chi, phi, ws[0], quadrature=_quad_config(args))
+    texts = args.combine if isinstance(args.combine, list) else (
+        [args.combine] if args.combine else [])
+    combs = []
+    for text in texts:
+        comb = solve_coefficients(_parse_combine(text))
+        if label:
+            print(label.format(p=comb.p), " ".join(f"{b:g}" for b in comb.beta))
+        combs.append(comb)
+    return f, xs, ws, spec, combs
 
 
 def _add_common(parser):
@@ -91,10 +112,29 @@ def _add_common(parser):
                         help="maximum quadrature panel width (log units)")
 
 
-def _add_output(parser):
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
+def _add_pair(parser):
+    parser.add_argument("--chi", required=True, help="discrete-role kernel")
+    parser.add_argument("--phi", required=True, help="continuous-role kernel")
+
+
+def _add_operator(sub, name, summary, point=False):
+    """A subcommand on the operator of a kernel pair, a function, the
+    points --x (one point when point is set) and the scales --w, with
+    quadrature flags and an output file."""
+    p = sub.add_parser(name, help=summary)
+    _add_pair(p)
+    p.add_argument("--fn", required=True, help="name:<builtin> or expr:<string>")
+    if point:
+        p.add_argument("--x", type=float, required=True, help="the point x")
+    else:
+        p.add_argument("--x", required=True,
+                       help="points: list or start:stop:step")
+    p.add_argument("--w", required=True, help="scales: list or start:stop:step")
+    _add_common(p)
+    p.add_argument("--out", help="output file path")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
+    return p
 
 
 @functools.cache
@@ -123,64 +163,34 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("verify", help="check the kernel-pair assumptions")
-    p.add_argument("--chi", required=True, help="discrete-role kernel")
-    p.add_argument("--phi", required=True, help="continuous-role kernel")
+    _add_pair(p)
     p.add_argument("--r", type=int, default=1, help="moment order to check")
     p.add_argument("--tol", type=float, default=1e-8)
     _add_common(p)
 
-    p = sub.add_parser("eval", help="evaluate the operator on a grid")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--fn", required=True, help="name:<builtin> or expr:<string>")
-    p.add_argument("--x", required=True, help="points: list or start:stop:step")
-    p.add_argument("--w", required=True, help="scales: list or start:stop:step")
+    p = _add_operator(sub, "eval", "evaluate the operator on a grid")
     p.add_argument("--combine", help="evaluate the combination p=<int> instead")
-    _add_common(p)
-    _add_output(p)
 
-    p = sub.add_parser("table", help="error table over points and scales")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--w", required=True)
+    p = _add_operator(sub, "table", "error table over points and scales")
     p.add_argument("--combine", action="append", default=[],
                    help="add combined columns p=<int> (repeatable)")
-    _add_common(p)
-    _add_output(p)
 
-    p = sub.add_parser("rates", help="empirical convergence order")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--w", required=True, help="geometric scale sequence")
+    p = _add_operator(sub, "rates", "empirical convergence order", point=True)
     p.add_argument("--combine", help="p=<int>")
     p.add_argument("--target-order", type=int,
                    help="order for the extrapolated constant")
-    _add_common(p)
-    _add_output(p)
 
-    p = sub.add_parser("voronovskaya",
-                       help="predicted vs extrapolated error constant")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--fn", required=True)
-    p.add_argument("--x", type=float, required=True)
+    p = _add_operator(sub, "voronovskaya",
+                      "predicted vs extrapolated error constant", point=True)
     p.add_argument("--j", type=int, required=True, help="expansion order")
-    p.add_argument("--w", required=True)
     p.add_argument("--combine", help="p=<int>")
-    _add_common(p)
-    _add_output(p)
 
     return parser
 
 
 def _cmd_coeffs(args):
     spec = solve_coefficients(args.p)
-    print(" ".join(_fmt(b) for b in spec.beta))
-    return 0
+    print(" ".join(f"{b:g}" for b in spec.beta))
 
 
 def _cmd_moments(args):
@@ -192,21 +202,18 @@ def _cmd_moments(args):
         value = continuous_moment(kernel, args.order, cfg)
     elif args.route == "poisson":
         value = poisson_moment(kernel, args.order, cfg=cfg)
-    elif args.route == "absolute-discrete":
-        value = absolute_moment(kernel, args.order, "discrete", cfg)
     else:
-        value = absolute_moment(kernel, args.order, "continuous", cfg)
+        value = absolute_moment(kernel, args.order,
+                                args.route.removeprefix("absolute-"), cfg)
     print(f"{value:.10f}")
     payload = {"command": "moments", "kernel": kernel.descriptor,
                "order": args.order, "route": args.route, "u": args.u,
                "version": __version__}
-    _summary("moments", payload, f"order {args.order} {args.route}")
-    return 0
+    return payload, f"order {args.order} {args.route}"
 
 
 def _cmd_verify(args):
-    chi = parse_kernel(args.chi)
-    phi = parse_kernel(args.phi)
+    chi, phi = parse_kernel(args.chi), parse_kernel(args.phi)
     report = verify_kernel(chi, phi, args.r, args.tol, _quad_config(args))
     for cond in report.conditions():
         print(cond)
@@ -214,67 +221,39 @@ def _cmd_verify(args):
                "phi": phi.descriptor, "r": args.r, "tol": args.tol,
                "version": __version__}
     verdict = "all pass" if report.all_passed else "FAILURES reported"
-    _summary("verify", payload, verdict)
-    return 0
+    return payload, verdict
 
 
 def _cmd_eval(args):
-    chi = parse_kernel(args.chi)
-    phi = parse_kernel(args.phi)
-    f = function_from_spec(args.fn)
-    xs = _parse_reals(args.x, "--x")
-    ws = _parse_reals(args.w, "--w")
-    cfg = _quad_config(args)
-    spec = OperatorSpec(chi, phi, ws[0], quadrature=cfg)
-    p = _parse_combine(args.combine) if args.combine else None
-
-    comb = None
-    if p is not None:
-        comb = solve_coefficients(p)
-        print("combination coefficients:", " ".join(_fmt(b) for b in comb.beta))
-
-    points = [(x, w) for x in xs for w in ws]
-    rows = batch_eval(spec, f, points, combination=comb)
-    payload = {"command": "eval", "chi": chi.descriptor, "phi": phi.descriptor,
-               "fn": args.fn, "x": xs, "w": ws, "p": p,
-               "quadrature": {"nodes_per_unit": cfg.nodes_per_unit,
-                              "panel_max_width": cfg.panel_max_width},
-               "version": __version__}
+    f, xs, ws, spec, combs = _operator_inputs(args, "combination coefficients:")
+    comb = combs[-1] if combs else None
+    rows = batch_eval(spec, f, [(x, w) for x in xs for w in ws],
+                      combination=comb)
+    payload = _payload("eval", spec, args, x=xs, w=ws,
+                       p=comb.p if comb else None,
+                       quadrature=vars(spec.quadrature))
     if args.out:
         if args.format == "csv":
             write_batch_csv(rows, args.out)
         else:
-            doc = {"metadata": {"digest": config_digest(payload), **payload},
-                   "rows": [dict(zip(("x", "w", "fx", "Iwfx", "abs_err"), r))
-                            for r in rows]}
-            write_json(args.out, doc)
+            _write_doc(args.out, payload, rows=[
+                dict(zip(BATCH_CSV_COLUMNS, r)) for r in rows])
         note = f"wrote {len(rows)} rows to {args.out}"
     else:
         for x, w, fx, val, err in rows:
             print(f"x={x:g} w={w:g} fx={fx!r} Iwfx={val!r} abs_err={err!r}")
         note = f"{len(rows)} evaluations"
-    _summary("eval", payload, note)
-    return 0
+    return payload, note
 
 
 def _cmd_table(args):
-    chi = parse_kernel(args.chi)
-    phi = parse_kernel(args.phi)
-    f = function_from_spec(args.fn)
-    xs = _parse_reals(args.x, "--x")
-    ws = _parse_reals(args.w, "--w")
-    cfg = _quad_config(args)
-    spec = OperatorSpec(chi, phi, ws[0], quadrature=cfg)
-    columns = [Column(w) for w in ws]
-    for text in args.combine:
-        p = _parse_combine(text)
-        comb = solve_coefficients(p)
-        print(f"combination p={p} coefficients:",
-              " ".join(_fmt(b) for b in comb.beta))
-        columns.extend(Column(w, p) for w in ws)
-    table = error_table(f, spec, xs, columns)
-    payload = {"command": "table", "digest_of": table.metadata["digest"],
-               "fn": args.fn, "version": __version__}
+    f, xs, ws, spec, combs = _operator_inputs(
+        args, "combination p={p} coefficients:")
+    table = error_table(f, spec, xs, [Column(w, p) for p in
+                                      [1, *(c.p for c in combs)] for w in ws])
+    digest = table.metadata["digest"]
+    payload = {"command": "table", "digest_of": digest, "fn": args.fn,
+               "version": __version__}
     if args.out:
         if args.format == "csv":
             table.to_csv(args.out)
@@ -285,54 +264,30 @@ def _cmd_table(args):
         for x, label, fx, value in table.rows:
             print(f"x={x:g} {label} abs_err={abs(fx - value)!r}")
         note = f"{len(table.rows)} cells"
-    print(f"expsample table: {note} digest={table.metadata['digest']}")
-    print(f"config: {json.dumps(payload, sort_keys=True)}")
-    return 0
+    return payload, note, digest
 
 
 def _cmd_rates(args):
-    chi = parse_kernel(args.chi)
-    phi = parse_kernel(args.phi)
-    f = function_from_spec(args.fn)
-    ws = _parse_reals(args.w, "--w")
-    cfg = _quad_config(args)
-    spec = OperatorSpec(chi, phi, ws[0], quadrature=cfg)
-    comb = None
-    if args.combine:
-        comb = solve_coefficients(_parse_combine(args.combine))
-        print("combination coefficients:", " ".join(_fmt(b) for b in comb.beta))
-    report = empirical_order(f, spec, args.x, ws, combination=comb,
+    f, x, ws, spec, combs = _operator_inputs(args, "combination coefficients:")
+    comb = combs[-1] if combs else None
+    report = empirical_order(f, spec, x, ws, combination=comb,
                              target_order=args.target_order)
     print(f"fitted order: {report.fitted_order:.4f}")
     print(f"extrapolated constant (order {report.target_order}): "
           f"{report.extrapolated_constant:.6g}")
     if report.zero_error:
         print("zero error encountered; order reported as +inf")
-    payload = {"command": "rates", "chi": chi.descriptor, "phi": phi.descriptor,
-               "fn": args.fn, "x": args.x, "w": ws,
-               "p": comb.p if comb else None, "version": __version__}
+    payload = _payload("rates", spec, args, x=x, w=ws,
+                       p=comb.p if comb else None)
     if args.out:
-        doc = {"metadata": {"digest": config_digest(payload), **payload},
-               "x": report.x, "w_sequence": list(report.w_sequence),
-               "errors": list(report.errors),
-               "fitted_order": report.fitted_order,
-               "extrapolated_constant": report.extrapolated_constant,
-               "target_order": report.target_order,
-               "zero_error": report.zero_error}
-        write_json(args.out, doc)
-    _summary("rates", payload, f"fitted order {report.fitted_order:.3f}")
-    return 0
+        _write_doc(args.out, payload, **vars(report))
+    return payload, f"fitted order {report.fitted_order:.3f}"
 
 
 def _cmd_voronovskaya(args):
-    chi = parse_kernel(args.chi)
-    phi = parse_kernel(args.phi)
-    f = function_from_spec(args.fn)
-    ws = _parse_reals(args.w, "--w")
-    cfg = _quad_config(args)
-    spec = OperatorSpec(chi, phi, ws[0], quadrature=cfg)
-    comb = solve_coefficients(_parse_combine(args.combine)) if args.combine else None
-    check = voronovskaya_check(f, spec, args.x, ws, args.j, combination=comb)
+    f, x, ws, spec, combs = _operator_inputs(args)
+    comb = combs[-1] if combs else None
+    check = voronovskaya_check(f, spec, x, ws, args.j, combination=comb)
     if check.has_limit:
         print(f"predicted constant:    {check.predicted:.8g}")
         print(f"extrapolated constant: {check.extrapolated:.8g}")
@@ -352,23 +307,17 @@ def _cmd_voronovskaya(args):
             "does not hold there"))
     if check.diverged:
         print("warning: scaled errors grow along the sequence")
-    payload = {"command": "voronovskaya", "chi": chi.descriptor,
-               "phi": phi.descriptor, "fn": args.fn, "x": args.x, "j": args.j,
-               "w": ws, "p": comb.p if comb else None, "version": __version__}
+    payload = _payload("voronovskaya", spec, args, x=x, j=args.j, w=ws,
+                       p=comb.p if comb else None)
     if args.out:
-        doc = {"metadata": {"digest": config_digest(payload), **payload},
-               "limit": check.has_limit,
-               "predicted": check.predicted,
-               "extrapolated": check.extrapolated,
-               "predictions": list(check.predictions),
-               "max_deviation": check.max_deviation,
-               "lower_orders_cancel": check.lower_orders_cancel,
-               "relative_deviation": check.relative_deviation,
-               "scaled_errors": list(check.scaled_errors),
-               "diverged": check.diverged}
-        write_json(args.out, doc)
-    _summary("voronovskaya", payload, note)
-    return 0
+        _write_doc(args.out, payload, limit=check.has_limit,
+                   predicted=check.predicted, extrapolated=check.extrapolated,
+                   predictions=check.predictions,
+                   max_deviation=check.max_deviation,
+                   lower_orders_cancel=check.lower_orders_cancel,
+                   relative_deviation=check.relative_deviation,
+                   scaled_errors=check.scaled_errors, diverged=check.diverged)
+    return payload, note
 
 
 _COMMANDS = {
@@ -386,8 +335,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (EvaluationError, SamplingError) as exc:
+        # a command returns the payload and note of its summary, if any
+        summary = _COMMANDS[args.command](args)
+        if summary:
+            _summary(args.command, *summary)
+        return 0
+    except (EvaluationError, SamplingError, ValueError,
+            ArithmeticError) as exc:
         print(f"expsample {args.command}: numerical failure: {exc}",
               file=sys.stderr)
         return 1
@@ -398,10 +352,6 @@ def main(argv=None):
         print(f"run 'expsample {args.command} --help' for usage",
               file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
-        print(f"expsample {args.command}: numerical failure: {exc}",
-              file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

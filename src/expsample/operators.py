@@ -7,13 +7,13 @@ with a convolution mean against a second kernel phi:
 
 For compactly supported chi the k-sum is an exact finite sum; the inner
 integral lives on log t in [(k + lo_phi)/w, (k + hi_phi)/w] and is done by
-knot-aligned Gauss-Legendre panels; durrmeyer_eval shares one such rule
-and one evaluation of f among all the x it is given (see the engine notes
-below).  Choosing phi as the indicator of
-[1, e) turns the inner integral into the plain mean of f(e^u) over
-[k/w, (k+1)/w]; kantorovich_eval implements that form directly as an
-independent route, and sampling_eval is the bare series driven by raw
-sample values.
+knot-aligned Gauss-Legendre panels.  durrmeyer_eval computes each distinct
+window (w, k) that its points need once, from one evaluation of f on the
+nodes of the lattice periods those windows reach (see the engine notes
+below).  Choosing phi as the indicator of [1, e) turns the inner integral
+into the plain mean of f(e^u) over [k/w, (k+1)/w]; kantorovich_eval
+implements that form directly as an independent route, and sampling_eval
+is the bare series driven by raw sample values.
 """
 
 from __future__ import annotations
@@ -153,24 +153,20 @@ def mellin_convolution(phi, f, w, s, cfg=DEFAULT_CONFIG):
 
 # --- shared-lattice engine --------------------------------------------------
 #
-# For a fixed (chi, phi, w) every convolution window [(k + lo)/w, (k + hi)/w]
-# is cut at the knots k + knot of phi, and all those cuts fall on the
-# lattice m + p over the knot phases p = knot mod 1.  So one rule over the
-# union of the windows serves every k and every x: it is one period rule
-# (the cells between consecutive phases, subdivided like every log_rule)
-# repeated at the offsets m/w.  In the scaled coordinate b = w u a node of
-# period m sits at m + b_j, and phi(b - k) depends only on d = m - k, so the
-# phi weights of all windows form a small (d, j) template and the inner
-# integrals are a banded sum over d.
+# In b = w log t the term k of the series weights the window mean
+# int phi(b - k) f(e^{b/w}) db.  The knots of phi cut every window on the
+# lattice m + p of the knot phases p = knot mod 1, so one period rule (the
+# cells between consecutive phases, subdivided like every log_rule) at the
+# offsets m serves all windows of a scale, and the phi weights at the nodes
+# m + b_j depend only on d = m - k: one (d, j) template per rule.  Only the
+# subdivision depends on w; scales with the same one share a rule.
 #
-# In b only the panel subdivision of the period rule depends on w (small w
-# gets more panels), so the rule is built in b from that subdivision alone:
-# scales with the same panels share one rule, one template and one
-# reduction, and a value never depends on the other scales of a call.
-# Every cluster of pairs (x, w) with equal w and nearby windows owns a
-# block of consecutive period rows, the blocks of a rule are stacked, and
-# the banded sum runs over the whole stack (its rows that straddle two
-# blocks are never read).
+# Two tables, found with one lexsort each, drive the engine: the distinct
+# windows (w, k) that the chi rows need and the distinct periods
+# (w, m = k + d) their templates reach.  f is called once, on the period
+# nodes that a needed window weights, so overlapping windows share samples.
+# A window mean is the sum over d, from the left, of the row sums of
+# template row d times period row k + d; a value reads its own windows only.
 
 _PHASE_TOL = 1e-12
 
@@ -237,6 +233,18 @@ def _f_at_nodes(f, us, where):
     return values
 
 
+def _distinct(major, minor):
+    """The distinct pairs of two arrays, sorted by major, then minor, and
+    the index of every input pair among them."""
+    order = np.lexsort((minor, major))
+    major, minor = major[order], minor[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+    index = np.empty_like(order)
+    index[order] = new.cumsum() - 1
+    return major[new], minor[new], index
+
+
 def _shared_lattice(spec, f, xs, ws):
     """Operator values at the pairs (xs[i], ws[i]) of 1-d arrays, x > 0."""
     chi, phi, cfg = spec.chi, spec.phi, spec.quadrature
@@ -245,79 +253,70 @@ def _shared_lattice(spec, f, xs, ws):
     chi_rows = np.asarray(chi.eval_log((tc[:, None] - ks).ravel()),
                           dtype=float).reshape(ks.shape)
     chi_rows[ks > kmax[:, None]] = 0.0
+    needed = chi_rows != 0.0
 
     phases = _knot_phases(phi)
     lo, hi = phi.support
     ds = np.arange(math.floor(lo - phases[0] - 1.0),
                    math.ceil(hi - phases[0]) + 1)
-    nd = ds.size
-    scales, scale_of = np.unique(ws, return_inverse=True)
-    rules = {}
-    rule_of = np.array([rules.setdefault(row, len(rules)) for row in map(
-        tuple, _subdivisions(phases, scales, cfg).tolist())])[scale_of]
-    blocks = []
-    for rule, subdivision in enumerate(rules):
-        # a node of period m sits at b = m + b_j, that is u = (m + b_j) / w
+    win_w, win_k, window_of = _distinct(
+        np.broadcast_to(ws[:, None], ks.shape)[needed], ks[needed])
+    per_w, per_m, period_of = _distinct(np.tile(win_w, ds.size),
+                                        (ds[:, None] + win_k).ravel())
+    # runs of consecutive scales with the same subdivision share a rule;
+    # both tables are sorted by w, so a rule's rows are one slice of each
+    # (np.unique(ws) would import numpy.ma: 15 ms on a process's first call)
+    scales = np.array(sorted(set(ws.tolist())))
+    subdivisions = _subdivisions(phases, scales, cfg)
+    first = np.ones(scales.size, dtype=bool)
+    first[1:] = (subdivisions[1:] != subdivisions[:-1]).any(axis=1)
+    bounds = np.append(scales[first], np.inf)
+    win_cut, per_cut = (np.searchsorted(w, bounds) for w in (win_w, per_w))
+    parts, end = [], 0
+    for rule, subdivision in enumerate(subdivisions[first].tolist()):
         nodes, weights = _period_rule(phases, subdivision)
-        phi_rows = np.asarray(phi.eval_log((ds[:, None] + nodes).ravel()),
-                              dtype=float).reshape(nd, nodes.size)
-        # pairs by scale, then by centre: within a scale both ends of the
-        # k-ranges then ascend, and a cluster ends where the next range
-        # starts more than nd past the last one (memory then grows with the
-        # windows covered, not with the span of x)
-        pairs = np.flatnonzero(rule_of == rule)
-        pairs = pairs[np.lexsort((tc[pairs], scale_of[pairs]))]
-        pw, k0, k1 = ws[pairs], kmin[pairs], kmax[pairs]
-        first = np.flatnonzero(np.r_[True, (pw[1:] != pw[:-1])
-                                     | (k0[1:] > k1[:-1] + nd)])
-        last = np.r_[first[1:], pairs.size] - 1
-        rows = k1[last] - k0[first] + nd
-        start = np.cumsum(rows) - rows
-        nrow = int(rows.sum()) - nd + 1
-        # k of a pair sits at row start + k - k0 of its cluster's block
-        shift = np.repeat(start - k0[first], last - first + 1)
-        pos = np.minimum(ks[pairs] + shift[:, None], nrow - 1)
-        needed = np.zeros(nrow, dtype=bool)
-        needed[pos[chi_rows[pairs] != 0.0]] = True
-        mask = np.zeros((nrow + nd - 1, nodes.size), dtype=bool)
-        for r in range(nd):
-            mask[r:r + nrow] |= needed[:, None] & (phi_rows[r] != 0.0)
-        # row t of a block holds period k0 + ds[0] + t of its cluster
-        periods = np.arange(mask.shape[0]) + np.repeat(
-            k0[first] + ds[0] - start, rows)
-        row_w = np.repeat(pw[first], rows)
-        us = ((periods[:, None] + nodes) / row_w[:, None])[mask]
-        blocks.append((pairs, pos, phi_rows * weights, mask, row_w, us))
+        band = np.asarray(phi.eval_log((ds[:, None] + nodes).ravel()),
+                          dtype=float).reshape(ds.size, nodes.size) * weights
+        p0, p1 = per_cut[rule:rule + 2]
+        # rows[d, i]: the period row k + d of the rule's window i
+        rows = period_of.reshape(ds.size, -1)[
+            :, win_cut[rule]:win_cut[rule + 1]] - p0
+        # the nodes some needed window weights (a row of rows is distinct)
+        live = np.zeros((p1 - p0, nodes.size), dtype=bool)
+        for row, weighted in zip(rows, band != 0.0):
+            live[row] |= weighted
+        # a node of period m sits at b = m + b_j, that is u = (m + b_j) / w
+        us = ((per_m[p0:p1, None] + nodes) / per_w[p0:p1, None])[live]
+        end += us.size
+        parts.append((end, p0, rows, band, live, us))
 
     def where(i):
-        # the needed window at the node's scale whose centre is nearest
-        # to the node contains it
-        for *_, mask, row_w, us in blocks:
-            if i < us.size:
-                break
-            i -= us.size
-        w = row_w[np.nonzero(mask)[0][i]]
-        at = ws == w
-        needed_ks = ks[at][chi_rows[at] != 0.0]
-        k = needed_ks[np.argmin(np.abs(w * us[i] - needed_ks - 0.5 * (lo + hi)))]
+        # of the needed windows that weight the node, the one whose centre
+        # is nearest to it
+        end, p0, _, band, live, us = parts[
+            np.searchsorted([part[0] for part in parts], i, side="right")]
+        i -= end - us.size
+        p, j = np.argwhere(live)[i] + (p0, 0)
+        w = per_w[p]
+        reach = np.intersect1d(per_m[p] - ds[band[:, j] != 0.0],
+                               win_k[win_w == w])
+        k = reach[np.argmin(np.abs(w * us[i] - reach - 0.5 * (lo + hi)))]
         return f"the convolution window around s=e^{k / w:.6g}"
 
-    values = _f_at_nodes(f, np.concatenate([blk[-1] for blk in blocks]), where)
-    out = np.empty(xs.size)
-    start = 0
-    for pairs, pos, band, mask, _, us in blocks:
-        grid = np.zeros(mask.shape)
-        grid[mask] = values[start:start + us.size]
-        start += us.size
-        nrow = grid.shape[0] - nd + 1
+    values = _f_at_nodes(f, np.concatenate([part[-1] for part in parts]), where)
+    means = []
+    for end, _, rows, band, live, us in parts:
+        grid = np.zeros(live.shape)
+        grid[live] = values[end - us.size:end]
         # row by row rather than a matrix product, whose blocking of the
-        # rows would make a row's sum depend on the rows stacked around it
-        inner = sum((grid[r:r + nrow] * band[r]).sum(axis=1)
-                    for r in range(nd))
-        # k by k from the left, so the zeros that pad a short window to
-        # the longest of the call change nothing
-        out[pairs] = functools.reduce(np.add, (chi_rows[pairs] * inner[pos]).T)
-    return out
+        # rows would make a row's sum depend on the rows around it
+        means.append(sum((grid[row] * weights).sum(axis=1)
+                         for row, weights in zip(rows, band)))
+    window_means = np.zeros(ks.shape)
+    window_means[needed] = np.concatenate(means)[window_of]
+    # k by k from the left, so the zeros that pad a short window to the
+    # longest of the call change nothing
+    return functools.reduce(np.add, (chi_rows * window_means).T)
 
 
 def durrmeyer_eval(spec, f, x, w=None):
@@ -328,10 +327,12 @@ def durrmeyer_eval(spec, f, x, w=None):
     against x; the result has the broadcast shape, or is a float when
     both are scalars.  Exact finite sum over the support window of chi;
     each term weights the convolution mean of f around the node e^{k/w}.
-    All pairs (x, w) share one evaluation of f, and all scales whose
-    period rules have the same panels share one knot-aligned rule in the
-    scaled coordinate w log t and one reduction.  The value at (x, w)
-    depends only on spec, f, x and w, not on the other pairs of the call.
+    Each distinct window (w, k) of the call is one such mean, computed
+    once; all means read one evaluation of f on the nodes of the distinct
+    lattice periods (w, m) they reach, and scales whose period rules have
+    the same panels share one knot-aligned rule in w log t.  The value at
+    (x, w) depends only on spec, f, x and w, not on the other pairs of the
+    call.
     """
     xs, ws = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(spec.w if w is None else w,

@@ -26,6 +26,7 @@ from expsample import (
     write_batch_csv,
 )
 from conftest import dense_config_oracle, simpson_operator_oracle
+from test_analysis import _counting
 
 
 ALL_PAIRS = [
@@ -150,6 +151,19 @@ class TestDurrmeyer:
         for x, value in zip((0.5, 2.0), got.tolist()):
             scalar = durrmeyer_eval(spec, f, x)
             assert abs(value - scalar) <= 1e-13 * abs(scalar)
+
+    @pytest.mark.parametrize("xs,w,points", [
+        (np.array([round(3.1 + i * 0.002, 12) for i in range(1501)]), 45.0,
+         532),
+        (np.geomspace(1.0, 1e3, 1501), 1e4, 147084),
+    ])
+    def test_overlapping_windows_share_f_samples(self, b4, xs, w, points):
+        # one array call, one sample per period node that some needed
+        # window weights: a node set per window would sample the nodes
+        # where windows overlap once per window
+        f, calls = _counting(builtin("sinlog"))
+        durrmeyer_eval(OperatorSpec(b4, b4, w), f, xs)
+        assert calls == [points]
 
     def test_window_beyond_integer_precision_raises(self, b4):
         # w log 2 = 6.9e16 > 2^52: the old code returned 0.42597 for 0.63896

@@ -3,10 +3,11 @@ composition, the compiled (numpy) expression form against the scalar
 evaluator, and the printer against the parser."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expsample import (
@@ -116,6 +117,30 @@ def test_engine_on_published_pairs(chi, phi, fn, ws, xs, tol):
         for x, value in zip(xs, values.tolist()):
             ref = reference(chi, phi, w, f, x)
             assert abs(value - ref) <= tol * abs(ref), (x, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(PAIRS), w=st.floats(2.0, 200.0),
+       xs=st.lists(st.floats(0.5, 5.0), min_size=1, max_size=3),
+       r=st.floats(-0.5, 0.5))
+def test_error_names_a_window_that_weights_t(pair, w, xs, r):
+    # f = log(t - c) fails at every node t <= c, with c within half a
+    # lattice period of the first x; the window the error names must
+    # weight the named t and carry a nonzero chi weight at that w
+    chi, phi = pair
+    c = xs[0] * math.exp(r / w)
+    f = parse_function(f"log(x - {c!r})")
+    try:
+        durrmeyer_eval(OperatorSpec(chi, phi, w), f, np.array(xs))
+    except EvaluationError as exc:
+        found = re.search(r"t=(\S+) inside the convolution window around "
+                          r"s=e\^(\S+):", str(exc))
+    else:
+        assume(False)
+    t, k = float(found[1]), round(w * float(found[2]))
+    assert t <= c
+    assert phi.eval_log(w * math.log(t) - k) != 0.0
+    assert any(chi.eval_log(w * math.log(x) - k) != 0.0 for x in xs)
 
 
 # --- expressions -------------------------------------------------------------
