@@ -29,7 +29,6 @@ from .functions import RealFunction, builtin, function_from_spec, parse_function
 from .kernels import (
     AssumptionReport,
     Kernel,
-    MomentReport,
     absolute_moment,
     bspline_eval,
     characteristic,
@@ -37,7 +36,6 @@ from .kernels import (
     discrete_moment,
     make_translate_combination,
     mellin_bspline,
-    moment_report,
     parse_kernel,
     poisson_moment,
     verify_kernel,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,6 @@ from . import __version__
 from .combinations import (combine, combined_eval, combined_moment,
                            combined_moment_size, solve_coefficients)
 from .operators import durrmeyer_eval, write_csv, write_json
-from .quadrature import DEFAULT_CONFIG
 
 
 def config_digest(payload):
@@ -96,29 +95,21 @@ class ErrorTable:
 def error_table(f, spec, xs, columns):
     """Cross product of evaluation points and columns, row-major.
 
-    The plain columns are one durrmeyer_eval call over all their (x, w)
-    pairs and the combined columns one more over all their (x, i w); values
-    are kept at full precision, and the metadata digest pins kernels,
-    scales, points, and quadrature so a rerun can be matched byte for byte.
+    All columns are one durrmeyer_eval call over the pairs (x, i w) of
+    every column (i = 1 .. p); values are kept at full precision, and the
+    metadata digest pins kernels, scales, points, and quadrature so a rerun
+    can be matched byte for byte.
     """
     cols = [c if isinstance(c, Column) else Column(float(c)) for c in columns]
-    points = np.array(xs, dtype=float)[:, None]
-    by_column = [None] * len(cols)
-    plain = [n for n, c in enumerate(cols) if c.p == 1]
-    if plain:
-        values = durrmeyer_eval(spec, f, points, [cols[n].w for n in plain])
-        for n, column in zip(plain, values.T.tolist()):
-            by_column[n] = column
-    combined = [(n, solve_coefficients(c.p)) for n, c in enumerate(cols)
-                if c.p != 1]
-    if combined:
-        scales = [i * cols[n].w for n, comb in combined
-                  for i in range(1, comb.p + 1)]
-        values = durrmeyer_eval(spec, f, points, scales).T
-        start = 0
-        for n, comb in combined:
-            by_column[n] = combine(comb, values[start:start + comb.p]).tolist()
-            start += comb.p
+    scales = [i * c.w for c in cols for i in range(1, c.p + 1)]
+    values = durrmeyer_eval(spec, f, np.array(xs, dtype=float)[:, None],
+                            scales).T
+    by_column, start = [], 0
+    for c in cols:
+        block = values[start:start + c.p]
+        by_column.append((block[0] if c.p == 1 else
+                          combine(solve_coefficients(c.p), block)).tolist())
+        start += c.p
     rows = []
     for i, x in enumerate(xs):
         fx = f(x)

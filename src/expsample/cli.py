@@ -120,7 +120,8 @@ def _add_pair(parser):
 def _add_operator(sub, name, summary, point=False):
     """A subcommand on the operator of a kernel pair, a function, the
     points --x (one point when point is set) and the scales --w, with
-    quadrature flags and an output file."""
+    quadrature flags and an output file (CSV or JSON for eval and table,
+    always JSON otherwise)."""
     p = sub.add_parser(name, help=summary)
     _add_pair(p)
     p.add_argument("--fn", required=True, help="name:<builtin> or expr:<string>")
@@ -132,8 +133,9 @@ def _add_operator(sub, name, summary, point=False):
     p.add_argument("--w", required=True, help="scales: list or start:stop:step")
     _add_common(p)
     p.add_argument("--out", help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default csv)")
+    if name in ("eval", "table"):
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default csv)")
     return p
 
 

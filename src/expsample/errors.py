@@ -11,8 +11,8 @@ class EvaluationError(ExpSampleError):
 
 
 class ParseError(ExpSampleError):
-    """Expression could not be parsed.  Carries the byte offset of the
-    offending token."""
+    """Expression could not be parsed.  Carries the offset of the
+    offending token, a character index into the source."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (offset {offset})")

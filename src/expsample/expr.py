@@ -9,7 +9,8 @@ Grammar (see docs/expr.md):
     atom    := NUMBER | 'x' | 'pi' | 'e' | NAME '(' expr ')' | '(' expr ')'
 
 Numbers accept decimal and scientific notation.  Only whitelisted function
-names may be called.  All errors carry the byte offset into the source.
+names may be called.  All errors carry the offset into the source, a
+character index.
 
 evaluate walks the AST at one point; compile_array turns it into a numpy
 closure over arrays of points that falls back to evaluate wherever numpy
@@ -19,6 +20,9 @@ flags a floating-point exception or yields a non-finite value.
 from __future__ import annotations
 
 import math
+import operator
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,15 @@ FUNCTIONS = {
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# numpy counterparts of FUNCTIONS and of the binary operators
+OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
+
+# numpy counterparts of FUNCTIONS and of OPERATORS
 ARRAY_FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -125,22 +137,14 @@ def evaluate(node, x):
     if isinstance(node, Binary):
         a = evaluate(node.left, x)
         b = evaluate(node.right, x)
+        if node.op not in OPERATORS:
+            raise EvaluationError(f"unknown operator {node.op!r}")
         try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
-            if node.op == "^":
-                return math.pow(a, b)
+            return OPERATORS[node.op](a, b)
         except ZeroDivisionError:
             raise EvaluationError(f"division by zero at x={x!r}") from None
         except (ValueError, OverflowError) as exc:
             raise EvaluationError(f"'{node.op}' failed for ({a!r}, {b!r}): {exc}") from None
-        raise EvaluationError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
         v = evaluate(node.arg, x)
         try:
@@ -205,62 +209,31 @@ def compile_array(node):
 
 # --- tokenizer / parser --------------------------------------------------
 
-_OPERATORS = "+-*/^"
+_Token = namedtuple("_Token", "kind text offset")
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num, name, op, lparen, rparen, comma, end
-    text: str
-    offset: int
+# one token after optional whitespace; \d matches decimal digits only, so
+# a superscript such as '²' is no part of a number, and \w takes such
+# numerals too, so _tokenize checks that a name starts with a letter or '_'
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\)) | (?P<comma>,)
+  | (?P<end>\Z) | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(src):
-    tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, i))
-            i += 1
-        elif ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            start = i
-            while i < n and src[i].isdigit():
-                i += 1
-            if i < n and src[i] == ".":
-                i += 1
-                while i < n and src[i].isdigit():
-                    i += 1
-            if i < n and src[i] in "eE":
-                j = i + 1
-                if j < n and src[j] in "+-":
-                    j += 1
-                if j < n and src[j].isdigit():
-                    i = j
-                    while i < n and src[i].isdigit():
-                        i += 1
-            tokens.append(_Token("num", src[start:i], start))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (src[i].isalnum() or src[i] == "_"):
-                i += 1
-            tokens.append(_Token("name", src[start:i], start))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    """Tokens (kind, text, offset) of src, ending with kind 'end'."""
+    tokens, i = [], 0
+    while not tokens or tokens[-1].kind != "end":
+        match = _TOKEN.match(src, i)
+        kind = match.lastgroup
+        token = _Token(kind, match[kind], match.start(kind))
+        if kind == "bad" or kind == "name" and not (
+                token.text[0].isalpha() or token.text[0] == "_"):
+            raise ParseError(f"unexpected character {token.text[0]!r}",
+                             token.offset)
+        tokens.append(token)
+        i = match.end()
     return tokens
 
 

@@ -28,8 +28,8 @@ class RealFunction:
     """An evaluable map from the positive reals to the reals.
 
     analytic_log_derivatives maps derivative order (in the log coordinate)
-    to a closed-form function; absent orders fall back to finite
-    differences.  growth_bound = (a, b) declares |f(e^v)| <= a + b|v|;
+    to a closed-form function; an instrument that needs an absent order
+    (voronovskaya_check) raises.  growth_bound = (a, b) declares |f(e^v)| <= a + b|v|;
     bounded functions may leave it None.  array_evaluator, when given,
     maps a float array to the array of values.
     """

@@ -56,13 +56,12 @@ class Kernel:
     exact on each piece).
     """
 
-    def __init__(self, name, descriptor, eval_log, support, knots, role="both"):
+    def __init__(self, name, descriptor, eval_log, support, knots):
         self.name = name
         self.descriptor = descriptor
         self._eval_log = eval_log
         self.support = (float(support[0]), float(support[1]))
         self.knots = tuple(sorted(set(float(k) for k in knots)))
-        self.role = role
 
     def __repr__(self):
         return f"Kernel({self.descriptor})"
@@ -89,13 +88,6 @@ class Kernel:
         if np.any(x <= 0):
             raise ValueError("kernels are defined on positive reals")
         return self.eval_log(np.log(x))
-
-    # moment accessors (thin wrappers over the module functions)
-    def discrete_moment(self, nu, u=1.0):
-        return discrete_moment(self, nu, u)
-
-    def continuous_moment(self, nu, cfg=DEFAULT_CONFIG):
-        return continuous_moment(self, nu, cfg)
 
 
 def _central_bspline_log(n):
@@ -136,7 +128,6 @@ def mellin_bspline(n):
         eval_log=_central_bspline_log(n),
         support=(-half, half),
         knots=knots,
-        role="both",
     )
 
 
@@ -157,7 +148,6 @@ def characteristic():
         eval_log=eval_log,
         support=(0.0, 1.0),
         knots=(0.0, 1.0),
-        role="both",
     )
 
 
@@ -198,7 +188,6 @@ def make_translate_combination(n, log_a, log_b):
         eval_log=eval_log,
         support=(lo, hi),
         knots=knots,
-        role="chi",
     )
     kern.coefficients = (c1, c2)
     return kern
@@ -261,11 +250,9 @@ def parse_kernel(descriptor):
 
 # --- moments ---------------------------------------------------------------
 
-def _k_window(kernel, tau, radius=None):
+def _k_window(kernel, tau):
     """Integers k with chi(e^{-k} u) possibly nonzero, log u = tau."""
     lo, hi = kernel.support
-    if radius is not None:
-        lo, hi = max(lo, -radius), min(hi, radius)
     # tau - k in (lo, hi)  =>  k in (tau - hi, tau - lo); pad one to be
     # safe against half-open edges.
     kmin = math.floor(tau - hi) - 1
@@ -273,21 +260,13 @@ def _k_window(kernel, tau, radius=None):
     return np.arange(kmin, kmax + 1)
 
 
-def discrete_moment(chi, nu, u=1.0, radius=None):
-    """Algebraic moment of order nu of a discrete-role kernel at u.
-
-    Exact finite sum over the integers inside the kernel support; the
-    summand is 1-periodic in log u.  For kernels without finite support a
-    truncation radius must be supplied.
-    """
-    if not all(math.isfinite(s) for s in chi.support) and radius is None:
-        raise KernelError("kernel has unbounded support; supply a truncation radius")
+def discrete_moment(chi, nu, u=1.0):
+    """Algebraic moment of order nu of a discrete-role kernel at u: the
+    exact finite sum over the integers inside the kernel support, entry
+    nu of phase_moments at log u."""
     if u <= 0:
         raise ValueError("u must be positive")
-    tau = math.log(u)
-    ks = _k_window(chi, tau, radius)
-    vals = chi.eval_log(tau - ks)
-    return float(np.sum(vals * (ks - tau) ** nu))
+    return float(phase_moments(chi, nu, math.log(u))[0, nu])
 
 
 # Phases per block of a phase-grid evaluation: the spline evaluators make
@@ -413,7 +392,7 @@ def _with_sign_change_knots(kernel):
         x0, x1 = np.where(left, x0, mid), np.where(left, mid, x1)
     roots = tuple((0.5 * (x0 + x1)).tolist())
     return Kernel(kernel.name, kernel.descriptor, kernel._eval_log,
-                  kernel.support, kernel.knots + roots, kernel.role)
+                  kernel.support, kernel.knots + roots)
 
 
 def poisson_moment(chi, j, K=3, cfg=DEFAULT_CONFIG):
@@ -444,29 +423,6 @@ def poisson_moment(chi, j, K=3, cfg=DEFAULT_CONFIG):
                 for k in range(-K, K + 1))
     # i^j T^(j)(t) = i^j i^j M^(j)(it) with M the transform in s
     return float(((-1) ** j * total).real)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Moments of one order for a kernel pair."""
-
-    order: int
-    discrete: float
-    discrete_at: float
-    continuous: float
-    absolute_discrete: float
-    absolute_continuous: float
-
-
-def moment_report(chi, phi, order, u=1.0, cfg=DEFAULT_CONFIG):
-    return MomentReport(
-        order=order,
-        discrete=discrete_moment(chi, order, u),
-        discrete_at=u,
-        continuous=continuous_moment(phi, order, cfg),
-        absolute_discrete=absolute_moment(chi, order, "discrete", cfg),
-        absolute_continuous=absolute_moment(phi, order, "continuous", cfg),
-    )
 
 
 # --- assumption checking ---------------------------------------------------

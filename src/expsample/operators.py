@@ -34,7 +34,7 @@ from .errors import EvaluationError, SamplingError
 from .functions import RealFunction
 from .kernels import Kernel
 from .quadrature import (DEFAULT_CONFIG, LogInterval, QuadratureConfig,
-                         log_rule, min_panel_points, panel_rule)
+                         cell_rule, log_rule, panel_counts)
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ class OperatorSpec:
 
 
 def _admissibility_warning(f):
-    bounded = getattr(f, "bounded", False)
-    growth = getattr(f, "growth_bound", None)
-    if not bounded and growth is None:
+    if not getattr(f, "admissible", False):
         name = getattr(f, "name", repr(f))
         warnings.warn(
             f"function {name!r} declares neither boundedness nor a growth "
@@ -183,30 +181,6 @@ def _knot_phases(phi):
     return tuple(phases)
 
 
-def _subdivisions(phases, scales, cfg):
-    """Panels per cell and points per panel of the period rule at each
-    scale, as log_rule would subdivide the cells [p_i / w, p_{i+1} / w]
-    of one period: one row (panels..., points...) per scale."""
-    widths = np.diff([*phases, phases[0] + 1.0])[None, :] / scales[:, None]
-    panels = np.maximum(1.0, np.ceil(widths / cfg.panel_max_width))
-    points = np.maximum(min_panel_points(cfg),
-                        np.ceil(cfg.nodes_per_unit * widths / panels))
-    return np.hstack([panels, points]).astype(np.int64)
-
-
-def _period_rule(phases, subdivision):
-    """Nodes and weights in b of one period [p0, p0 + 1), the cell between
-    consecutive phases cut into the given numbers of equal panels."""
-    ends = [*phases, phases[0] + 1.0]
-    cells = len(phases)
-    panels = []
-    for a, b, m, n in zip(ends[:-1], ends[1:], subdivision[:cells],
-                          subdivision[cells:]):
-        step = (b - a) / m
-        panels += [(a + i * step, a + (i + 1) * step, n) for i in range(m)]
-    return panel_rule(panels)
-
-
 def _f_at_nodes(f, us, where):
     """f at t = e^u for every u: one array call for a RealFunction, then
     point by point when that fails or for any other callable, so an error
@@ -267,14 +241,19 @@ def _shared_lattice(spec, f, xs, ws):
     # both tables are sorted by w, so a rule's rows are one slice of each
     # (np.unique(ws) would import numpy.ma: 15 ms on a process's first call)
     scales = np.array(sorted(set(ws.tolist())))
-    subdivisions = _subdivisions(phases, scales, cfg)
+    # log_rule's panels of the cells [p_i / w, p_{i+1} / w] at each scale
+    ends = [*phases, phases[0] + 1.0]
+    panels, points = panel_counts(np.diff(ends) / scales[:, None], cfg)
     first = np.ones(scales.size, dtype=bool)
-    first[1:] = (subdivisions[1:] != subdivisions[:-1]).any(axis=1)
+    first[1:] = ((panels[1:] != panels[:-1]) |
+                 (points[1:] != points[:-1])).any(axis=1)
     bounds = np.append(scales[first], np.inf)
     win_cut, per_cut = (np.searchsorted(w, bounds) for w in (win_w, per_w))
     parts, end = [], 0
-    for rule, subdivision in enumerate(subdivisions[first].tolist()):
-        nodes, weights = _period_rule(phases, subdivision)
+    for rule, (m, n) in enumerate(zip(panels[first].tolist(),
+                                      points[first].tolist())):
+        # the period [p0, p0 + 1) in b, its cells cut into equal panels
+        nodes, weights = cell_rule(ends, m, n)
         band = np.asarray(phi.eval_log((ds[:, None] + nodes).ravel()),
                           dtype=float).reshape(ds.size, nodes.size) * weights
         p0, p1 = per_cut[rule:rule + 2]

@@ -31,10 +31,6 @@ class LogInterval:
         if self.lo > self.hi:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
-    @property
-    def width(self):
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -71,46 +67,38 @@ def _leggauss(n):
     return x, w
 
 
-def min_panel_points(cfg):
-    """Fewest points a panel of log_rule gets (see there)."""
-    return max(6, math.ceil(0.7 * cfg.nodes_per_unit))
+def panel_counts(widths, cfg):
+    """Panels per cell and points per panel of log_rule on cells of the
+    given widths (an array): cells are cut into equal panels no wider
+    than panel_max_width, and a panel gets nodes_per_unit points per unit
+    of its width, but at least max(6, 0.7 * nodes_per_unit)."""
+    widths = np.asarray(widths, dtype=float)
+    panels = np.maximum(1.0, np.ceil(widths / cfg.panel_max_width))
+    points = np.maximum(max(6, math.ceil(0.7 * cfg.nodes_per_unit)),
+                        np.ceil(cfg.nodes_per_unit * widths / panels))
+    return panels.astype(np.int64), points.astype(np.int64)
 
 
-def _panels(iv, cfg, breakpoints):
-    """(lo, hi, points) of every panel of log_rule(iv, cfg, breakpoints)."""
-    cuts = [iv.lo]
-    for b in sorted(set(breakpoints)):
-        if iv.lo < b < iv.hi:
-            cuts.append(b)
-    cuts.append(iv.hi)
-    floor = min_panel_points(cfg)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        npanels = max(1, math.ceil((b - a) / cfg.panel_max_width))
-        step = (b - a) / npanels
-        for i in range(npanels):
-            lo = a + i * step
-            hi = a + (i + 1) * step
-            yield lo, hi, max(floor, math.ceil(cfg.nodes_per_unit * (hi - lo)))
-
-
-def panel_rule(panels):
-    """Flat (nodes, weights) of Gauss-Legendre panels given as
-    (lo, hi, points) triples."""
+def cell_rule(cuts, panels, points):
+    """Flat (nodes, weights) of Gauss-Legendre panels: the cell between
+    cuts[i] and cuts[i + 1] cut into panels[i] equal panels of points[i]
+    points each."""
     nodes, weights = [np.empty(0)], [np.empty(0)]
-    for lo, hi, n in panels:
+    for a, b, m, n in zip(cuts[:-1], cuts[1:], panels, points):
         x, w = _leggauss(n)
-        half = 0.5 * (hi - lo)
-        nodes.append(0.5 * (lo + hi) + half * x)
-        weights.append(half * w)
+        step = (b - a) / m
+        for i in range(m):
+            lo, hi = a + i * step, a + (i + 1) * step
+            half = 0.5 * (hi - lo)
+            nodes.append(0.5 * (lo + hi) + half * x)
+            weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
 def log_rule(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     """Composite Gauss-Legendre rule on iv as flat (nodes, weights)
     arrays: panels cut at the breakpoints, then subdivided to respect
-    panel_max_width.
+    panel_max_width (see panel_counts).
 
     Each panel gets at least max(6, 0.7 * nodes_per_unit) points so that
     short panels stay honest: the floor scales with the configured density,
@@ -119,7 +107,10 @@ def log_rule(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     density ~1e-10 accuracy on integrands oscillating up to ~10 radians
     per panel.
     """
-    return panel_rule(_panels(iv, cfg, breakpoints))
+    cuts = np.array(sorted({iv.lo, iv.hi,
+                            *(b for b in breakpoints if iv.lo < b < iv.hi)}))
+    panels, points = panel_counts(cuts[1:] - cuts[:-1], cfg)
+    return cell_rule(cuts.tolist(), panels.tolist(), points.tolist())
 
 
 def integrate_log(g, iv, cfg=DEFAULT_CONFIG, breakpoints=()):

@@ -57,6 +57,11 @@ class TestEvalAndTable:
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",
                      "--fn", "expr:log(x - 5)", "--x", "2", "--w", "10"]) == 1
 
+    def test_eval_malformed_expression_is_usage_error(self, capsys):
+        assert main(["eval", "--chi", "bspline:2", "--phi", "char",
+                     "--fn", "expr:2²", "--x", "2", "--w", "10"]) == 2
+        assert "(offset 1)" in capsys.readouterr().err
+
     def test_table_csv_and_digest_reproducible(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -184,6 +189,14 @@ class TestFlagHandling:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["coeffs", "--p", "3", "--frobnicate"])
+        assert exc.value.code == 2
+
+    def test_format_only_where_it_chooses(self, capsys):
+        # rates and voronovskaya always write a JSON document
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--chi", "bspline:4", "--phi", "bspline:2",
+                  "--fn", "name:sinlog", "--x", "2", "--w", "50,100,200",
+                  "--format", "csv"])
         assert exc.value.code == 2
 
     def test_missing_required_flag(self):

@@ -22,6 +22,12 @@ class TestParsing:
             parse_function("2 +")
         assert err.value.offset == 3
 
+    @pytest.mark.parametrize("src, offset", [("2²", 1), ("x^²", 2)])
+    def test_superscript_digit_is_not_a_number(self, src, offset):
+        with pytest.raises(ParseError) as err:
+            parse_function(src)
+        assert err.value.offset == offset
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError, match="unknown identifier 'y'"):
             parse_function("y + 1")

@@ -15,6 +15,7 @@ from expsample import (
     mellin_derivative,
     mellin_transform,
 )
+from expsample.quadrature import log_rule
 
 
 class TestIntegrateLog:
@@ -75,6 +76,17 @@ class TestIntegrateLog:
             QuadratureConfig(nodes_per_unit=1)
         with pytest.raises(ValueError):
             QuadratureConfig(panel_max_width=0.0)
+
+    # cells of width 2.1 cut into three panels of 0.7, where nodes_per_unit
+    # times the computed panel width lands within an ulp of an integer
+    @pytest.mark.parametrize("npu, lo, hi", [
+        (10, 2.0015274656746715, 4.101527465674671),
+        (20, -5.120295069127259, -3.02029506912726),
+        (60, -7.915755126950804, -5.815755126950805)])
+    def test_equal_panels_get_equal_point_counts(self, npu, lo, hi):
+        nodes, _ = log_rule(LogInterval(lo, hi), QuadratureConfig(npu, 0.7))
+        counts = np.histogram(nodes, np.linspace(lo, hi, 4))[0]
+        assert counts.tolist() == [counts[0]] * 3
 
 
 class TestMellinDerivative:
