@@ -65,6 +65,7 @@ from .analysis import (
     ErrorTable,
     RateReport,
     config_digest,
+    config_record,
     empirical_order,
     error_table,
     richardson,

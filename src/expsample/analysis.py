@@ -25,21 +25,22 @@ from .operators import durrmeyer_eval, write_csv, write_json
 
 def config_digest(payload):
     """Stable hex digest of a configuration mapping (short form)."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _spec_payload(spec):
-    return {
-        "chi": spec.chi.descriptor,
-        "phi": spec.phi.descriptor,
-        "quadrature": {
-            "nodes_per_unit": spec.quadrature.nodes_per_unit,
-            "panel_max_width": spec.quadrature.panel_max_width,
-        },
-        "truncation_radius": spec.truncation_radius,
-        "version": __version__,
-    }
+def config_record(spec=None, **fields):
+    """The run record: fields, the kernels, quadrature and truncation radius
+    of spec, and the version, plus "digest", their config_digest."""
+    if spec is not None:
+        fields.update(chi=spec.chi.descriptor, phi=spec.phi.descriptor,
+                      quadrature=vars(spec.quadrature),
+                      truncation_radius=spec.truncation_radius)
+    record = {**fields, "version": __version__}
+    try:
+        return {"digest": config_digest(record), **record}
+    except ValueError:  # strict JSON: a non-finite number becomes a string
+        return config_record(**json.loads(json.dumps(record), parse_constant=str))
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class Column:
 
 @dataclass
 class ErrorTable:
-    """Rows (x, label, f(x), value, abs error) plus run metadata.
+    """Rows (x, label, f(x), value, abs error) plus the config_record.
 
     The absolute error is recomputed from the stored values, never carried
     independently; rounding happens only at serialization time.
@@ -96,9 +97,8 @@ def error_table(f, spec, xs, columns):
     """Cross product of evaluation points and columns, row-major.
 
     All columns are one durrmeyer_eval call over the pairs (x, i w) of
-    every column (i = 1 .. p); values are kept at full precision, and the
-    metadata digest pins kernels, scales, points, and quadrature so a rerun
-    can be matched byte for byte.
+    every column (i = 1 .. p); values are kept at full precision.  The
+    metadata is the config_record of f's name, points and column labels.
     """
     cols = [c if isinstance(c, Column) else Column(float(c)) for c in columns]
     scales = [i * c.w for c in cols for i in range(1, c.p + 1)]
@@ -115,20 +115,9 @@ def error_table(f, spec, xs, columns):
         fx = f(x)
         for col, values in zip(cols, by_column):
             rows.append((x, col.label, fx, values[i]))
-    payload = dict(_spec_payload(spec))
-    payload.update({
-        "fn": getattr(f, "name", "?"),
-        "xs": list(map(float, xs)),
-        "columns": [c.label for c in cols],
-    })
-    meta = {
-        "chi": spec.chi.descriptor,
-        "phi": spec.phi.descriptor,
-        "fn": getattr(f, "name", "?"),
-        "digest": config_digest(payload),
-        "version": __version__,
-    }
-    return ErrorTable(rows=rows, metadata=meta)
+    return ErrorTable(rows=rows, metadata=config_record(
+        spec, fn=getattr(f, "name", "?"), xs=list(map(float, xs)),
+        columns=[c.label for c in cols]))
 
 
 @dataclass(frozen=True)

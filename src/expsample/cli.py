@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import __version__
-from .analysis import (Column, config_digest, empirical_order, error_table,
+from .analysis import (Column, config_record, empirical_order, error_table,
                        voronovskaya_check)
 from .combinations import solve_coefficients
 from .errors import EvaluationError, ExpSampleError, SamplingError
@@ -63,32 +63,33 @@ def _quad_config(args):
                             panel_max_width=args.panel_max_width)
 
 
-def _summary(command, payload, note, digest=None):
-    """The run's summary: a note and the digest (by default that of the
-    payload), then the payload itself."""
-    digest = digest or config_digest(payload)
-    print(f"expsample {command}: {note} digest={digest}")
-    print(f"config: {json.dumps(payload, sort_keys=True)}")
+def _summary(command, record, note):
+    """The run's summary: a note and the digest of its record, then the
+    rest of the record, whose config_digest that digest is."""
+    print(f"expsample {command}: {note} digest={record['digest']}")
+    print("config: " + json.dumps(
+        {k: v for k, v in record.items() if k != "digest"}, sort_keys=True))
 
 
-def _payload(command, spec, args, **fields):
-    return {"command": command, "chi": spec.chi.descriptor,
-            "phi": spec.phi.descriptor, "fn": args.fn, **fields,
-            "version": __version__}
-
-
-def _write_doc(path, payload, **fields):
-    """Write the JSON document {"metadata": {digest, **payload}, **fields}."""
-    write_json(path, {"metadata": {"digest": config_digest(payload),
-                                   **payload}, **fields})
+def _record(args, spec=None, **fields):
+    """config_record of the run: every flag that can change its output, with
+    points, scales and combination orders parsed and kernels by descriptor
+    (spec, fields); never --out, nor --u where the route does not read it."""
+    skip = {"out", "x", "w", "combine", "chi", "phi", "kernel",
+            "nodes_per_unit", "panel_max_width"}
+    if getattr(args, "route", "discrete") != "discrete":
+        skip.add("u")
+    flags = {k: v for k, v in vars(args).items() if k not in skip}
+    return config_record(spec, quadrature=vars(_quad_config(args)),
+                         **flags, **fields)
 
 
 def _operator_inputs(args, label=None):
     """What the operator commands share: f, the points (a list when --x
     is one), the scales, the OperatorSpec of both kernels with the
-    quadrature flags at the first scale, and one combination per
-    --combine.  When label is given, each combination's coefficients are
-    printed after it (formatted with the order p)."""
+    quadrature flags at the first scale, one combination per --combine
+    and the run's record.  When label is given, each combination's
+    coefficients are printed after it (formatted with the order p)."""
     chi, phi = parse_kernel(args.chi), parse_kernel(args.phi)
     f = function_from_spec(args.fn)
     xs = _parse_reals(args.x, "--x") if isinstance(args.x, str) else args.x
@@ -102,7 +103,8 @@ def _operator_inputs(args, label=None):
         if label:
             print(label.format(p=comb.p), " ".join(f"{b:g}" for b in comb.beta))
         combs.append(comb)
-    return f, xs, ws, spec, combs
+    return f, xs, ws, spec, combs, _record(args, spec, x=xs, w=ws,
+                                           p=[c.p for c in combs])
 
 
 def _add_common(parser):
@@ -208,10 +210,8 @@ def _cmd_moments(args):
         value = absolute_moment(kernel, args.order,
                                 args.route.removeprefix("absolute-"), cfg)
     print(f"{value:.10f}")
-    payload = {"command": "moments", "kernel": kernel.descriptor,
-               "order": args.order, "route": args.route, "u": args.u,
-               "version": __version__}
-    return payload, f"order {args.order} {args.route}"
+    return (_record(args, kernel=kernel.descriptor),
+            f"order {args.order} {args.route}")
 
 
 def _cmd_verify(args):
@@ -219,43 +219,35 @@ def _cmd_verify(args):
     report = verify_kernel(chi, phi, args.r, args.tol, _quad_config(args))
     for cond in report.conditions():
         print(cond)
-    payload = {"command": "verify", "chi": chi.descriptor,
-               "phi": phi.descriptor, "r": args.r, "tol": args.tol,
-               "version": __version__}
     verdict = "all pass" if report.all_passed else "FAILURES reported"
-    return payload, verdict
+    return _record(args, chi=chi.descriptor, phi=phi.descriptor), verdict
 
 
 def _cmd_eval(args):
-    f, xs, ws, spec, combs = _operator_inputs(args, "combination coefficients:")
-    comb = combs[-1] if combs else None
+    f, xs, ws, spec, combs, record = _operator_inputs(
+        args, "combination coefficients:")
     rows = batch_eval(spec, f, [(x, w) for x in xs for w in ws],
-                      combination=comb)
-    payload = _payload("eval", spec, args, x=xs, w=ws,
-                       p=comb.p if comb else None,
-                       quadrature=vars(spec.quadrature))
+                      combination=combs[-1] if combs else None)
     if args.out:
         if args.format == "csv":
             write_batch_csv(rows, args.out)
         else:
-            _write_doc(args.out, payload, rows=[
-                dict(zip(BATCH_CSV_COLUMNS, r)) for r in rows])
+            write_json(args.out, {"metadata": record, "rows": [
+                dict(zip(BATCH_CSV_COLUMNS, r)) for r in rows]})
         note = f"wrote {len(rows)} rows to {args.out}"
     else:
         for x, w, fx, val, err in rows:
             print(f"x={x:g} w={w:g} fx={fx!r} Iwfx={val!r} abs_err={err!r}")
         note = f"{len(rows)} evaluations"
-    return payload, note
+    return record, note
 
 
 def _cmd_table(args):
-    f, xs, ws, spec, combs = _operator_inputs(
+    f, xs, ws, spec, combs, record = _operator_inputs(
         args, "combination p={p} coefficients:")
     table = error_table(f, spec, xs, [Column(w, p) for p in
                                       [1, *(c.p for c in combs)] for w in ws])
-    digest = table.metadata["digest"]
-    payload = {"command": "table", "digest_of": digest, "fn": args.fn,
-               "version": __version__}
+    table.metadata = record
     if args.out:
         if args.format == "csv":
             table.to_csv(args.out)
@@ -266,28 +258,26 @@ def _cmd_table(args):
         for x, label, fx, value in table.rows:
             print(f"x={x:g} {label} abs_err={abs(fx - value)!r}")
         note = f"{len(table.rows)} cells"
-    return payload, note, digest
+    return record, note
 
 
 def _cmd_rates(args):
-    f, x, ws, spec, combs = _operator_inputs(args, "combination coefficients:")
-    comb = combs[-1] if combs else None
-    report = empirical_order(f, spec, x, ws, combination=comb,
-                             target_order=args.target_order)
+    f, x, ws, spec, combs, record = _operator_inputs(
+        args, "combination coefficients:")
+    report = empirical_order(f, spec, x, ws, combination=combs[-1] if combs
+                             else None, target_order=args.target_order)
     print(f"fitted order: {report.fitted_order:.4f}")
     print(f"extrapolated constant (order {report.target_order}): "
           f"{report.extrapolated_constant:.6g}")
     if report.zero_error:
         print("zero error encountered; order reported as +inf")
-    payload = _payload("rates", spec, args, x=x, w=ws,
-                       p=comb.p if comb else None)
     if args.out:
-        _write_doc(args.out, payload, **vars(report))
-    return payload, f"fitted order {report.fitted_order:.3f}"
+        write_json(args.out, {"metadata": record, **vars(report)})
+    return record, f"fitted order {report.fitted_order:.3f}"
 
 
 def _cmd_voronovskaya(args):
-    f, x, ws, spec, combs = _operator_inputs(args)
+    f, x, ws, spec, combs, record = _operator_inputs(args)
     comb = combs[-1] if combs else None
     check = voronovskaya_check(f, spec, x, ws, args.j, combination=comb)
     if check.has_limit:
@@ -309,17 +299,15 @@ def _cmd_voronovskaya(args):
             "does not hold there"))
     if check.diverged:
         print("warning: scaled errors grow along the sequence")
-    payload = _payload("voronovskaya", spec, args, x=x, j=args.j, w=ws,
-                       p=comb.p if comb else None)
     if args.out:
-        _write_doc(args.out, payload, limit=check.has_limit,
-                   predicted=check.predicted, extrapolated=check.extrapolated,
-                   predictions=check.predictions,
-                   max_deviation=check.max_deviation,
-                   lower_orders_cancel=check.lower_orders_cancel,
-                   relative_deviation=check.relative_deviation,
-                   scaled_errors=check.scaled_errors, diverged=check.diverged)
-    return payload, note
+        write_json(args.out, dict(
+            metadata=record, limit=check.has_limit, predicted=check.predicted,
+            extrapolated=check.extrapolated, predictions=check.predictions,
+            max_deviation=check.max_deviation,
+            lower_orders_cancel=check.lower_orders_cancel,
+            relative_deviation=check.relative_deviation,
+            scaled_errors=check.scaled_errors, diverged=check.diverged))
+    return record, note
 
 
 _COMMANDS = {
@@ -337,7 +325,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a command returns the payload and note of its summary, if any
+        # a command returns the record and note of its summary, if any
         summary = _COMMANDS[args.command](args)
         if summary:
             _summary(args.command, *summary)

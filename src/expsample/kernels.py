@@ -264,9 +264,16 @@ def discrete_moment(chi, nu, u=1.0):
     """Algebraic moment of order nu of a discrete-role kernel at u: the
     exact finite sum over the integers inside the kernel support, entry
     nu of phase_moments at log u."""
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not 0 < u < math.inf:
+        raise ValueError(f"u must be positive and finite, got {u}")
     return float(phase_moments(chi, nu, math.log(u))[0, nu])
+
+
+def _order(nu):
+    """nu, checked to be a moment order (>= 0)."""
+    if nu < 0:
+        raise ValueError(f"moment order must be >= 0, got {nu}")
+    return nu
 
 
 # Phases per block of a phase-grid evaluation: the spline evaluators make
@@ -299,7 +306,7 @@ def phase_moments(chi, j, log_u, absolute=False):
     matters; taking the log keeps u = x^w usable where x^w overflows.
     """
     taus = np.mod(np.atleast_1d(np.asarray(log_u, dtype=float)), 1.0)
-    powers = np.arange(j + 1)
+    powers = np.arange(_order(j) + 1)
 
     def summand(vals, d):
         if absolute:
@@ -336,7 +343,7 @@ def continuous_moment(phi, nu, cfg=DEFAULT_CONFIG):
     Uses the closed form for b-spline and characteristic kernels when one
     is known, cross-checked against knot-aligned quadrature.
     """
-    quad = _quad_moment(phi, nu, cfg)
+    quad = _quad_moment(phi, _order(nu), cfg)
     closed = None
     if phi.descriptor.startswith("bspline:") and nu in _BSPLINE_CONTINUOUS:
         n = int(phi.descriptor.split(":")[1])
@@ -364,6 +371,7 @@ def absolute_moment(kernel, nu, side, cfg=DEFAULT_CONFIG):
     is adequate).  side='continuous': quadrature of |phi| |log|^nu, with
     extra panel splits at sign changes so each piece stays smooth.
     """
+    _order(nu)
     if side == "discrete":
         taus = np.linspace(0.0, 1.0, _SUP_GRID, endpoint=False)
         sums = _phase_sums(kernel, taus,
@@ -463,6 +471,8 @@ def verify_kernel(chi, phi, r=1, tol=1e-8, cfg=DEFAULT_CONFIG):
     finite and the tail of the chi sum beyond the support radius vanishes.
     Failures are reported with measured residuals, never raised.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     sums = _phase_sums(chi, np.linspace(0.0, 1.0, 1000, endpoint=False),
                        lambda vals, d: vals)
     worst = float(np.max(np.abs(sums - 1.0)))

@@ -41,9 +41,9 @@ from .quadrature import (DEFAULT_CONFIG, LogInterval, QuadratureConfig,
 class OperatorSpec:
     """A (chi, phi) kernel pair with scale w and numerical policy.
 
-    truncation_radius bounds |k - w log x| in the outer sum; None means
-    the exact window induced by the support of chi.  A finite radius may
-    not cut into that support.
+    truncation_radius narrows the outer sum to |k - w log x| <= radius (None:
+    the window of chi's support); it may not be smaller than chi's support
+    radius, so it drops only terms where chi is 0 and changes no value.
     """
 
     chi: Kernel

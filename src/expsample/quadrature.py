@@ -44,9 +44,9 @@ class QuadratureConfig:
     panel_max_width: float = 0.5
 
     def __post_init__(self):
-        if self.nodes_per_unit < 2:
+        if not self.nodes_per_unit >= 2:
             raise ValueError("nodes_per_unit must be >= 2")
-        if self.panel_max_width <= 0:
+        if not self.panel_max_width > 0:
             raise ValueError("panel_max_width must be positive")
 
 

@@ -103,8 +103,10 @@ def simpson_operator_oracle(chi, phi, w, f, x, n_inner=4001):
 
 
 def dense_config_oracle(spec, f, x):
-    """The package's own evaluator at 10x quadrature density and doubled
-    truncation radius; independent of the default configuration."""
+    """The package's own evaluator at 10x quadrature density; independent
+    of the default configuration.  Its truncation radius of twice chi's
+    support radius drops no term, as any radius may not cut into that
+    support."""
     dense = OperatorSpec(
         chi=spec.chi,
         phi=spec.phi,

@@ -5,7 +5,29 @@ import math
 
 import pytest
 
+from expsample.analysis import config_digest
 from expsample.cli import _parse_reals, main
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _run(capsys, argv):
+    """Exit code, stdout and record of one run.  The record is the config
+    line, checked to be strict JSON whose config_digest is the digest of
+    the summary line, plus that digest."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    summary = [ln for ln in lines if ln.startswith("expsample ")]
+    config = [ln for ln in lines if ln.startswith("config: ")]
+    assert len(summary) == len(config) == 1, out
+    digest = summary[0].rsplit("digest=", 1)[1]
+    record = json.loads(config[0].removeprefix("config: "),
+                        parse_constant=_strict)
+    assert config_digest(record) == digest
+    return code, out, {"digest": digest, **record}
 
 
 class TestCoeffs:
@@ -27,6 +49,13 @@ class TestMoments:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "0.3333333333"
         assert "digest=" in out
+        # every route gives n/12 for the order-n b-spline at order 2
+        for route in ("continuous", "poisson", "absolute-discrete",
+                      "absolute-continuous"):
+            code, out, _ = _run(capsys, ["moments", "--kernel", "bspline:4",
+                                         "--order", "2", "--route", route])
+            assert code == 0
+            assert out.splitlines()[0] == "0.3333333333", route
 
     def test_continuous_route(self, capsys):
         assert main(["moments", "--kernel", "bspline:2", "--order", "2",
@@ -36,6 +65,20 @@ class TestMoments:
     def test_bad_descriptor_is_usage_error(self, capsys):
         assert main(["moments", "--kernel", "nope:1", "--order", "0"]) == 2
 
+    @pytest.mark.parametrize("route", ["discrete", "continuous", "poisson",
+                                       "absolute-discrete",
+                                       "absolute-continuous"])
+    def test_negative_order_is_numerical_failure(self, capsys, route):
+        assert main(["moments", "--kernel", "bspline:2", "--order", "-1",
+                     "--route", route]) == 1
+        assert "order must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u", ["nan", "inf"])
+    def test_non_finite_u_is_numerical_failure(self, capsys, u):
+        assert main(["moments", "--kernel", "bspline:2", "--order", "2",
+                     "--u", u]) == 1
+        assert "u must be positive and finite" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_pass(self, capsys):
@@ -44,6 +87,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all pass" in out
         assert out.count("pass") >= 4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "-1"), ("--r", "-1"),
+        ("--panel-max-width", "nan")])
+    def test_meaningless_setting_is_numerical_failure(self, capsys, flag,
+                                                      value):
+        assert main(["verify", "--chi", "bspline:4", "--phi", "bspline:2",
+                     flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert "numerical failure" in err and "FAIL" not in out
 
 
 class TestEvalAndTable:
@@ -90,6 +143,30 @@ class TestEvalAndTable:
         lines = out.read_text().splitlines()
         assert len(lines) == 4  # header + plain + p=2 + p=3
         assert any("p=3,w=10" in ln for ln in lines)
+        # without --out the same cells go to stdout
+        assert main(["table", "--chi", "bspline:4", "--phi", "bspline:2",
+                     "--fn", "name:fig2", "--x", "2.1", "--w", "10",
+                     "--combine", "p=2", "--combine", "p=3"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("abs_err=") == 3
+        assert "x=2.1 p=3,w=10 abs_err=" in printed
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_eval_out(self, capsys, tmp_path, fmt):
+        out = tmp_path / f"e.{fmt}"
+        code, text, record = _run(capsys, [
+            "eval", "--chi", "bspline:2", "--phi", "char", "--fn",
+            "name:sinlog", "--x", "2,3", "--w", "10,20", "--format", fmt,
+            "--out", str(out)])
+        assert code == 0 and "wrote 4 rows" in text
+        if fmt == "csv":
+            lines = out.read_text().splitlines()
+            assert lines[0] == "x,w,fx,Iwfx,abs_err" and len(lines) == 5
+        else:
+            doc = json.loads(out.read_text())
+            assert doc["metadata"] == record
+            assert [(r["x"], r["w"]) for r in doc["rows"]] == [
+                (2.0, 10.0), (2.0, 20.0), (3.0, 10.0), (3.0, 20.0)]
 
     def test_range_is_start_plus_multiples_of_step(self):
         xs = _parse_reals("0.1:100:0.1", "--x")
@@ -114,6 +191,15 @@ class TestRatesAndVoronovskaya:
         doc = json.loads(out.read_text())
         assert abs(doc["fitted_order"] - 2.0) < 0.2
         assert "digest" in doc["metadata"]
+
+    def test_rates_zero_error(self, capsys):
+        # the (B2, char) operator reproduces a constant exactly at x = 2
+        code, out, _ = _run(capsys, [
+            "rates", "--chi", "bspline:2", "--phi", "char",
+            "--fn", "name:const:2", "--x", "2", "--w", "1,2,4"])
+        assert code == 0
+        assert "fitted order: inf" in out
+        assert "zero error encountered; order reported as +inf" in out
 
     def test_voronovskaya_reports_deviation(self, capsys):
         assert main(["voronovskaya", "--chi", "bspline:4", "--phi", "bspline:2",
@@ -221,3 +307,86 @@ class TestFlagHandling:
     def test_empty_x_list(self, capsys):
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",
                      "--fn", "name:sinlog", "--x", ",", "--w", "10"]) == 2
+
+
+MOMENTS = ["moments", "--kernel", "translates:2:a=e^2,b=e^3", "--order", "2"]
+VERIFY = ["verify", "--chi", "bspline:4", "--phi", "bspline:2", "--r", "3"]
+RATES = ["rates", "--chi", "bspline:4", "--phi", "bspline:2", "--fn",
+         "name:fig1", "--x", "2", "--w", "1,2,4", "--panel-max-width", "5"]
+VORONOVSKAYA = ["voronovskaya", "--chi", "bspline:4", "--phi", "bspline:2",
+                "--fn", "name:sinlog", "--x", "2", "--j", "2",
+                "--w", "50,100,200"]
+EVAL = ["eval", "--chi", "bspline:2", "--phi", "char", "--fn", "name:sinlog",
+        "--x", "2", "--w", "10", "--out", "e.out"]
+TABLE = ["table", "--chi", "bspline:4", "--phi", "bspline:2", "--fn",
+         "name:fig2", "--x", "2.1", "--w", "10", "--out", "t.out"]
+NODES = ["--nodes-per-unit", "20"], ["--nodes-per-unit", "8"]
+
+# (argv, flags, other flags): the runs argv + flags and argv + other flags
+# differ in one input
+DIGEST_CHANGES = [
+    # different outputs that once shared a digest
+    (MOMENTS + ["--route", "poisson", "--panel-max-width", "0.9"], *NODES),
+    (RATES, ["--nodes-per-unit", "20"], ["--nodes-per-unit", "2"]),
+    (RATES, ["--target-order", "2"], ["--target-order", "3"]),
+    (EVAL, ["--format", "csv"], ["--format", "json"]),
+    (VERIFY, *NODES),
+    (VORONOVSKAYA, *NODES),
+    # every other input
+    (MOMENTS, ["--kernel", "bspline:4"], ["--kernel", "bspline:6"]),
+    (MOMENTS, ["--order", "1"], ["--order", "2"]),
+    (MOMENTS, ["--route", "discrete"], ["--route", "continuous"]),
+    (MOMENTS, ["--u", "1"], ["--u", "1.5"]),
+    (VERIFY, ["--phi", "bspline:2"], ["--phi", "char"]),
+    (VERIFY, ["--r", "2"], ["--r", "3"]),
+    (VERIFY, ["--tol", "1e-8"], ["--tol", "1e-6"]),
+    (RATES, ["--chi", "bspline:4"], ["--chi", "bspline:6"]),
+    (RATES, ["--combine", "p=2"], ["--combine", "p=3"]),
+    (VORONOVSKAYA, ["--j", "2"], ["--j", "3"]),
+    (EVAL, ["--fn", "name:sinlog"], ["--fn", "name:fig1"]),
+    (EVAL, ["--x", "2"], ["--x", "3"]),
+    (EVAL, ["--w", "10"], ["--w", "20"]),
+    (EVAL, ["--panel-max-width", "0.5"], ["--panel-max-width", "inf"]),
+    (EVAL, [], ["--combine", "p=2"]),
+    (TABLE, [], ["--combine", "p=2"]),
+    (TABLE, ["--format", "csv"], ["--format", "json"]),
+]
+
+
+class TestRunRecord:
+    """A run's record holds every input that can change its stdout or
+    files, so equal digests mean equal outputs."""
+
+    @pytest.mark.parametrize("base, one, other", DIGEST_CHANGES, ids=[
+        "_".join([base[0], *other]) for base, _, other in DIGEST_CHANGES])
+    def test_each_input_changes_the_digest(self, capsys, tmp_path,
+                                           monkeypatch, base, one, other):
+        monkeypatch.chdir(tmp_path)
+        first, second = (_run(capsys, base + extra) for extra in (one, other))
+        assert first[0] == second[0] == 0
+        assert first[2]["digest"] != second[2]["digest"]
+
+    @pytest.mark.parametrize("base, one, other", [
+        # --u is read by the discrete route only
+        (MOMENTS + ["--route", "continuous"], ["--u", "1"], ["--u", "5"]),
+        (EVAL, ["--out", "a.csv"], ["--out", "b.csv"]),
+    ])
+    def test_ignored_inputs_keep_the_digest(self, capsys, tmp_path,
+                                            monkeypatch, base, one, other):
+        monkeypatch.chdir(tmp_path)
+        first, second = (_run(capsys, base + extra) for extra in (one, other))
+        assert first[1] == second[1].replace("b.csv", "a.csv")
+        assert first[2] == second[2]
+
+    @pytest.mark.parametrize("argv", [
+        TABLE + ["--format", "json", "--combine", "p=3"],
+        EVAL + ["--format", "json", "--panel-max-width", "inf"],
+        RATES + ["--out", "r.json"],
+        VORONOVSKAYA + ["--out", "v.json"]])
+    def test_json_metadata_is_the_record(self, capsys, tmp_path, monkeypatch,
+                                         argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, record = _run(capsys, argv)
+        assert code == 0
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert json.loads(out.read_text())["metadata"] == record

@@ -220,6 +220,25 @@ class TestAbsoluteMoments:
             absolute_moment(b2, 0, "both")
 
 
+class TestMomentArguments:
+    # a negative order has no moment: each route names it instead of
+    # returning a number (0.0, inf, a quadrature value) or an IndexError
+    @pytest.mark.parametrize("moment", [
+        lambda k: phase_moments(k, -1, 0.0),
+        lambda k: discrete_moment(k, -1),
+        lambda k: continuous_moment(k, -1),
+        lambda k: absolute_moment(k, -1, "discrete"),
+        lambda k: absolute_moment(k, -1, "continuous")])
+    def test_negative_order_named(self, b2, moment):
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            moment(b2)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, 0.0, -1.0])
+    def test_u_must_be_positive_and_finite(self, b2, u):
+        with pytest.raises(ValueError, match="u must be positive and finite"):
+            discrete_moment(b2, 2, u)
+
+
 class TestPoissonRoute:
     def test_b4_agreement_all_orders(self, b4, rng):
         for j in range(4):
@@ -277,6 +296,16 @@ class TestVerifyKernel:
         report = verify_kernel(b4, b2, r=2)
         for cond in report.conditions():
             assert "pass" in str(cond)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    def test_tolerance_must_be_positive(self, b4, b2, tol):
+        # otherwise every comparison with it fails and each check is FAIL
+        with pytest.raises(ValueError, match="tol must be positive"):
+            verify_kernel(b4, b2, tol=tol)
+
+    def test_negative_order_named(self, b4, b2):
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            verify_kernel(b4, b2, r=-1)
 
 
 class TestDescriptors:

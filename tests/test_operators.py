@@ -127,6 +127,21 @@ class TestDurrmeyer:
         with pytest.raises(ValueError, match="truncation_radius"):
             OperatorSpec(b4, b2, 10.0, truncation_radius=1.0)
 
+    def test_truncation_radius_drops_only_zero_terms(self, b4, b2):
+        # a radius (here twice the support radius of chi) only narrows the
+        # outer window and may not cut into chi's support, so the oracle of
+        # the golden tables gives the values of the exact window, bit for bit
+        f = builtin("fig2")
+        cfg = QuadratureConfig(nodes_per_unit=200)
+        xs = np.linspace(1.2, 4.8, 50)[:, None]
+        ws = [10.0, 25.0, 90.0]
+        plain = durrmeyer_eval(OperatorSpec(b4, b2, 1.0, quadrature=cfg),
+                               f, xs, ws)
+        narrowed = durrmeyer_eval(OperatorSpec(
+            b4, b2, 1.0, truncation_radius=4.0, quadrature=cfg), f, xs, ws)
+        assert plain.shape == (50, 3)
+        assert np.array_equal(plain, narrowed)
+
     def test_bad_w(self, b4, b2):
         with pytest.raises(ValueError):
             OperatorSpec(b4, b2, 0.0)

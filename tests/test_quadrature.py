@@ -77,6 +77,17 @@ class TestIntegrateLog:
         with pytest.raises(ValueError):
             QuadratureConfig(panel_max_width=0.0)
 
+    def test_nan_settings_named(self):
+        # rejected where they are set, not later by numpy's Gauss-Legendre
+        # rule ("deg must be a positive integer"); inf means no panel cap
+        with pytest.raises(ValueError, match="panel_max_width"):
+            QuadratureConfig(panel_max_width=math.nan)
+        with pytest.raises(ValueError, match="nodes_per_unit"):
+            QuadratureConfig(nodes_per_unit=math.nan)
+        nodes, weights = log_rule(LogInterval(0.0, 1.0),
+                                  QuadratureConfig(panel_max_width=math.inf))
+        assert math.isclose(float(np.sum(weights)), 1.0)
+
     # cells of width 2.1 cut into three panels of 0.7, where nodes_per_unit
     # times the computed panel width lands within an ulp of an integer
     @pytest.mark.parametrize("npu, lo, hi", [
