@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .combinations import (combine, combined_eval, combined_moment,
-                           combined_moment_size, solve_coefficients)
+from .combinations import (_moment_terms, combine, combined_eval,
+                           solve_coefficients)
 from .operators import durrmeyer_eval, write_csv, write_json
 
 
@@ -271,11 +271,10 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
     comb = combination if combination is not None else solve_coefficients(1)
     # the phase comes from w log x: x^w itself overflows
     log_u = np.array(ws) * math.log(x)
-    coeffs = combined_moment(comb, spec.chi, spec.phi, j,
-                             cfg=spec.quadrature, log_u=log_u)
+    coeffs, sizes = _moment_terms(comb, spec.chi, spec.phi, j,
+                                  spec.quadrature, log_u=log_u)
     factor = deriv(x) / math.factorial(j)
-    sizes = abs(factor) * combined_moment_size(
-        comb, spec.chi, spec.phi, j, cfg=spec.quadrature, log_u=log_u)
+    sizes = abs(factor) * sizes
     predictions = tuple(0.0 if abs(p) <= _ROUNDOFF * s else float(p)
                         for p, s in zip(factor * coeffs, sizes))
     magnitude = float(sizes.max())
@@ -302,8 +301,7 @@ def _lower_orders_cancel(comb, chi, phi, j, log_u, cfg):
     every entry of log_u, to 1e-12 of the sum of the magnitudes of their
     terms there."""
     for k in range(1, j):
-        value = combined_moment(comb, chi, phi, k, cfg=cfg, log_u=log_u)
-        size = combined_moment_size(comb, chi, phi, k, cfg=cfg, log_u=log_u)
+        value, size = _moment_terms(comb, chi, phi, k, cfg, log_u=log_u)
         if np.any(np.abs(value) > _ROUNDOFF * size):
             return False
     return True

@@ -115,7 +115,7 @@ def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None):
     construction of the beta whenever the pair moment is the same at
     every u^i, as for b-spline pairs.
     """
-    return _moment_terms(spec, chi, phi, j, cfg, u, log_u, absolute=False)
+    return _moment_terms(spec, chi, phi, j, cfg, u, log_u, (False,))[0]
 
 
 def combined_moment_size(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG,
@@ -125,18 +125,24 @@ def combined_moment_size(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG,
     |mhat_{j-eta}| |chi(tau - l)| |l - tau|^eta at the same phases: the
     scale of the roundoff in that coefficient, so a coefficient below
     about 1e-12 of its size is zero."""
-    return _moment_terms(spec, chi, phi, j, cfg, u, log_u, absolute=True)
+    return _moment_terms(spec, chi, phi, j, cfg, u, log_u, (True,))[0]
 
 
-def _moment_terms(spec, chi, phi, j, cfg, u, log_u, absolute):
-    """combined_moment, or with absolute its size."""
+def _moment_terms(spec, chi, phi, j, cfg, u=1.0, log_u=None,
+                  sides=(False, True)):
+    """combined_moment (side False) and combined_moment_size (side True),
+    one result per entry of sides, with the continuous factors of phi
+    computed once for all of them."""
     weights = np.array([math.comb(j, eta) * continuous_moment(phi, j - eta, cfg)
                         for eta in range(j + 1)])
     logs = np.asarray(math.log(u) if log_u is None else log_u, dtype=float)
-    total = 0.0
-    for i, beta in enumerate(spec.beta, start=1):
-        coeff, factors = ((abs(beta), np.abs(weights)) if absolute
-                          else (beta, weights))
-        total = total + coeff / i ** j * (
-            phase_moments(chi, j, i * logs, absolute) @ factors)
-    return total if logs.ndim else float(total[0])
+    out = []
+    for absolute in sides:
+        factors = np.abs(weights) if absolute else weights
+        total = 0.0
+        for i, beta in enumerate(spec.beta, start=1):
+            coeff = abs(beta) if absolute else beta
+            total = total + coeff / i ** j * (
+                phase_moments(chi, j, i * logs, absolute) @ factors)
+        out.append(total if logs.ndim else float(total[0]))
+    return out

@@ -31,6 +31,7 @@ from order 2 on).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -90,27 +91,44 @@ class Kernel:
         return self.eval_log(np.log(x))
 
 
+@functools.cache
+def _bspline_pieces(n):
+    """Coefficients of the central B-spline of order n on its pieces, a
+    (n, n + 2) table: column i + 1 holds, highest power first, the
+    coefficients of the polynomial in t = s - i that equals B(s - n/2) on
+    s in [i, i + 1), for i = 0 .. n - 1; columns 0 and n + 1 are zero.
+    Each entry is an exact integer numerator over (n - 1)!, divided once.
+    The table is shared by every caller, so it is read-only."""
+    table = np.zeros((n, n + 2))
+    scale = math.factorial(n - 1)
+    for i in range(n):
+        for m in range(n):
+            # t^m coefficient of sum_{j <= i} (-1)^j C(n, j) (t + i - j)^(n-1)
+            num = math.comb(n - 1, m) * sum(
+                (-1) ** j * math.comb(n, j) * (i - j) ** (n - 1 - m)
+                for j in range(i + 1))
+            table[n - 1 - m, i + 1] = num / scale
+    table.flags.writeable = False
+    return table
+
+
 def _central_bspline_log(n):
     """Evaluator (over 1-d arrays) for the central B-spline of order n in
-    the log coordinate: a truncated-power sum of degree n-1 on |v| < n/2.
-    Order 1 is the half-open unit indicator; the truncated-power form would
-    hit 0^0 there."""
-    if n == 1:
-        def eval1(v):
-            return np.where((v >= -0.5) & (v < 0.5), 1.0, 0.0)
-        return eval1
-
-    c = 1.0 / math.factorial(n - 1)
-    js = np.arange(n + 1)
-    coeffs = c * np.array([(-1) ** j * math.comb(n, j) for j in js])
+    the log coordinate, by Horner's rule on the piece that holds each
+    point: with s = v + n/2, piece floor(s) at t = s - floor(s).  Points
+    outside [-n/2, n/2), +-inf and nan included, are clipped onto a zero
+    column, so they give exactly 0.0."""
+    table = _bspline_pieces(n)
     half = n / 2.0
 
     def evaln(v):
-        out = np.zeros_like(v)
-        mask = np.abs(v) < half
-        if np.any(mask):
-            args = half + v[mask, None] - js[None, :]
-            out[mask] = np.clip(args, 0.0, None) ** (n - 1) @ coeffs
+        s = np.fmin(np.fmax(v + half, -1.0), n)
+        i = np.floor(s)
+        t = s - i
+        col = i.astype(np.intp) + 1
+        out = table[0].take(col)
+        for row in table[1:]:
+            out = out * t + row.take(col)
         return out
 
     return evaln
@@ -276,9 +294,14 @@ def _order(nu):
     return nu
 
 
-# Phases per block of a phase-grid evaluation: the spline evaluators make
-# (points x (n + 1)) temporaries, so a whole grid at once costs memory.
-_PHASE_BLOCK = 128
+# Phases per block of a phase-grid evaluation.  Each (phase, k) pair of a
+# block is one kernel point, gathered from the piece table: at 512 phases
+# the gathers and the Horner temporaries stay in cache, a whole 2048-phase
+# grid falls out of it, and smaller blocks pay more per-block overhead.  A
+# warm kernels-workload pass (perfbench, seed 1, 2-vCPU shared host, median
+# of 15) took 22.4, 19.5, 19.2, 22.5 and 25.0 ms at 128, 256, 512, 1024 and
+# 2048 phases.
+_PHASE_BLOCK = 512
 
 
 def _phase_sums(kernel, taus, summand, ks=None):

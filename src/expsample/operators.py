@@ -462,6 +462,10 @@ def write_json(path, doc):
 
 
 def write_batch_csv(rows, path):
-    """Serialize batch rows with the documented column set, atomically."""
-    write_csv(path, [BATCH_CSV_COLUMNS, *([repr(v) for v in row]
-                                          for row in rows)])
+    """Serialize batch rows with the documented column set, atomically,
+    as the bytes csv.writer would give.  The file is formatted as one
+    string and written once: a float's repr never needs CSV quoting."""
+    text = ",".join(BATCH_CSV_COLUMNS) + "\r\n" + "".join(
+        "%r,%r,%r,%r,%r\r\n" % tuple(row) for row in rows)
+    with atomic_open(path, newline="") as fh:
+        fh.write(text)

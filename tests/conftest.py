@@ -1,14 +1,16 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the code paths they check: the
-B-spline oracle is the Cox-de Boor recursion instead of truncated powers,
-the moment oracle is a raw lattice sum, and the operator oracle stacks a
-composite Simpson rule over the full combined window without any knot
-alignment.
+B-spline oracles are the Cox-de Boor recursion and the truncated-power sum
+in exact rational arithmetic, rounded once, instead of Horner's rule on
+the pieces; the moment oracle is a raw lattice sum, and the operator
+oracle stacks a composite Simpson rule over the full combined window
+without any knot alignment.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +71,19 @@ def cox_de_boor(n, t):
             + ((i + k - x) / (k - 1)) * N(i + 1, k - 1)
 
     return N(0, n)
+
+
+def exact_bspline(n, t):
+    """Central B-spline of order n at the float t, correctly rounded: the
+    truncated-power sum sum_j (-1)^j C(n, j) (t + n/2 - j)_+^(n-1) / (n-1)!
+    in exact rationals, so no float operation order enters.  With 0^0 = 1
+    order 1 is the half-open indicator of [-1/2, 1/2)."""
+    s = Fraction(t) + Fraction(n, 2)
+    if not 0 <= s < n:
+        return 0.0
+    total = sum((-1) ** j * math.comb(n, j) * (s - j) ** (n - 1)
+                for j in range(n) if s >= j)
+    return float(total / math.factorial(n - 1))
 
 
 def direct_discrete_moment(kernel, nu, u, kspan=60):

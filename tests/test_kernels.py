@@ -35,7 +35,7 @@ from expsample.kernels import (
     _with_sign_change_knots,
     phase_moments,
 )
-from conftest import cox_de_boor, direct_discrete_moment
+from conftest import cox_de_boor, direct_discrete_moment, exact_bspline
 
 
 class TestBsplineEvaluation:
@@ -56,6 +56,29 @@ class TestBsplineEvaluation:
             if n == 1 and abs(abs(t) - 0.5) < 1e-9:
                 continue  # the order-1 indicator edges differ by convention
             assert kern.eval_log(t) == pytest.approx(cox_de_boor(n, t), abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_within_an_ulp_of_exact(self, n, rng):
+        # Horner's rule on the pieces is backward stable: every value,
+        # knots included, is within 2.3e-16 of the exact rational one
+        kern = mellin_bspline(n)
+        ts = np.concatenate([rng.uniform(-n / 2 - 0.5, n / 2 + 0.5, size=500),
+                             np.arange(n + 1) - n / 2])
+        exact = np.array([exact_bspline(n, t) for t in ts.tolist()])
+        assert np.max(np.abs(kern.eval_log(ts) - exact)) <= 2.3e-16
+
+    @pytest.mark.parametrize("kern", [*(mellin_bspline(n) for n in range(1, 7)),
+                                      make_translate_combination(2, -2.0, -3.0)],
+                             ids=str)
+    def test_edges_and_infinities_exact_zero(self, kern):
+        # points outside the support, the right end and +-inf included,
+        # give exactly 0.0 without an inf - inf (RuntimeWarnings fail the
+        # suite); the left end of order 1 belongs to its support
+        lo, hi = kern.support
+        ts = np.array([lo - 1e-12, hi, hi + 1e-12, hi + 3.0, lo - 3.0,
+                       1e300, -1e300, math.inf, -math.inf])
+        assert np.all(kern.eval_log(ts) == 0.0)
+        assert all(kern.eval_log(float(t)) == 0.0 for t in ts)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_compact_support_exact_zero(self, n):
@@ -85,12 +108,10 @@ class TestBsplineEvaluation:
             mellin_bspline(0)
 
     def test_vectorized_matches_scalar(self, b4, rng):
-        # batch and scalar paths may reassociate the truncated-power sum;
-        # near the support edge its cancellation admits ~64 eps slack
         ts = rng.uniform(-3, 3, size=64)
         vec = b4.eval_log(ts)
         for t, v in zip(ts, vec):
-            assert v == pytest.approx(b4.eval_log(float(t)), abs=1e-13)
+            assert v == b4.eval_log(float(t))
 
 
 class TestTranslateCombination:
@@ -275,6 +296,13 @@ class TestVerifyKernel:
         report = verify_kernel(b4, b2, r=3)
         assert report.all_passed
         assert report.partition_of_unity.residual <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_partition_residual_at_roundoff(self, n):
+        # the translates sum to 1 up to a few ulps of 1 when each spline
+        # value is within an ulp of exact
+        report = verify_kernel(mellin_bspline(n), mellin_bspline(n - 2), r=3)
+        assert report.partition_of_unity.residual <= 1e-15
 
     def test_b2_characteristic_passes(self, b2, char):
         report = verify_kernel(b2, char, r=1)

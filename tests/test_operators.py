@@ -1,6 +1,8 @@
 """Operator evaluation: convolution means, the sampling series, and the
 dual-route checks that keep them honest."""
 
+import csv
+import io
 import math
 import os
 import warnings
@@ -25,6 +27,7 @@ from expsample import (
     solve_coefficients,
     write_batch_csv,
 )
+from expsample.operators import BATCH_CSV_COLUMNS
 from conftest import dense_config_oracle, simpson_operator_oracle
 from test_analysis import _counting
 
@@ -350,6 +353,18 @@ class TestBatch:
             scalar = combined_eval(comb, spec.with_w(w), f, x)
             assert abs(val - scalar) <= 1e-13 * abs(scalar)
             assert err == abs(fx - val)
+
+    def test_csv_bytes_match_csv_writer(self, b4, b2, tmp_path):
+        # one formatted string gives the bytes csv.writer gives
+        spec = OperatorSpec(b4, b2, 10.0)
+        rows = batch_eval(spec, builtin("fig1"), [(x, 10.0) for x in
+                                                  (0.5, 2.0, 3.3, 1e-3)])
+        path = tmp_path / "batch.csv"
+        write_batch_csv(rows, str(path))
+        ref = io.StringIO(newline="")
+        csv.writer(ref).writerows([BATCH_CSV_COLUMNS,
+                                   *([repr(v) for v in row] for row in rows)])
+        assert path.read_bytes() == ref.getvalue().encode()
 
     def test_csv_deterministic(self, b4, b2, tmp_path):
         spec = OperatorSpec(b4, b2, 10.0)
