@@ -23,7 +23,6 @@ import math
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,38 +70,14 @@ ARRAY_OPERATORS = {
 
 # --- AST -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: object
+# namedtuples, which cost a fraction of a dataclass to define; nodes
+# compare as tuples, and every walker dispatches on isinstance
+Num = namedtuple("Num", "value")
+Var = namedtuple("Var", "")
+Const = namedtuple("Const", "name")
+Unary = namedtuple("Unary", "op operand")
+Binary = namedtuple("Binary", "op left right")
+Call = namedtuple("Call", "name arg")
 
 
 def to_source(node):

@@ -408,8 +408,10 @@ def absolute_moment(kernel, nu, side, cfg=DEFAULT_CONFIG):
 
 def _with_sign_change_knots(kernel):
     """Return the kernel with knots augmented by its sign-change points:
-    every bracket of a 4096-point probe where the sign flips is bisected
-    80 times, all brackets in one kernel evaluation per step."""
+    every bracket of a 4096-point probe where the sign flips is bisected,
+    all brackets in one kernel evaluation per step, until a step leaves
+    every bracket unchanged (its ends are then adjacent doubles, about 40
+    steps in) or 80 steps have been taken."""
     lo, hi = kernel.support
     probe = np.linspace(lo, hi, 4096)
     vals = kernel.eval_log(probe)
@@ -420,7 +422,10 @@ def _with_sign_change_knots(kernel):
     for _ in range(80):
         mid = 0.5 * (x0 + x1)
         left = a * kernel.eval_log(mid) <= 0
-        x0, x1 = np.where(left, x0, mid), np.where(left, mid, x1)
+        y0, y1 = np.where(left, x0, mid), np.where(left, mid, x1)
+        if np.array_equal(y0, x0) and np.array_equal(y1, x1):
+            break
+        x0, x1 = y0, y1
     roots = tuple((0.5 * (x0 + x1)).tolist())
     return Kernel(kernel.name, kernel.descriptor, kernel._eval_log,
                   kernel.support, kernel.knots + roots)

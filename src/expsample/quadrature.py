@@ -5,6 +5,10 @@ Substituting u = log t turns it into an ordinary Lebesgue integral, which
 is what the routines here compute: composite Gauss-Legendre rules over a
 finite interval of the log coordinate.  Derivatives are likewise taken in
 the log coordinate, where x f'(x) becomes d/du f(e^u).
+
+The Gauss-Legendre rules themselves are built here (_leggauss), bit for
+bit as numpy.polynomial builds them, because importing numpy.polynomial
+would cost the first command of every process about 4 ms.
 """
 
 from __future__ import annotations
@@ -61,9 +65,51 @@ class MellinPoint:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def _legval(x, c):
+    """Clenshaw sum of the Legendre series c (low degree first) at x."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    nd, c0, c1 = len(c), c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=64)
 def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Golub & Welsch ("Calculation of Gauss quadrature rules", Math. Comp.
+    23, 1969): the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of P_n, polished by one Newton step, and the weights follow
+    from P_n' and P_{n-1} at the nodes.  The steps and their operation
+    order are those of numpy's `numpy.polynomial.legendre.leggauss`
+    (numpy 2.4, BSD-3-Clause), so the rule is the same to the bit;
+    building it here keeps numpy.polynomial out of the process.
+    """
+    k = np.arange(n)
+    scl = 1. / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # P_n = e_n; its derivative series has 2k + 1 at k = n-1, n-3, ...
+    c = [0.0] * n + [1.0]
+    der = np.where((n - 1 - k) % 2 == 0, 2. * k + 1, 0.).tolist()
+    dy = _legval(x, c)
+    df = _legval(x, der)
+    x -= dy / df
+    # weights 1 / (P_{n-1} P_n') at the nodes, each factor scaled by its
+    # largest magnitude against overflow; P_n' is taken before the Newton
+    # step, as numpy does
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
     return x, w
 
 

@@ -411,6 +411,19 @@ def _loop_sign_changes(kernel):
     return tuple(roots)
 
 
+def _bisected_80_times(kernel):
+    """Sign-change roots of a kernel by 80 batched bisection steps."""
+    probe = np.linspace(*kernel.support, 4096)
+    vals = kernel.eval_log(probe)
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    a, x0, x1 = vals[i], probe[i], probe[i + 1]
+    for _ in range(80):
+        mid = 0.5 * (x0 + x1)
+        left = a * kernel.eval_log(mid) <= 0
+        x0, x1 = np.where(left, x0, mid), np.where(left, mid, x1)
+    return tuple((0.5 * (x0 + x1)).tolist())
+
+
 def _loop_absolute_continuous(kernel, nu):
     knots = kernel.knots + _loop_sign_changes(kernel) + (0.0,)
     return integrate_log(
@@ -508,6 +521,22 @@ class TestVectorisedRoutes:
         assert len(ref) == 2
         assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
         assert np.allclose(got, [-math.pi / 4, math.pi / 4], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("descriptor", [
+        "translates:2:a=e^2,b=e^3", "translates:3:a=e^1,b=e^4",
+        "translates:5:a=1.7,b=9.1", "wave"])
+    def test_roots_stop_at_the_fixed_point(self, descriptor):
+        kernel = _wave() if descriptor == "wave" else parse_kernel(descriptor)
+        calls = []
+        counted = Kernel(kernel.name, kernel.descriptor,
+                         lambda v: calls.append(1) or kernel.eval_log(v),
+                         kernel.support, kernel.knots)
+        roots = _bisected_80_times(kernel)
+        assert roots
+        got = _with_sign_change_knots(counted).knots
+        assert set(got) == set(kernel.knots) | set(roots)
+        # the probe, then one evaluation per step: well short of 80 steps
+        assert len(calls) - 1 < 60
 
     def test_failing_partition_reports_same_residual(self, b2):
         chi = _stretched_hat()

@@ -1,5 +1,7 @@
 """Log-domain quadrature, derivatives, and the numerical transform."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -15,7 +17,8 @@ from expsample import (
     mellin_derivative,
     mellin_transform,
 )
-from expsample.quadrature import log_rule
+from expsample import quadrature
+from expsample.quadrature import _leggauss, log_rule
 
 
 class TestIntegrateLog:
@@ -98,6 +101,44 @@ class TestIntegrateLog:
         nodes, _ = log_rule(LogInterval(lo, hi), QuadratureConfig(npu, 0.7))
         counts = np.histogram(nodes, np.linspace(lo, hi, 4))[0]
         assert counts.tolist() == [counts[0]] * 3
+
+
+class TestGaussLegendreRule:
+    def test_matches_numpy(self):
+        for n in range(1, 201):
+            x, w = _leggauss(n)
+            ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+            assert np.allclose(x, ref_x, rtol=0.0, atol=1e-15), n
+            assert np.allclose(w, ref_w, rtol=0.0, atol=1e-15), n
+
+    # every panel of the default configuration has 14 points; for larger n
+    # the node error of a double-precision rule, amplified k times by x^k,
+    # reaches about 2e-13 at n = 40..100
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_exact_for_monomials(self, n):
+        x, w = _leggauss(n)
+        for k in range(2 * n):
+            got = float(np.sum(w * x**k))
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            scale = float(np.sum(np.abs(w * x**k)))
+            assert abs(got - exact) <= 1e-14 * scale, (k, got, exact)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 14, 33, 100])
+    def test_symmetric_with_unit_mass(self, n):
+        x, w = _leggauss(n)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert float(np.sum(w)) == pytest.approx(2.0, rel=1e-15)
+
+    def test_builds_without_numpy_polynomial(self):
+        tree = ast.parse(inspect.getsource(quadrature))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "polynomial"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", "") or ""]
+                assert not any("polynomial" in name for name in names)
 
 
 class TestMellinDerivative:
