@@ -30,7 +30,6 @@ from .kernels import (
     AssumptionReport,
     Kernel,
     absolute_moment,
-    bspline_eval,
     characteristic,
     continuous_moment,
     discrete_moment,

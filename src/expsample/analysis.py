@@ -271,8 +271,7 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
     comb = combination if combination is not None else solve_coefficients(1)
     # the phase comes from w log x: x^w itself overflows
     log_u = np.array(ws) * math.log(x)
-    coeffs, sizes = _moment_terms(comb, spec.chi, spec.phi, j,
-                                  spec.quadrature, log_u=log_u)
+    coeffs, sizes = _moment_terms(comb, spec.chi, spec.phi, j, log_u=log_u)
     factor = deriv(x) / math.factorial(j)
     sizes = abs(factor) * sizes
     predictions = tuple(0.0 if abs(p) <= _ROUNDOFF * s else float(p)
@@ -293,15 +292,15 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
         scaled_errors=tuple(scaled), diverged=diverged,
         predictions=predictions, has_limit=has_limit, magnitude=magnitude,
         lower_orders_cancel=comb.p == 1 or _lower_orders_cancel(
-            comb, spec.chi, spec.phi, j, log_u, spec.quadrature))
+            comb, spec.chi, spec.phi, j, log_u))
 
 
-def _lower_orders_cancel(comb, chi, phi, j, log_u, cfg):
+def _lower_orders_cancel(comb, chi, phi, j, log_u):
     """Whether the combined coefficients of orders 1 .. j-1 vanish at
     every entry of log_u, to 1e-12 of the sum of the magnitudes of their
     terms there."""
     for k in range(1, j):
-        value, size = _moment_terms(comb, chi, phi, k, cfg, log_u=log_u)
+        value, size = _moment_terms(comb, chi, phi, k, log_u=log_u)
         if np.any(np.abs(value) > _ROUNDOFF * size):
             return False
     return True

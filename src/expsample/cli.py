@@ -203,12 +203,12 @@ def _cmd_moments(args):
     if args.route == "discrete":
         value = discrete_moment(kernel, args.order, args.u)
     elif args.route == "continuous":
-        value = continuous_moment(kernel, args.order, cfg)
+        value = continuous_moment(kernel, args.order)
     elif args.route == "poisson":
         value = poisson_moment(kernel, args.order, cfg=cfg)
     else:
         value = absolute_moment(kernel, args.order,
-                                args.route.removeprefix("absolute-"), cfg)
+                                args.route.removeprefix("absolute-"))
     print(f"{value:.10f}")
     return (_record(args, kernel=kernel.descriptor),
             f"order {args.order} {args.route}")
@@ -216,11 +216,13 @@ def _cmd_moments(args):
 
 def _cmd_verify(args):
     chi, phi = parse_kernel(args.chi), parse_kernel(args.phi)
-    report = verify_kernel(chi, phi, args.r, args.tol, _quad_config(args))
+    # the record checks the quadrature flags before anything is printed
+    record = _record(args, chi=chi.descriptor, phi=phi.descriptor)
+    report = verify_kernel(chi, phi, args.r, args.tol)
     for cond in report.conditions():
         print(cond)
     verdict = "all pass" if report.all_passed else "FAILURES reported"
-    return _record(args, chi=chi.descriptor, phi=phi.descriptor), verdict
+    return record, verdict
 
 
 def _cmd_eval(args):

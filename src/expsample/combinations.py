@@ -22,7 +22,6 @@ import numpy as np
 
 from .kernels import continuous_moment, phase_moments
 from .operators import durrmeyer_eval
-from .quadrature import DEFAULT_CONFIG
 
 MAX_ORDER = 12
 
@@ -88,7 +87,7 @@ def combine(spec, values):
     return total
 
 
-def pair_moment(chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG):
+def pair_moment(chi, phi, j, u=1.0):
     """The order-j coefficient of the single-operator error expansion:
 
         sum_eta binom(j, eta) mhat_{j-eta}(phi) m_eta(chi, u)
@@ -99,10 +98,10 @@ def pair_moment(chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG):
     log u for translate combinations from order 2 on, so the phase
     matters exactly when the kernel makes it matter.
     """
-    return combined_moment(solve_coefficients(1), chi, phi, j, u, cfg)
+    return combined_moment(solve_coefficients(1), chi, phi, j, u)
 
 
-def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None):
+def combined_moment(spec, chi, phi, j, u=1.0, log_u=None):
     """Order-j coefficient for the combined operator:
 
         sum_i beta_i / i^j * pair_moment(chi, phi, j, u^i)
@@ -115,25 +114,23 @@ def combined_moment(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG, log_u=None):
     construction of the beta whenever the pair moment is the same at
     every u^i, as for b-spline pairs.
     """
-    return _moment_terms(spec, chi, phi, j, cfg, u, log_u, (False,))[0]
+    return _moment_terms(spec, chi, phi, j, u, log_u, (False,))[0]
 
 
-def combined_moment_size(spec, chi, phi, j, u=1.0, cfg=DEFAULT_CONFIG,
-                         log_u=None):
+def combined_moment_size(spec, chi, phi, j, u=1.0, log_u=None):
     """The sum of the magnitudes of the terms of combined_moment(spec,
-    chi, phi, j, u, cfg, log_u), |beta_i| / i^j binom(j, eta)
+    chi, phi, j, u, log_u), |beta_i| / i^j binom(j, eta)
     |mhat_{j-eta}| |chi(tau - l)| |l - tau|^eta at the same phases: the
     scale of the roundoff in that coefficient, so a coefficient below
     about 1e-12 of its size is zero."""
-    return _moment_terms(spec, chi, phi, j, cfg, u, log_u, (True,))[0]
+    return _moment_terms(spec, chi, phi, j, u, log_u, (True,))[0]
 
 
-def _moment_terms(spec, chi, phi, j, cfg, u=1.0, log_u=None,
-                  sides=(False, True)):
+def _moment_terms(spec, chi, phi, j, u=1.0, log_u=None, sides=(False, True)):
     """combined_moment (side False) and combined_moment_size (side True),
     one result per entry of sides, with the continuous factors of phi
     computed once for all of them."""
-    weights = np.array([math.comb(j, eta) * continuous_moment(phi, j - eta, cfg)
+    weights = np.array([math.comb(j, eta) * continuous_moment(phi, j - eta)
                         for eta in range(j + 1)])
     logs = np.asarray(math.log(u) if log_u is None else log_u, dtype=float)
     out = []

@@ -1,15 +1,22 @@
 """Kernel families for exponential sampling and their moment machinery.
 
-All kernels here are compactly supported once viewed in the log
-coordinate v = log x:
+Every kernel here is a sum of translates of one cardinal B-spline in the
+log coordinate v = log x:
 
-  * b-spline kernels: the central polynomial B-spline of order n composed
-    with log, supported on |v| < n/2, nonnegative, with transform
+    K(v) = sum_i c_i N_n(v + o_i),
+
+N_n the B-spline of order n on [0, n), a polynomial of degree n - 1 on
+each [j, j + 1) (de Boor, A Practical Guide to Splines).  The families:
+
+  * b-spline kernels: the central B-spline of order n, one term
+    (1, n/2), supported on |v| < n/2, nonnegative, with transform
     (sin(t/2) / (t/2))^n on the imaginary axis;
-  * translate combinations: c1 B(a x) + c2 B(b x) with the coefficients
-    chosen so the zeroth discrete moment is 1 and the first vanishes;
-  * the characteristic kernel: the indicator of [1, e), whose integral
-    means turn the sampling series into its Kantorovich form.
+  * translate combinations: c1 B(a x) + c2 B(b x), the terms
+    (c1, log a + n/2) and (c2, log b + n/2), with the coefficients chosen
+    so the zeroth discrete moment is 1 and the first vanishes;
+  * the characteristic kernel: the indicator of [1, e), the term (1, 0)
+    of order 1, whose integral means turn the sampling series into its
+    Kantorovich form.
 
 Two moment families drive all asymptotic constants.  For a kernel in the
 discrete role (weights at integer log-shifts):
@@ -26,7 +33,16 @@ The discrete sums are 1-periodic in log u; they are constant in u exactly
 when the corresponding transform derivatives vanish at the points 2 k pi i
 for k != 0, which holds for the order-n B-spline up to order n-1 but not
 in general (translate combinations of low-order splines oscillate with u
-from order 2 on).
+from order 2 on; Strang & Fix 1973).
+
+Since a kernel is piecewise polynomial, so are K(v) v^nu and |K(v)| |v|^nu
+once they are cut at the real roots of the pieces and at v = 0, and so are
+their lattice sums as functions of the phase of log u, with breaks at the
+phases of the cuts.  The continuous moments are exact integrals of the
+pieces, the suprema of the lattice sums are maxima over cell ends and the
+real roots of the derivative, and the tails beyond the support vanish
+identically.  Only the Poisson route integrates numerically, so that it
+stays an independent check.
 """
 
 from __future__ import annotations
@@ -35,34 +51,36 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import KernelError
-from .quadrature import (
-    DEFAULT_CONFIG,
-    LogInterval,
-    MellinPoint,
-    log_rule,
-    mellin_transform,
-)
+from .quadrature import DEFAULT_CONFIG, MellinPoint, mellin_transform
 
 
 class Kernel:
-    """A named kernel with vectorized log-domain evaluation.
+    """A named kernel sum_i c_i N_n(v + o_i) of order n, terms the pairs
+    (c_i, o_i), with vectorized log-domain evaluation.
 
-    support is the open log-domain interval outside of which the kernel is
-    exactly zero; knots are the breakpoints of its piecewise-polynomial
-    representation (integration panels aligned with them make quadrature
-    exact on each piece).
+    support is the log-domain interval outside of which the kernel is
+    exactly zero; knots are the breakpoints of its pieces (integration
+    panels aligned with them make quadrature exact on each piece);
+    coefficients are the c_i.
     """
 
-    def __init__(self, name, descriptor, eval_log, support, knots):
+    def __init__(self, name, descriptor, n, terms):
+        if n < 1:
+            raise KernelError(f"kernel order must be >= 1, got {n}")
         self.name = name
         self.descriptor = descriptor
-        self._eval_log = eval_log
-        self.support = (float(support[0]), float(support[1]))
-        self.knots = tuple(sorted(set(float(k) for k in knots)))
+        self.order = n
+        self.terms = tuple((float(c), float(o)) for c, o in terms)
+        self.coefficients = tuple(c for c, _ in self.terms)
+        self.support = (min(-o for _, o in self.terms),
+                        max(n - o for _, o in self.terms))
+        self.knots = tuple(sorted({j - o for _, o in self.terms
+                                   for j in range(n + 1)}))
 
     def __repr__(self):
         return f"Kernel({self.descriptor})"
@@ -79,9 +97,24 @@ class Kernel:
         return max(abs(lo), abs(hi))
 
     def eval_log(self, v):
-        """Evaluate at log-coordinate v (scalar or numpy array)."""
+        """Evaluate at log-coordinate v (scalar or numpy array), by
+        Horner's rule on the piece of each term that holds each point:
+        with s = v + o_i, piece floor(s) at t = s - floor(s).  Points
+        outside a term's [0, n), +-inf and nan included, are clipped onto
+        a zero column, so they give exactly 0.0."""
         v = np.asarray(v, dtype=float)
-        out = self._eval_log(np.atleast_1d(v))
+        points = np.atleast_1d(v)
+        table = _bspline_pieces(self.order)
+        out = None
+        for c, o in self.terms:
+            s = np.fmin(np.fmax(points + o, -1.0), self.order)
+            i = np.floor(s)
+            t = s - i
+            col = i.astype(np.intp) + 1
+            val = table[0].take(col)
+            for row in table[1:]:
+                val = val * t + row.take(col)
+            out = c * val if out is None else out + c * val
         return float(out[0]) if v.ndim == 0 else out
 
     def __call__(self, x):
@@ -93,12 +126,12 @@ class Kernel:
 
 @functools.cache
 def _bspline_pieces(n):
-    """Coefficients of the central B-spline of order n on its pieces, a
-    (n, n + 2) table: column i + 1 holds, highest power first, the
-    coefficients of the polynomial in t = s - i that equals B(s - n/2) on
-    s in [i, i + 1), for i = 0 .. n - 1; columns 0 and n + 1 are zero.
-    Each entry is an exact integer numerator over (n - 1)!, divided once.
-    The table is shared by every caller, so it is read-only."""
+    """Coefficients of the B-spline N_n on its pieces, a (n, n + 2)
+    table: column i + 1 holds, highest power first, the coefficients of
+    the polynomial in t = s - i that equals N_n(s) on s in [i, i + 1),
+    for i = 0 .. n - 1; columns 0 and n + 1 are zero.  Each entry is an
+    exact integer numerator over (n - 1)!, divided once.  The table is
+    shared by every caller, so it is read-only."""
     table = np.zeros((n, n + 2))
     scale = math.factorial(n - 1)
     for i in range(n):
@@ -112,61 +145,15 @@ def _bspline_pieces(n):
     return table
 
 
-def _central_bspline_log(n):
-    """Evaluator (over 1-d arrays) for the central B-spline of order n in
-    the log coordinate, by Horner's rule on the piece that holds each
-    point: with s = v + n/2, piece floor(s) at t = s - floor(s).  Points
-    outside [-n/2, n/2), +-inf and nan included, are clipped onto a zero
-    column, so they give exactly 0.0."""
-    table = _bspline_pieces(n)
-    half = n / 2.0
-
-    def evaln(v):
-        s = np.fmin(np.fmax(v + half, -1.0), n)
-        i = np.floor(s)
-        t = s - i
-        col = i.astype(np.intp) + 1
-        out = table[0].take(col)
-        for row in table[1:]:
-            out = out * t + row.take(col)
-        return out
-
-    return evaln
-
-
 def mellin_bspline(n):
     """B-spline kernel of order n >= 1 in the log coordinate."""
-    if n < 1:
-        raise KernelError(f"b-spline order must be >= 1, got {n}")
-    half = n / 2.0
-    knots = [j - half for j in range(n + 1)]
-    return Kernel(
-        name=f"bspline{n}",
-        descriptor=f"bspline:{n}",
-        eval_log=_central_bspline_log(n),
-        support=(-half, half),
-        knots=knots,
-    )
-
-
-def bspline_eval(n, x):
-    """Value of the order-n b-spline kernel at x > 0."""
-    return mellin_bspline(n)(x)
+    return Kernel(f"bspline{n}", f"bspline:{n}", n, ((1.0, n / 2.0),))
 
 
 def characteristic():
     """Indicator of [1, e): the kernel whose convolution means are plain
     integral averages over [k/w, (k+1)/w] in the log coordinate."""
-    def eval_log(v):
-        return np.where((v >= 0.0) & (v < 1.0), 1.0, 0.0)
-
-    return Kernel(
-        name="char",
-        descriptor="char",
-        eval_log=eval_log,
-        support=(0.0, 1.0),
-        knots=(0.0, 1.0),
-    )
+    return Kernel("char", "char", 1, ((1.0, 0.0),))
 
 
 def _log_literal(value):
@@ -190,25 +177,10 @@ def make_translate_combination(n, log_a, log_b):
         raise KernelError("singular system: log a = log b")
     c1 = log_b / (log_b - log_a)
     c2 = -log_a / (log_b - log_a)
-    base = _central_bspline_log(n)
     half = n / 2.0
-
-    def eval_log(v):
-        return c1 * base(v + log_a) + c2 * base(v + log_b)
-
-    lo = min(-half - log_a, -half - log_b)
-    hi = max(half - log_a, half - log_b)
-    knots = [j - half - log_a for j in range(n + 1)]
-    knots += [j - half - log_b for j in range(n + 1)]
-    kern = Kernel(
-        name=f"translates{n}",
-        descriptor=f"translates:{n}:a={_log_literal(log_a)},b={_log_literal(log_b)}",
-        eval_log=eval_log,
-        support=(lo, hi),
-        knots=knots,
-    )
-    kern.coefficients = (c1, c2)
-    return kern
+    descriptor = f"translates:{n}:a={_log_literal(log_a)},b={_log_literal(log_b)}"
+    return Kernel(f"translates{n}", descriptor, n,
+                  ((c1, log_a + half), (c2, log_b + half)))
 
 
 _E_POW = re.compile(r"^e\^(-?\d+(\.\d+)?)$")
@@ -268,16 +240,6 @@ def parse_kernel(descriptor):
 
 # --- moments ---------------------------------------------------------------
 
-def _k_window(kernel, tau):
-    """Integers k with chi(e^{-k} u) possibly nonzero, log u = tau."""
-    lo, hi = kernel.support
-    # tau - k in (lo, hi)  =>  k in (tau - hi, tau - lo); pad one to be
-    # safe against half-open edges.
-    kmin = math.floor(tau - hi) - 1
-    kmax = math.ceil(tau - lo) + 1
-    return np.arange(kmin, kmax + 1)
-
-
 def discrete_moment(chi, nu, u=1.0):
     """Algebraic moment of order nu of a discrete-role kernel at u: the
     exact finite sum over the integers inside the kernel support, entry
@@ -294,32 +256,6 @@ def _order(nu):
     return nu
 
 
-# Phases per block of a phase-grid evaluation.  Each (phase, k) pair of a
-# block is one kernel point, gathered from the piece table: at 512 phases
-# the gathers and the Horner temporaries stay in cache, a whole 2048-phase
-# grid falls out of it, and smaller blocks pay more per-block overhead.  A
-# warm kernels-workload pass (perfbench, seed 1, 2-vCPU shared host, median
-# of 15) took 22.4, 19.5, 19.2, 22.5 and 25.0 ms at 128, 256, 512, 1024 and
-# 2048 phases.
-_PHASE_BLOCK = 512
-
-
-def _phase_sums(kernel, taus, summand, ks=None):
-    """Sums over k of summand(kernel(tau - k), k - tau), (phases, k)
-    matrices in and axis 1 summed, for every phase tau in [0, 1), one
-    kernel evaluation per block of phases.  ks defaults to every k that
-    reaches a phase."""
-    if ks is None:
-        ks = _k_window(kernel, 0.5)
-        ks = np.arange(ks[0] - 1, ks[-1] + 2)
-    out = []
-    for start in range(0, max(taus.size, 1), _PHASE_BLOCK):
-        d = ks - taus[start:start + _PHASE_BLOCK, None]
-        vals = kernel.eval_log(-d.ravel()).reshape(d.shape)
-        out.append(np.sum(summand(vals, d), axis=1))
-    return np.concatenate(out)
-
-
 def phase_moments(chi, j, log_u, absolute=False):
     """Discrete moments m_0 .. m_j of chi at u = e^{log_u}, one row per
     entry of log_u (shape (len(log_u), j + 1)); absolute=True gives the
@@ -327,108 +263,172 @@ def phase_moments(chi, j, log_u, absolute=False):
 
     The sums are 1-periodic in log u, so only the phase frac(log u)
     matters; taking the log keeps u = x^w usable where x^w overflows.
+    Every (phase, k) term is one point of a single kernel evaluation,
+    over the k that reach a phase in [0, 1) and a margin of two.
     """
     taus = np.mod(np.atleast_1d(np.asarray(log_u, dtype=float)), 1.0)
     powers = np.arange(_order(j) + 1)
-
-    def summand(vals, d):
-        if absolute:
-            vals, d = np.abs(vals), np.abs(d)
-        return vals[:, :, None] * d[:, :, None] ** powers
-    return _phase_sums(chi, taus, summand)
-
-
-# Closed-form continuous moments.  The order-n spline is the n-fold
-# convolution of the unit uniform density, so its even moments follow from
-# cumulants: var = n/12 and the fourth cumulant is -n/120.
-_BSPLINE_CONTINUOUS = {
-    0: lambda n: 1.0,
-    1: lambda n: 0.0,
-    2: lambda n: n / 12.0,
-    3: lambda n: 0.0,
-    4: lambda n: n * n / 48.0 - n / 120.0,
-}
-
-
-def _quad_moment(phi, nu, cfg, absolute=False):
-    extra = (0.0,) if absolute else ()
-    nodes, weights = log_rule(LogInterval(*phi.support), cfg, phi.knots + extra)
-    vals = phi.eval_log(nodes)
+    lo, hi = chi.support
+    ks = np.arange(math.floor(0.5 - hi) - 2, math.ceil(0.5 - lo) + 3)
+    d = ks - taus[:, None]
+    vals = chi.eval_log(-d.ravel()).reshape(d.shape)
     if absolute:
-        vals, nodes = np.abs(vals), np.abs(nodes)
-    return float(np.sum(weights * vals * nodes ** nu))
+        vals, d = np.abs(vals), np.abs(d)
+    return np.sum(vals[:, :, None] * d[:, :, None] ** powers, axis=1)
 
 
-def continuous_moment(phi, nu, cfg=DEFAULT_CONFIG):
-    """Algebraic moment of order nu of a continuous-role kernel:
-    the integral of phi(u) log^nu u du/u over the support.
-
-    Uses the closed form for b-spline and characteristic kernels when one
-    is known, cross-checked against knot-aligned quadrature.
-    """
-    quad = _quad_moment(phi, _order(nu), cfg)
-    closed = None
-    if phi.descriptor.startswith("bspline:") and nu in _BSPLINE_CONTINUOUS:
-        n = int(phi.descriptor.split(":")[1])
-        closed = _BSPLINE_CONTINUOUS[nu](n)
-    elif phi.descriptor == "char":
-        closed = 1.0 / (nu + 1.0)
-    if closed is not None:
-        if abs(quad - closed) > 1e-9 * (1.0 + abs(closed)):
-            raise ArithmeticError(
-                f"closed-form moment {closed} disagrees with quadrature {quad} "
-                f"for {phi.descriptor} order {nu}")
-        return closed
-    return quad
+def _horner(table, t):
+    """Each row of table (highest power first) at its own t."""
+    out = table[..., 0]
+    for col in np.moveaxis(table[..., 1:], -1, 0):
+        out = out * t + col
+    return out
 
 
-_SUP_GRID = 2048
+def _shifted(table, d):
+    """Each row p(t) of table (highest power first) as p(t + d), d one
+    shift per row: repeated synthetic division, exact when d = 0."""
+    table = np.array(table, dtype=float)
+    degree = table.shape[-1] - 1
+    for k in range(degree):
+        for i in range(1, degree + 1 - k):
+            table[..., i] += d * table[..., i - 1]
+    return table
 
 
-def absolute_moment(kernel, nu, side, cfg=DEFAULT_CONFIG):
-    """Absolute moment of order nu.
+def _real_roots(row, width):
+    """The real roots of the polynomial row inside (0, width)."""
+    r = np.roots(row)
+    return r.real[(r.imag == 0) & (r.real > 0) & (r.real < width)]
+
+
+def _pieces(kernel, cuts=()):
+    """The kernel as a piecewise polynomial: edges e_0 < ... < e_P, its
+    knots and the points of cuts inside its support, and a (P, n) table
+    whose row p holds, highest power first, the kernel on [e_p, e_{p+1})
+    as a polynomial in t = v - e_p, the Taylor-shifted B-spline pieces of
+    every term summed."""
+    n, table = kernel.order, _bspline_pieces(kernel.order)
+    lo, hi = kernel.support
+    edges = np.array(sorted({*kernel.knots,
+                             *(c for c in cuts if lo < c < hi)}))
+    left, mid = edges[:-1], 0.5 * (edges[:-1] + edges[1:])
+    rows = 0.0
+    for c, o in kernel.terms:
+        # piece j of the term holds each interval; outside [0, n) the
+        # clip selects a zero column
+        j = np.floor(mid + o)
+        cols = np.clip(j, -1, n).astype(np.intp) + 1
+        rows = rows + c * _shifted(table[:, cols].T, left + o - j)
+    return edges, rows
+
+
+def _weighted_pieces(kernel, nu, absolute):
+    """Edges and piece table (as in _pieces) of K(v) v^nu, or with
+    absolute=True of |K(v)| |v|^nu, cut also at v = 0 and at the real
+    roots of the kernel's pieces so that each piece keeps one sign."""
+    edges, rows = _pieces(kernel)
+    if absolute:
+        cuts = [0.0]
+        # with no negative coefficient the kernel keeps its sign
+        if min(kernel.coefficients) < 0:
+            for e, width, row in zip(edges[:-1], np.diff(edges), rows):
+                cuts.extend((e + _real_roots(row, width)).tolist())
+        edges, rows = _pieces(kernel, cuts)
+    # (e_p + t)^nu, expanded by the binomial theorem
+    left, width = edges[:-1], rows.shape[1]
+    out = np.zeros((rows.shape[0], width + nu))
+    for k in range(nu + 1):
+        out[:, nu - k:nu - k + width] += rows * (
+            math.comb(nu, k) * left ** (nu - k))[:, None]
+    if absolute:
+        signs = _horner(out, 0.5 * np.diff(edges))
+        out *= np.where(signs < 0.0, -1.0, 1.0)[:, None]
+    return edges, out
+
+
+def _lattice_polynomials(kernel, nu, absolute=False):
+    """The lattice sum m_nu(kernel, e^tau) as a polynomial on each cell
+    between the phases of its breaks: cells 0 = p_0 < ... < p_C = 1 and
+    a table whose row c holds, highest power first, the sum on
+    [p_c, p_{c+1}) in s = tau - p_c.  absolute=True gives the sums of
+    |chi(e^{-k} u)| |k - log u|^nu instead.  Every term k of the sum
+    lies on one piece over a whole cell, found at the cell's midpoint."""
+    edges, rows = _weighted_pieces(kernel, nu, absolute)
+    cells = np.array(sorted({*np.mod(edges, 1.0).tolist(), 0.0, 1.0}))
+    ks = np.arange(math.floor(edges[0]) - 1, math.ceil(edges[-1]) + 1)
+    at = cells[:-1, None] + ks
+    p = np.searchsorted(edges, 0.5 * (cells[1:, None] - cells[:-1, None])
+                        + at, side="right") - 1
+    inside = (p >= 0) & (p < rows.shape[0])
+    p = np.clip(p, 0, rows.shape[0] - 1)
+    table = _shifted(rows[p] * inside[..., None], at - edges[p]).sum(axis=1)
+    # (k - tau)^nu = (-v)^nu with v = tau - k on the kernel's side
+    return cells, (table if absolute or nu % 2 == 0 else -table)
+
+
+def _max_abs(cells, table):
+    """The supremum over tau in [0, 1) of |M(tau)|, M the polynomials of
+    table on the cells: the largest |M_c| at the ends of its cell (the
+    one-sided limits there) and at the real roots of M_c' inside it."""
+    widths = np.diff(cells)
+    best = max(np.abs(table[:, -1]).max(),
+               np.abs(_horner(table, widths)).max())
+    degree = table.shape[1] - 1
+    if degree < 2:
+        return float(best)
+    slopes = table[:, :-1] * np.arange(degree, 0, -1)
+    for row, slope, width in zip(table, slopes, widths):
+        for s in _real_roots(slope, width).tolist():
+            best = max(best, abs(_horner(row, s)))
+    return float(best)
+
+
+@functools.cache
+def _spline_moments(n, nu):
+    """The moments int N_n(s) s^k ds, k = 0 .. nu, as exact fractions:
+    N_n is the n-fold convolution of the indicator of [0, 1) with the
+    unit mass at 0, so by the binomial theorem each convolution maps the
+    moments mu_m to sum_m C(k, m) mu_m / (k - m + 1)."""
+    moments = [Fraction(int(k == 0)) for k in range(nu + 1)]
+    for _ in range(n):
+        moments = [sum(math.comb(k, m) * moments[m] / (k - m + 1)
+                       for m in range(k + 1)) for k in range(nu + 1)]
+    return moments
+
+
+def continuous_moment(phi, nu):
+    """Algebraic moment of order nu of a continuous-role kernel: the
+    integral of phi(u) log^nu u du/u over the support.  A term
+    c N_n(v + o) contributes c int N_n(s) (s - o)^nu ds, a binomial sum
+    of the moments of N_n; the whole sum is exact in rational arithmetic
+    (c and o are exact binary fractions) and rounded once."""
+    moments = _spline_moments(phi.order, _order(nu))
+    total = Fraction(0)
+    for c, o in phi.terms:
+        shift = -Fraction(o)
+        total += Fraction(c) * sum(math.comb(nu, k) * shift ** (nu - k) * m
+                                   for k, m in enumerate(moments))
+    return float(total)
+
+
+def absolute_moment(kernel, nu, side):
+    """Absolute moment of order nu, exact on the polynomial pieces of the
+    kernel cut at their real roots and at v = 0.
 
     side='discrete': sup over u of sum_k |chi(e^{-k} u)| |k - log u|^nu,
-    approximated by the maximum over a fine grid of one period of log u
-    (the summand is 1-periodic and piecewise polynomial, so a grid maximum
-    is adequate).  side='continuous': quadrature of |phi| |log|^nu, with
-    extra panel splits at sign changes so each piece stays smooth.
+    the largest value of the lattice-sum polynomials of the phase of
+    log u over their cells, one-sided limits at the cell ends included.
+    side='continuous': the integral of |phi| |log|^nu.
     """
     _order(nu)
     if side == "discrete":
-        taus = np.linspace(0.0, 1.0, _SUP_GRID, endpoint=False)
-        sums = _phase_sums(kernel, taus,
-                           lambda vals, d: np.abs(vals) * np.abs(d) ** nu)
-        return float(sums.max())
+        return _max_abs(*_lattice_polynomials(kernel, nu, absolute=True))
     if side == "continuous":
-        kern = _with_sign_change_knots(kernel)
-        return _quad_moment(kern, nu, cfg, absolute=True)
+        edges, rows = _weighted_pieces(kernel, nu, absolute=True)
+        powers = np.arange(rows.shape[1], 0, -1)
+        return float(np.sum(rows * np.diff(edges)[:, None] ** powers / powers))
     raise ValueError("side must be 'discrete' or 'continuous'")
-
-
-def _with_sign_change_knots(kernel):
-    """Return the kernel with knots augmented by its sign-change points:
-    every bracket of a 4096-point probe where the sign flips is bisected,
-    all brackets in one kernel evaluation per step, until a step leaves
-    every bracket unchanged (its ends are then adjacent doubles, about 40
-    steps in) or 80 steps have been taken."""
-    lo, hi = kernel.support
-    probe = np.linspace(lo, hi, 4096)
-    vals = kernel.eval_log(probe)
-    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    if i.size == 0:
-        return kernel
-    a, x0, x1 = vals[i], probe[i], probe[i + 1]
-    for _ in range(80):
-        mid = 0.5 * (x0 + x1)
-        left = a * kernel.eval_log(mid) <= 0
-        y0, y1 = np.where(left, x0, mid), np.where(left, mid, x1)
-        if np.array_equal(y0, x0) and np.array_equal(y1, x1):
-            break
-        x0, x1 = y0, y1
-    roots = tuple((0.5 * (x0 + x1)).tolist())
-    return Kernel(kernel.name, kernel.descriptor, kernel._eval_log,
-                  kernel.support, kernel.knots + roots)
 
 
 def poisson_moment(chi, j, K=3, cfg=DEFAULT_CONFIG):
@@ -490,40 +490,32 @@ class AssumptionReport:
                 self.moments_finite, self.tail_vanishing)
 
 
-def verify_kernel(chi, phi, r=1, tol=1e-8, cfg=DEFAULT_CONFIG):
+def verify_kernel(chi, phi, r=1, tol=1e-8):
     """Check the two kernel assumptions for a (chi, phi) pair.
 
     First condition: the integer translates of chi sum to 1 at every point
-    (checked on 1000 grid points of one log-period) and phi integrates to
-    1 against du/u.  Second condition: the absolute moments of order r are
-    finite and the tail of the chi sum beyond the support radius vanishes.
-    Failures are reported with measured residuals, never raised.
+    (the largest |m_0 - 1| of the lattice-sum polynomials over the whole
+    period) and phi integrates to 1 against du/u.  Second condition: the
+    absolute moments of order r are finite and the tail of the chi sum
+    beyond the support radius vanishes, which holds identically because
+    the support lies within that radius.  Failures are reported with
+    measured residuals, never raised.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sums = _phase_sums(chi, np.linspace(0.0, 1.0, 1000, endpoint=False),
-                       lambda vals, d: vals)
-    worst = float(np.max(np.abs(sums - 1.0)))
+    cells, table = _lattice_polynomials(chi, 0)
+    table[:, -1] -= 1.0
+    worst = _max_abs(cells, table)
     partition = ConditionResult("partition of unity", worst <= tol, worst)
 
-    integral = continuous_moment(phi, 0, cfg)
-    resid = abs(integral - 1.0)
+    resid = abs(continuous_moment(phi, 0) - 1.0)
     unit = ConditionResult("unit integral", resid <= tol, resid)
 
-    m_r = absolute_moment(chi, r, "discrete", cfg)
-    mhat_r = absolute_moment(phi, r, "continuous", cfg)
+    m_r = absolute_moment(chi, r, "discrete")
+    mhat_r = absolute_moment(phi, r, "continuous")
     finite = math.isfinite(m_r) and math.isfinite(mhat_r)
     moments = ConditionResult(f"absolute moments of order {r} finite",
                               finite, m_r + mhat_r if finite else math.inf)
 
-    # each phase keeps the k beyond gamma of the union of its windows
-    gamma = chi.log_support_radius
-    taus = np.linspace(0.0, 1.0, 64, endpoint=False)
-    far = np.arange(math.floor(-gamma) - 50, math.ceil(taus[-1] + gamma) + 51)
-    tails = _phase_sums(chi, taus, lambda vals, d: np.where(
-        np.abs(d) > gamma, np.abs(vals) * np.abs(d) ** r, 0.0), far)
-    tail = float(tails.max())
-    tail_ok = tail < max(tol, 1e-12)
-    tail_res = ConditionResult("tail vanishing", tail_ok, tail)
-
-    return AssumptionReport(partition, unit, moments, tail_res)
+    tail = ConditionResult("tail vanishing", True, 0.0)
+    return AssumptionReport(partition, unit, moments, tail)

@@ -65,6 +65,12 @@ class TestMoments:
     def test_bad_descriptor_is_usage_error(self, capsys):
         assert main(["moments", "--kernel", "nope:1", "--order", "0"]) == 2
 
+    @pytest.mark.parametrize("kernel", ["translates:0:a=2,b=3",
+                                        "translates:-1:a=2,b=3"])
+    def test_translate_order_below_one_is_usage_error(self, capsys, kernel):
+        assert main(["moments", "--kernel", kernel, "--order", "0"]) == 2
+        assert "order must be >= 1, got" in capsys.readouterr().err
+
     @pytest.mark.parametrize("route", ["discrete", "continuous", "poisson",
                                        "absolute-discrete",
                                        "absolute-continuous"])

@@ -22,7 +22,10 @@ INVOCATIONS = [
     ["moments", "--kernel", PSI, "--order", "2", "--route", "continuous"],
     ["moments", "--kernel", PSI, "--order", "2",
      "--route", "absolute-continuous"],
+    ["moments", "--kernel", PSI, "--order", "2",
+     "--route", "absolute-discrete"],
     ["verify", "--chi", "bspline:4", "--phi", "bspline:2", "--r", "3"],
+    ["verify", "--chi", PSI, "--phi", "bspline:2"],
     ["eval", "--chi", "bspline:4", "--phi", "bspline:4", "--fn",
      "expr:x^2*cos(2*pi*x)", "--x", "3.2,3.3", "--w", "25",
      "--out", "eval.csv"],

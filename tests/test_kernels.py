@@ -18,7 +18,6 @@ from expsample import (
     KernelError,
     LogInterval,
     absolute_moment,
-    bspline_eval,
     characteristic,
     continuous_moment,
     discrete_moment,
@@ -30,9 +29,8 @@ from expsample import (
     verify_kernel,
 )
 from expsample.kernels import (
-    _PHASE_BLOCK,
-    _k_window,
-    _with_sign_change_knots,
+    _lattice_polynomials,
+    _weighted_pieces,
     phase_moments,
 )
 from conftest import cox_de_boor, direct_discrete_moment, exact_bspline
@@ -40,13 +38,13 @@ from conftest import cox_de_boor, direct_discrete_moment, exact_bspline
 
 class TestBsplineEvaluation:
     def test_outside_support(self):
-        assert bspline_eval(2, math.exp(1.5)) == 0.0
+        assert mellin_bspline(2)(math.exp(1.5)) == 0.0
 
     def test_hat_at_center(self):
-        assert bspline_eval(2, 1.0) == 1.0
+        assert mellin_bspline(2)(1.0) == 1.0
 
     def test_cubic_at_center(self):
-        assert bspline_eval(4, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        assert mellin_bspline(4)(1.0) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_against_cox_de_boor(self, n, rng):
@@ -106,6 +104,16 @@ class TestBsplineEvaluation:
     def test_rejects_bad_order(self):
         with pytest.raises(KernelError):
             mellin_bspline(0)
+
+    @pytest.mark.parametrize("descriptor", [
+        "bspline:0", "bspline:-1", "translates:0:a=2,b=3",
+        "translates:-1:a=e^2,b=e^3"])
+    def test_every_family_names_a_bad_order(self, descriptor):
+        # one constructor check for every family: a translate order below
+        # 1 is a configuration error, not a numerical failure inside the
+        # piece table
+        with pytest.raises(KernelError, match="order must be >= 1"):
+            parse_kernel(descriptor)
 
     def test_vectorized_matches_scalar(self, b4, rng):
         ts = rng.uniform(-3, 3, size=64)
@@ -369,25 +377,38 @@ class TestDescriptors:
 
 # --- reference loops ---------------------------------------------------------
 #
-# The per-phase and per-root loops that the blocked array evaluations of
-# kernels.py replaced, kept as oracles: one kernel call per phase, per
-# bisection step, or per quadrature node.
+# Per-phase and per-root loops kept as independent oracles: one kernel call
+# per phase, per bisection step, or per quadrature node.  A grid of phases
+# can only bound a supremum from below, so the exact routes are checked to
+# lie above each grid maximum and within the grid's own slope times its
+# spacing of it.
 
 def _loop_window(chi):
-    ks = _k_window(chi, 0.5)
-    return np.arange(ks[0] - 1, ks[-1] + 2)
+    """Every k with chi(tau - k) possibly nonzero for a tau in [0, 1)."""
+    lo, hi = chi.support
+    return np.arange(math.floor(-hi) - 1, math.ceil(1.0 - lo) + 2)
 
 
 @functools.lru_cache(maxsize=None)
-def _loop_absolute_discrete(kernel):
-    """Orders 0..4 from one pass over the phases."""
-    best = [0.0] * 5
+def _loop_absolute_discrete(kernel, phases=2048):
+    """sum_k |chi(tau - k)| |k - tau|^nu on a grid of phases, one row per
+    order 0..4."""
     ks = _loop_window(kernel)
-    for tau in np.linspace(0.0, 1.0, 2048, endpoint=False):
+    rows = []
+    for tau in np.linspace(0.0, 1.0, phases, endpoint=False):
         vals = np.abs(kernel.eval_log(tau - ks))
-        for nu in range(5):
-            best[nu] = max(best[nu], float(np.sum(vals * np.abs(ks - tau) ** nu)))
-    return best
+        rows.append([float(np.sum(vals * np.abs(ks - tau) ** nu))
+                     for nu in range(5)])
+    return np.array(rows).T
+
+
+def _brackets_supremum(sup, grid):
+    """sup is at or above the maximum of the periodic grid of sums, up to
+    roundoff, and within twice its steepest step of it: the supremum lies
+    within half a grid spacing of a grid point."""
+    steps = np.abs(np.diff(np.append(grid, grid[0])))
+    top = grid.max()
+    return top - 1e-14 * max(1.0, top) <= sup <= top + 2.0 * steps.max()
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,19 +430,6 @@ def _loop_sign_changes(kernel):
                 x0 = mid
         roots.append(0.5 * (x0 + x1))
     return tuple(roots)
-
-
-def _bisected_80_times(kernel):
-    """Sign-change roots of a kernel by 80 batched bisection steps."""
-    probe = np.linspace(*kernel.support, 4096)
-    vals = kernel.eval_log(probe)
-    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    a, x0, x1 = vals[i], probe[i], probe[i + 1]
-    for _ in range(80):
-        mid = 0.5 * (x0 + x1)
-        left = a * kernel.eval_log(mid) <= 0
-        x0, x1 = np.where(left, x0, mid), np.where(left, mid, x1)
-    return tuple((0.5 * (x0 + x1)).tolist())
 
 
 def _loop_absolute_continuous(kernel, nu):
@@ -462,29 +470,25 @@ EQUIVALENCE_KERNELS = [f"bspline:{n}" for n in range(1, 7)] + [
     "translates:3:a=2,b=3"]
 
 
-def _wave():
-    """cos(2v) on |v| < 1.5: sign changes at -pi/4 and pi/4."""
-    def eval_log(v):
-        return np.where(np.abs(v) < 1.5, np.cos(2.0 * v), 0.0)
-    return Kernel("wave", "wave", eval_log, (-1.5, 1.5), (-1.5, 1.5))
-
-
 def _stretched_hat():
-    """B2(v / 1.5) / 1.5: unit integral, but its integer translates do
-    not sum to 1."""
-    base = mellin_bspline(2)
-    def eval_log(v):
-        return base.eval_log(v / 1.5) / 1.5
-    return Kernel("stretched", "stretched", eval_log, (-1.5, 1.5), (-1.5, 0.0, 1.5))
+    """1.5 B2: its integer translates sum to 1.5, not 1."""
+    return Kernel("stretched", "1.5*bspline:2", 2, ((1.5, 1.0),))
+
+
+def _psi_reference(v):
+    """3 B2(v + 2) - 2 B2(v + 3) with B2 the hat 1 - |v|, written out."""
+    hat = lambda x: np.maximum(0.0, 1.0 - np.abs(x))
+    return 3.0 * hat(v + 2.0) - 2.0 * hat(v + 3.0)
 
 
 class TestVectorisedRoutes:
     @pytest.mark.parametrize("descriptor", EQUIVALENCE_KERNELS)
     def test_absolute_moments_match_loops(self, descriptor):
         kernel = parse_kernel(descriptor)
+        grids = _loop_absolute_discrete(kernel)
         for nu in range(5):
-            assert absolute_moment(kernel, nu, "discrete") == pytest.approx(
-                _loop_absolute_discrete(kernel)[nu], rel=1e-13, abs=0.0), nu
+            assert _brackets_supremum(
+                absolute_moment(kernel, nu, "discrete"), grids[nu]), nu
             assert absolute_moment(kernel, nu, "continuous") == pytest.approx(
                 _loop_absolute_continuous(kernel, nu), rel=1e-13, abs=0.0), nu
 
@@ -495,48 +499,38 @@ class TestVectorisedRoutes:
         for r in (1, 2, 3):
             report = verify_kernel(chi, b2, r=r)
             assert _close(report.partition_of_unity.residual, partition)
-            assert _close(report.tail_vanishing.residual, _loop_tail(chi, r))
-            moments = (_loop_absolute_discrete(chi)[r]
-                       + _loop_absolute_continuous(b2, r))
-            assert report.moments_finite.residual == pytest.approx(
-                moments, rel=1e-13, abs=0.0)
+            assert report.tail_vanishing.residual == _loop_tail(chi, r) == 0.0
+            continuous = _loop_absolute_continuous(b2, r)
+            assert _brackets_supremum(
+                report.moments_finite.residual - continuous,
+                _loop_absolute_discrete(chi)[r])
 
-    @pytest.mark.parametrize("count", [1, _PHASE_BLOCK, 2 * _PHASE_BLOCK + 5])
+    @pytest.mark.parametrize("count", [1, 512, 1029])
     def test_phase_blocks_match_loop(self, psi, count):
-        # block boundaries fall inside the grid unless it is one block
+        # any number of phases is one kernel evaluation
         log_u = np.linspace(-3.0, 7.0, count)
         got = phase_moments(psi, 4, log_u)
         assert got.shape == (count, 5)
         for row, lu in zip(got, log_u):
             tau = lu % 1.0
-            ks = np.arange(_k_window(psi, tau)[0], _k_window(psi, tau)[-1] + 1)
+            ks = _loop_window(psi)
             vals = psi.eval_log(tau - ks)
             ref = [float(np.sum(vals * (ks - tau) ** nu)) for nu in range(5)]
             assert np.allclose(row, ref, rtol=1e-13, atol=1e-12)
 
     def test_batched_roots_match_scalar_bisection(self):
-        kernel = _wave()
-        ref = _loop_sign_changes(kernel)
-        got = sorted(set(_with_sign_change_knots(kernel).knots) - set(kernel.knots))
-        assert len(ref) == 2
-        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
-        assert np.allclose(got, [-math.pi / 4, math.pi / 4], rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("descriptor", [
-        "translates:2:a=e^2,b=e^3", "translates:3:a=e^1,b=e^4",
-        "translates:5:a=1.7,b=9.1", "wave"])
-    def test_roots_stop_at_the_fixed_point(self, descriptor):
-        kernel = _wave() if descriptor == "wave" else parse_kernel(descriptor)
-        calls = []
-        counted = Kernel(kernel.name, kernel.descriptor,
-                         lambda v: calls.append(1) or kernel.eval_log(v),
-                         kernel.support, kernel.knots)
-        roots = _bisected_80_times(kernel)
-        assert roots
-        got = _with_sign_change_knots(counted).knots
-        assert set(got) == set(kernel.knots) | set(roots)
-        # the probe, then one evaluation per step: well short of 80 steps
-        assert len(calls) - 1 < 60
+        # the absolute routes cut the pieces at the real roots of every
+        # piece at once; the cuts inside the support that are neither
+        # knots nor v = 0 are the sign changes a scalar bisection finds
+        for descriptor in ("translates:2:a=e^2,b=e^3",
+                           "translates:3:a=e^1,b=e^4",
+                           "translates:5:a=1.7,b=9.1"):
+            kernel = parse_kernel(descriptor)
+            edges = _weighted_pieces(kernel, 0, absolute=True)[0]
+            cuts = sorted(set(edges.tolist()) - set(kernel.knots) - {0.0})
+            ref = _loop_sign_changes(kernel)
+            assert ref, descriptor
+            assert np.allclose(cuts, ref, rtol=0.0, atol=1e-12), descriptor
 
     def test_failing_partition_reports_same_residual(self, b2):
         chi = _stretched_hat()
@@ -544,5 +538,57 @@ class TestVectorisedRoutes:
         residual = report.partition_of_unity.residual
         assert not report.partition_of_unity.passed
         assert "partition of unity: FAIL" in str(report.partition_of_unity)
-        assert residual > 0.1
+        assert residual == pytest.approx(0.5, abs=1e-15)
         assert _close(residual, _loop_partition(chi))
+
+
+class TestExactSuprema:
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_characteristic_supremum_is_one(self, char, nu):
+        # sum_k |chi(tau - k)| |k - tau|^nu = tau^nu on [0, 1): the
+        # supremum is the limit 1 as the phase tends to 1, which no grid
+        # of phases reaches
+        assert absolute_moment(char, nu, "discrete") == 1.0
+        assert _loop_absolute_discrete(char)[nu].max() < 1.0
+
+    def test_psi_order_two_matches_dense_oracle(self):
+        # psi = 3 B2(e^2 x) - 2 B2(e^3 x): the 20000-phase sum of the
+        # written-out kernel peaks at phase 0 with 3 * 2^2 + 2 * 3^2 = 30
+        psi = parse_kernel("translates:2:a=e^2,b=e^3")
+        ks = np.arange(-2, 8)[None, :]
+        taus = np.linspace(0.0, 1.0, 20000, endpoint=False)[:, None]
+        oracle = float(np.max(np.sum(
+            np.abs(_psi_reference(taus - ks)) * (ks - taus) ** 2,
+            axis=1)))
+        assert oracle == 30.0
+        assert absolute_moment(psi, 2, "discrete") == pytest.approx(
+            30.0, rel=1e-15)
+
+    def test_supremum_above_a_fine_grid(self):
+        # knots at two phases mod 1: the suprema fall between the points
+        # of a 2^20-phase grid
+        kernel = parse_kernel("translates:5:a=1.7,b=9.1")
+        expected = [1.4568950477930946, 1.3260118327392574,
+                    2.1722942605351685, 4.731817195640128]
+        ks = _loop_window(kernel)
+        grid = np.empty((4, 2 ** 20))
+        for start in range(0, 2 ** 20, 2 ** 15):
+            taus = np.arange(start, start + 2 ** 15)[:, None] / 2.0 ** 20
+            d = np.abs(ks - taus)
+            vals = np.abs(kernel.eval_log(taus - ks))
+            for nu in range(4):
+                grid[nu, start:start + 2 ** 15] = np.sum(vals * d ** nu, axis=1)
+        for nu in range(4):
+            sup = absolute_moment(kernel, nu, "discrete")
+            assert _brackets_supremum(sup, grid[nu]), nu
+            assert sup == pytest.approx(expected[nu], rel=1e-14), nu
+
+    def test_psi_phase_polynomials(self):
+        # m_2(psi, e^s) = -6 + s - s^2 and m_3 = 30 + s - 3 s^2 + 2 s^3 on
+        # the one cell [0, 1), highest power first
+        psi = parse_kernel("translates:2:a=e^-2,b=e^-3")
+        for nu, coeffs in ((2, [0.0, -1.0, 1.0, -6.0]),
+                           (3, [0.0, 2.0, -3.0, 1.0, 30.0])):
+            cells, table = _lattice_polynomials(psi, nu)
+            assert cells.tolist() == [0.0, 1.0]
+            assert np.allclose(table[0], coeffs, rtol=0.0, atol=1e-13)
