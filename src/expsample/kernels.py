@@ -269,6 +269,8 @@ def phase_moments(chi, j, log_u, absolute=False):
     taus = np.mod(np.atleast_1d(np.asarray(log_u, dtype=float)), 1.0)
     powers = np.arange(_order(j) + 1)
     lo, hi = chi.support
+    # the margin stays: with one power numpy sums the k axis pairwise, in
+    # blocks of 8, so a window cut to the support moves m_0 by an ulp
     ks = np.arange(math.floor(0.5 - hi) - 2, math.ceil(0.5 - lo) + 3)
     d = ks - taus[:, None]
     vals = chi.eval_log(-d.ravel()).reshape(d.shape)
@@ -297,7 +299,13 @@ def _shifted(table, d):
 
 
 def _real_roots(row, width):
-    """The real roots of the polynomial row inside (0, width)."""
+    """The real roots of the polynomial row inside (0, width).  A line
+    a t + b is solved directly, as np.roots solves it: the root -b/a,
+    no root when a = 0, and the root 0 (outside) when b = 0."""
+    if len(row) == 2:
+        a, b = row
+        r = -b / a if a != 0 and b != 0 else 0.0
+        return np.array([r] if 0 < r < width else [])
     r = np.roots(row)
     return r.real[(r.imag == 0) & (r.real > 0) & (r.real < width)]
 
@@ -327,14 +335,13 @@ def _weighted_pieces(kernel, nu, absolute):
     """Edges and piece table (as in _pieces) of K(v) v^nu, or with
     absolute=True of |K(v)| |v|^nu, cut also at v = 0 and at the real
     roots of the kernel's pieces so that each piece keeps one sign."""
-    edges, rows = _pieces(kernel)
-    if absolute:
-        cuts = [0.0]
-        # with no negative coefficient the kernel keeps its sign
-        if min(kernel.coefficients) < 0:
-            for e, width, row in zip(edges[:-1], np.diff(edges), rows):
-                cuts.extend((e + _real_roots(row, width)).tolist())
-        edges, rows = _pieces(kernel, cuts)
+    cuts = [0.0] if absolute else []
+    # with no negative coefficient the kernel keeps its sign
+    if absolute and min(kernel.coefficients) < 0:
+        edges, rows = _pieces(kernel)
+        for e, width, row in zip(edges[:-1], np.diff(edges), rows):
+            cuts.extend((e + _real_roots(row, width)).tolist())
+    edges, rows = _pieces(kernel, cuts)
     # (e_p + t)^nu, expanded by the binomial theorem
     left, width = edges[:-1], rows.shape[1]
     out = np.zeros((rows.shape[0], width + nu))
@@ -442,21 +449,23 @@ def poisson_moment(chi, j, K=3, cfg=DEFAULT_CONFIG):
     with T(t) the transform along the imaginary axis, so the k-th term is
     the k-th Fourier coefficient of m_j(chi, e^s) over one period
     s in [0, 1).  This routine evaluates the right-hand side at u = 1 for
-    |k| <= K: the sum of those 2K + 1 coefficients.  Each derivative is
-    taken under the integral sign, i^j T^(j)(2 k pi) being the integral
-    of chi(v) (-v)^j e^{2 k pi i v} on the knot-aligned panels of
-    mellin_transform, so the route is exact up to quadrature for every
-    kernel, asymmetric ones included.  For b-spline kernels of order n
-    every k != 0 term vanishes through order n-1, so the result is then
-    the lattice moment at every u; in general it is the partial Fourier
-    sum at u = 1, which tends to m_j(chi, 1) as K grows wherever the
-    lattice moment is continuous in log u.
+    |k| <= K: the sum of those 2K + 1 coefficients, from one
+    mellin_transform call whose frequencies share one rule and one kernel
+    evaluation.  Each derivative is taken under the integral sign,
+    i^j T^(j)(2 k pi) being the integral of chi(v) (-v)^j e^{2 k pi i v}
+    on the knot-aligned panels of mellin_transform, so the route is exact
+    up to quadrature for every kernel, asymmetric ones included.  For
+    b-spline kernels of order n every k != 0 term vanishes through order
+    n-1, so the result is then the lattice moment at every u; in general
+    it is the partial Fourier sum at u = 1, which tends to m_j(chi, 1) as
+    K grows wherever the lattice moment is continuous in log u.
     """
     if j > 4:
         raise ValueError("poisson route supports orders j <= 4")
-    total = sum(mellin_transform(chi, MellinPoint(0.0, 2.0 * math.pi * k), cfg,
-                                 order=j)
-                for k in range(-K, K + 1))
+    if K < 0:
+        raise ValueError(f"frequency bound K must be >= 0, got K={K}")
+    points = [MellinPoint(0.0, 2.0 * math.pi * k) for k in range(-K, K + 1)]
+    total = sum(mellin_transform(chi, points, cfg, order=j))
     # i^j T^(j)(t) = i^j i^j M^(j)(it) with M the transform in s
     return float(((-1) ** j * total).real)
 

@@ -455,10 +455,10 @@ def write_csv(path, rows):
 
 def write_json(path, doc):
     """Write a JSON document (2-space indent, final newline) to path
-    atomically."""
+    atomically, formatted as one string and written once."""
+    text = json.dumps(doc, indent=2) + "\n"
     with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_batch_csv(rows, path):

@@ -230,6 +230,11 @@ def mellin_transform(f, point, cfg=DEFAULT_CONFIG, support=None, order=0):
     must pass a finite LogInterval.  order = r > 0 gives the r-th
     derivative in s, differentiated under the integral sign: the integral
     of f(e^u) u^r e^{su} du on the same panels.
+
+    point is a MellinPoint or a sequence of them.  A sequence gives a list
+    with one value per point; every point shares one rule and one
+    evaluation of f, and each value is summed on its own, so it equals
+    the single-point call exactly.
     """
     knots = ()
     if support is None:
@@ -253,5 +258,8 @@ def mellin_transform(f, point, cfg=DEFAULT_CONFIG, support=None, order=0):
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals)][0]
         raise EvaluationError(f"non-finite transform integrand at u={bad!r}")
-    s = complex(point.c, point.t)
-    return np.sum(weights * vals * nodes**order * np.exp(s * nodes))
+    single = isinstance(point, MellinPoint)
+    base = weights * vals * nodes**order
+    values = [np.sum(base * np.exp(complex(p.c, p.t) * nodes))
+              for p in ((point,) if single else point)]
+    return values[0] if single else values

@@ -1,6 +1,7 @@
 """Coefficient solver and accelerated combinations."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,24 @@ from expsample import (
 )
 
 
+def _eliminate(p):
+    """The coefficient system of order p solved by exact rational
+    Gauss-Jordan elimination, converted to floats once: the oracle of
+    the closed form."""
+    a = [[Fraction(1, i ** k) for i in range(1, p + 1)] for k in range(p)]
+    rhs = [Fraction(1)] + [Fraction(0)] * (p - 1)
+    for col in range(p):
+        piv = next(r for r in range(col, p) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        for r in range(p):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col] / a[col][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+                rhs[r] -= factor * rhs[col]
+    return tuple(float(rhs[i] / a[i][i]) for i in range(p))
+
+
 class TestSolver:
     def test_p1(self):
         assert solve_coefficients(1).beta == (1.0,)
@@ -26,7 +45,7 @@ class TestSolver:
         assert solve_coefficients(2).beta == (-1.0, 2.0)
 
     def test_p3_exact(self):
-        # rational elimination makes these bit-exact doubles
+        # the closed form divides exact integers, so these are exact
         assert solve_coefficients(3).beta == (0.5, -4.0, 4.5)
 
     @pytest.mark.parametrize("p", range(1, 9))
@@ -38,9 +57,13 @@ class TestSolver:
         spec = solve_coefficients(12)
         assert max(abs(r) for r in residuals(spec)) <= 1e-9
 
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_closed_form_equals_elimination(self, p):
+        assert solve_coefficients(p).beta == _eliminate(p)
+
     @pytest.mark.parametrize("p", [0, -1, 13])
     def test_out_of_range(self, p):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"p must be in 1..12, got {p}"):
             solve_coefficients(p)
 
 

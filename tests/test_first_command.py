@@ -19,6 +19,9 @@ PSI = "translates:2:a=e^2,b=e^3"
 KERNELS = ["bspline:2", "bspline:4", PSI]
 FUNCTIONS = ["name:fig1", "name:sinlog", "expr:x^2*cos(2*pi*x)"]
 INVOCATIONS = [
+    ["moments", "--kernel", PSI, "--order", "2", "--route", "poisson"],
+    ["moments", "--kernel", PSI, "--order", "2", "--route", "discrete",
+     "--u", "1.7"],
     ["moments", "--kernel", PSI, "--order", "2", "--route", "continuous"],
     ["moments", "--kernel", PSI, "--order", "2",
      "--route", "absolute-continuous"],

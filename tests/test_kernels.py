@@ -17,6 +17,7 @@ from expsample import (
     Kernel,
     KernelError,
     LogInterval,
+    MellinPoint,
     absolute_moment,
     characteristic,
     continuous_moment,
@@ -24,12 +25,14 @@ from expsample import (
     integrate_log,
     make_translate_combination,
     mellin_bspline,
+    mellin_transform,
     parse_kernel,
     poisson_moment,
     verify_kernel,
 )
 from expsample.kernels import (
     _lattice_polynomials,
+    _real_roots,
     _weighted_pieces,
     phase_moments,
 )
@@ -298,6 +301,33 @@ class TestPoissonRoute:
         with pytest.raises(ValueError):
             poisson_moment(b4, 5)
 
+    @pytest.mark.parametrize("K", [-1, -4])
+    def test_negative_frequency_bound_named(self, b4, K):
+        with pytest.raises(ValueError, match=f"K={K}"):
+            poisson_moment(b4, 2, K=K)
+
+    @pytest.mark.parametrize("descriptor", ["bspline:4", "char",
+                                            "translates:2:a=e^2,b=e^3"])
+    def test_one_kernel_evaluation(self, descriptor):
+        # every frequency shares one rule and one evaluation, and the sum
+        # is that of one transform call per frequency
+        kernel = parse_kernel(descriptor)
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return Kernel.eval_log(kernel, v)
+
+        kernel.eval_log = counted
+        for j in range(5):
+            calls.clear()
+            got = poisson_moment(kernel, j, K=3)
+            assert len(calls) == 1
+            total = sum(mellin_transform(
+                kernel, MellinPoint(0.0, 2.0 * math.pi * k), order=j)
+                for k in range(-3, 4))
+            assert got == float(((-1) ** j * total).real)
+
 
 class TestVerifyKernel:
     def test_b4_b2_passes(self, b4, b2):
@@ -531,6 +561,24 @@ class TestVectorisedRoutes:
             ref = _loop_sign_changes(kernel)
             assert ref, descriptor
             assert np.allclose(cuts, ref, rtol=0.0, atol=1e-12), descriptor
+
+    def test_line_roots_match_np_roots(self, rng):
+        # a line is solved without the eigensolver, to the same result
+        def reference(row, width):
+            r = np.roots(row)
+            return r.real[(r.imag == 0) & (r.real > 0) & (r.real < width)]
+
+        rows = [(a, -a * float(x)) for a, x in
+                zip(rng.normal(size=300), rng.uniform(-1.0, 3.0, 300))]
+        rows += [tuple(rng.normal(size=2)) for _ in range(100)]
+        rows += [(a, b) for a in (1.5, -2.0, 0.0, -0.0)
+                 for b in (0.0, -0.0, 0.75, -0.75)]
+        for a, b in rows:
+            for width in (0.5, 1.0, 2.0):
+                row = np.array([a, b])
+                got, ref = _real_roots(row, width), reference(row, width)
+                assert got.dtype == ref.dtype, (a, b)
+                assert got.tobytes() == ref.tobytes(), (a, b)
 
     def test_failing_partition_reports_same_residual(self, b2):
         chi = _stretched_hat()

@@ -16,6 +16,7 @@ from expsample import (
     mellin_bspline,
     mellin_derivative,
     mellin_transform,
+    parse_kernel,
 )
 from expsample import quadrature
 from expsample.quadrature import _leggauss, log_rule
@@ -205,6 +206,31 @@ class TestMellinTransform:
     def test_generic_callable_needs_support(self):
         with pytest.raises(ValueError, match="support"):
             mellin_transform(lambda x: 1.0 / (1.0 + x), MellinPoint(0.0, 0.0))
+
+    @pytest.mark.parametrize("descriptor", [
+        *(f"bspline:{n}" for n in range(1, 7)), "char",
+        "translates:2:a=e^2,b=e^3", "translates:5:a=1.7,b=9.1"])
+    @pytest.mark.parametrize("order", range(5))
+    def test_point_list_equals_single_calls(self, descriptor, order, rng):
+        kernel = parse_kernel(descriptor)
+        points = [MellinPoint(0.0, 2.0 * math.pi * k) for k in range(-3, 4)]
+        points += [MellinPoint(float(c), float(t)) for c, t in
+                   zip(rng.uniform(-1.0, 1.0, 4), rng.uniform(-9.0, 9.0, 4))]
+        got = mellin_transform(kernel, points, order=order)
+        assert got == [mellin_transform(kernel, p, order=order)
+                       for p in points]
+
+    def test_point_list_of_a_callable(self, rng):
+        def f(x):
+            return x * math.cos(x)
+
+        support = LogInterval(-0.7, 1.3)
+        points = [MellinPoint(float(c), float(t)) for c, t in
+                  zip(rng.uniform(-1.0, 1.0, 6), rng.uniform(-9.0, 9.0, 6))]
+        for order in range(5):
+            got = mellin_transform(f, points, support=support, order=order)
+            assert got == [mellin_transform(f, p, support=support,
+                                            order=order) for p in points]
 
     def test_generic_callable_with_support(self):
         # f(e^u) = 1 on [0, 1]: transform at s = 0 is the window length
