@@ -20,9 +20,7 @@ from .quadrature import (
     LogInterval,
     MellinPoint,
     QuadratureConfig,
-    default_step,
     integrate_log,
-    mellin_derivative,
     mellin_transform,
 )
 from .functions import RealFunction, builtin, function_from_spec, parse_function
@@ -41,11 +39,9 @@ from .kernels import (
 )
 from .operators import (
     OperatorSpec,
-    SampleAccessor,
     batch_eval,
     durrmeyer_eval,
     kantorovich_eval,
-    mellin_convolution,
     sampling_eval,
     write_batch_csv,
 )

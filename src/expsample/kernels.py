@@ -310,12 +310,14 @@ def _real_roots(row, width):
     return r.real[(r.imag == 0) & (r.real > 0) & (r.real < width)]
 
 
-def _pieces(kernel, cuts=()):
+@functools.cache
+def _pieces(kernel, cuts):
     """The kernel as a piecewise polynomial: edges e_0 < ... < e_P, its
-    knots and the points of cuts inside its support, and a (P, n) table
-    whose row p holds, highest power first, the kernel on [e_p, e_{p+1})
-    as a polynomial in t = v - e_p, the Taylor-shifted B-spline pieces of
-    every term summed."""
+    knots and the points of the tuple cuts inside its support, and a
+    (P, n) table whose row p holds, highest power first, the kernel on
+    [e_p, e_{p+1}) as a polynomial in t = v - e_p, the Taylor-shifted
+    B-spline pieces of every term summed.  Both arrays are shared by
+    every caller, so they are read-only."""
     n, table = kernel.order, _bspline_pieces(kernel.order)
     lo, hi = kernel.support
     edges = np.array(sorted({*kernel.knots,
@@ -328,6 +330,7 @@ def _pieces(kernel, cuts=()):
         j = np.floor(mid + o)
         cols = np.clip(j, -1, n).astype(np.intp) + 1
         rows = rows + c * _shifted(table[:, cols].T, left + o - j)
+    edges.flags.writeable = rows.flags.writeable = False
     return edges, rows
 
 
@@ -338,10 +341,10 @@ def _weighted_pieces(kernel, nu, absolute):
     cuts = [0.0] if absolute else []
     # with no negative coefficient the kernel keeps its sign
     if absolute and min(kernel.coefficients) < 0:
-        edges, rows = _pieces(kernel)
+        edges, rows = _pieces(kernel, ())
         for e, width, row in zip(edges[:-1], np.diff(edges), rows):
             cuts.extend((e + _real_roots(row, width)).tolist())
-    edges, rows = _pieces(kernel, cuts)
+    edges, rows = _pieces(kernel, tuple(cuts))
     # (e_p + t)^nu, expanded by the binomial theorem
     left, width = edges[:-1], rows.shape[1]
     out = np.zeros((rows.shape[0], width + nu))

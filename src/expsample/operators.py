@@ -10,10 +10,11 @@ integral lives on log t in [(k + lo_phi)/w, (k + hi_phi)/w] and is done by
 knot-aligned Gauss-Legendre panels.  durrmeyer_eval computes each distinct
 window (w, k) that its points need once, from one evaluation of f on the
 nodes of the lattice periods those windows reach (see the engine notes
-below).  Choosing phi as the indicator of [1, e) turns the inner integral
-into the plain mean of f(e^u) over [k/w, (k+1)/w]; kantorovich_eval
-implements that form directly as an independent route, and sampling_eval
-is the bare series driven by raw sample values.
+below).  sampling_eval is the bare series driven by raw sample values;
+both sum their windows with one engine, _series.  Choosing phi as the
+indicator of [1, e) turns the inner integral into the plain mean of
+f(e^u) over [k/w, (k+1)/w]; kantorovich_eval implements that form
+directly, point by point, as an independent route.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -109,46 +110,6 @@ def _windows(chi, w, xs, radius=None):
     return tc, kmin.astype(np.int64), kmax.astype(np.int64)
 
 
-def _outer_window(chi, w, x, radius=None):
-    """Integers k with chi(e^{-k} x^w) != 0 (possibly narrowed by radius)."""
-    tc, kmin, kmax = _windows(chi, w, [x], radius)
-    return float(tc[0]), np.arange(kmin[0], kmax[0] + 1)
-
-
-def _convolution_log(phi, f, w, log_s, cfg):
-    """w * int phi(t^w / s^w) f(t) dt/t with log s given directly."""
-    lo, hi = phi.support
-    iv = LogInterval(log_s + lo / w, log_s + hi / w)
-    knots = tuple(log_s + k / w for k in phi.knots)
-    nodes, weights = log_rule(iv, cfg, knots)
-    phis = np.asarray(phi.eval_log(w * (nodes - log_s)), dtype=float)
-    total = 0.0
-    for u, wt, pv in zip(nodes, weights, phis):
-        if pv == 0.0:
-            continue
-        t = math.exp(u)
-        try:
-            fv = f(t)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"evaluating f at t={t!r} inside the convolution window "
-                f"around s=e^{log_s:.6g}: {exc}") from exc
-        if not math.isfinite(fv):
-            raise EvaluationError(
-                f"non-finite value of f at t={t!r} inside the "
-                f"convolution window around s=e^{log_s:.6g}")
-        total += wt * pv * fv
-    return float(w * total)
-
-
-def mellin_convolution(phi, f, w, s, cfg=DEFAULT_CONFIG):
-    """Convolution mean of f against the scaled kernel w phi(u^w), centred
-    at s > 0.  Reproduces constants exactly whenever phi integrates to 1."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    return _convolution_log(phi, f, w, math.log(s), cfg)
-
-
 # --- shared-lattice engine --------------------------------------------------
 #
 # In b = w log t the term k of the series weights the window mean
@@ -219,28 +180,45 @@ def _distinct(major, minor):
     return major[new], minor[new], index
 
 
-def _shared_lattice(spec, f, xs, ws):
-    """Operator values at the pairs (xs[i], ws[i]) of 1-d arrays, x > 0."""
-    chi, phi, cfg = spec.chi, spec.phi, spec.quadrature
-    tc, kmin, kmax = _windows(chi, ws, xs, spec.truncation_radius)
+def _series(chi, xs, ws, radius, window_values):
+    """The series sum_k chi(e^{-k} x^w) v_k at the pairs of the checked
+    arrays xs and ws of one shape: an array of that shape, or a float
+    for 0-d arrays.  window_values(win_w, win_k) gives the v_k of the
+    distinct windows (w, k) that some chi row weights, sorted by w, then
+    k; a value reads its own windows only."""
+    shape = xs.shape
+    if xs.size == 0:
+        return np.empty(shape)
+    xs, ws = xs.ravel(), ws.ravel()
+    tc, kmin, kmax = _windows(chi, ws, xs, radius)
     ks = kmin[:, None] + np.arange(int((kmax - kmin).max()) + 1)
     chi_rows = np.asarray(chi.eval_log((tc[:, None] - ks).ravel()),
                           dtype=float).reshape(ks.shape)
     chi_rows[ks > kmax[:, None]] = 0.0
     needed = chi_rows != 0.0
+    win_w, win_k, window_of = _distinct(
+        np.broadcast_to(ws[:, None], ks.shape)[needed], ks[needed])
+    terms = np.zeros(ks.shape)
+    terms[needed] = window_values(win_w, win_k)[window_of]
+    # k by k from the left, so the zeros that pad a short window to the
+    # longest of the call change nothing
+    values = functools.reduce(np.add, (chi_rows * terms).T)
+    return float(values[0]) if not shape else values.reshape(shape)
 
+
+def _window_means(spec, f, win_w, win_k):
+    """The convolution means of f at the windows (win_w[i], win_k[i]),
+    sorted by w, then k."""
+    phi, cfg = spec.phi, spec.quadrature
     phases = _knot_phases(phi)
     lo, hi = phi.support
     ds = np.arange(math.floor(lo - phases[0] - 1.0),
                    math.ceil(hi - phases[0]) + 1)
-    win_w, win_k, window_of = _distinct(
-        np.broadcast_to(ws[:, None], ks.shape)[needed], ks[needed])
     per_w, per_m, period_of = _distinct(np.tile(win_w, ds.size),
                                         (ds[:, None] + win_k).ravel())
     # runs of consecutive scales with the same subdivision share a rule;
     # both tables are sorted by w, so a rule's rows are one slice of each
-    # (np.unique(ws) would import numpy.ma: 15 ms on a process's first call)
-    scales = np.array(sorted(set(ws.tolist())))
+    scales = win_w[np.diff(win_w, prepend=0.0) != 0.0]
     # log_rule's panels of the cells [p_i / w, p_{i+1} / w] at each scale
     ends = [*phases, phases[0] + 1.0]
     panels, points = panel_counts(np.diff(ends) / scales[:, None], cfg)
@@ -291,11 +269,20 @@ def _shared_lattice(spec, f, xs, ws):
         # rows would make a row's sum depend on the rows around it
         means.append(sum((grid[row] * weights).sum(axis=1)
                          for row, weights in zip(rows, band)))
-    window_means = np.zeros(ks.shape)
-    window_means[needed] = np.concatenate(means)[window_of]
-    # k by k from the left, so the zeros that pad a short window to the
-    # longest of the call change nothing
-    return functools.reduce(np.add, (chi_rows * window_means).T)
+    return np.concatenate(means)
+
+
+def _pairs(x, w):
+    """x and w as float arrays broadcast against each other, or a
+    ValueError unless every x and w is positive and finite."""
+    xs, ws = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                 np.asarray(w, dtype=float))
+    for name, values in (("x", xs), ("w", ws)):
+        if not np.all(values > 0):
+            raise ValueError(f"{name} must be positive")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
+    return xs, ws
 
 
 def durrmeyer_eval(spec, f, x, w=None):
@@ -313,35 +300,22 @@ def durrmeyer_eval(spec, f, x, w=None):
     (x, w) depends only on spec, f, x and w, not on the other pairs of the
     call.
     """
-    xs, ws = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(spec.w if w is None else w,
-                                            dtype=float))
-    if not np.all(xs > 0):
-        raise ValueError("x must be positive")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x must be finite")
-    if not np.all(ws > 0):
-        raise ValueError("w must be positive")
-    if not np.all(np.isfinite(ws)):
-        raise ValueError("w must be finite")
+    xs, ws = _pairs(x, spec.w if w is None else w)
     _admissibility_warning(f)
-    if xs.size == 0:
-        return np.empty(xs.shape)
-    values = _shared_lattice(spec, f, xs.ravel(), ws.ravel())
-    if xs.ndim == 0:
-        return float(values[0])
-    return values.reshape(xs.shape)
+    return _series(spec.chi, xs, ws, spec.truncation_radius,
+                   functools.partial(_window_means, spec, f))
 
 
 def kantorovich_eval(chi, f, w, x, cfg=DEFAULT_CONFIG):
     """The integral-mean form: sum_k chi(e^{-k} x^w) w int_{k/w}^{(k+1)/w}
-    f(e^u) du, written out directly rather than through a phi kernel.
-    Must agree with durrmeyer_eval under the characteristic kernel."""
-    if x <= 0:
-        raise ValueError("x must be positive")
+    f(e^u) du at one x > 0, written out directly rather than through a
+    phi kernel.  Must agree with durrmeyer_eval under the characteristic
+    kernel."""
+    _pairs(x, w)
     _admissibility_warning(f)
-    tc, ks = _outer_window(chi, w, x)
-    weights = np.asarray(chi.eval_log(tc - ks), dtype=float)
+    tc, kmin, kmax = _windows(chi, w, [x])
+    ks = np.arange(kmin[0], kmax[0] + 1)
+    weights = np.asarray(chi.eval_log(tc[0] - ks), dtype=float)
     total = 0.0
     for k, cw in zip(ks, weights):
         if cw == 0.0:
@@ -365,47 +339,36 @@ def kantorovich_eval(chi, f, w, x, cfg=DEFAULT_CONFIG):
     return float(total)
 
 
-@dataclass(frozen=True)
-class SampleAccessor:
-    """Sample values g(e^{k/w}) by synthesis from a function or from an
-    explicit table keyed by k."""
-
-    fn: Optional[Callable[[float], float]] = None
-    table: Optional[dict] = None
-
-    @classmethod
-    def from_function(cls, f):
-        return cls(fn=f)
-
-    @classmethod
-    def from_table(cls, table):
-        return cls(table=dict(table))
-
-    def sample(self, k, w):
-        if self.fn is not None:
-            return self.fn(math.exp(k / w))
-        if self.table is not None:
-            try:
-                return self.table[k]
-            except KeyError:
-                raise SamplingError(
-                    f"no sample for k={k} (node e^{{{k}/{w}}}) in the table"
-                ) from None
-        raise SamplingError("sample accessor has neither function nor table")
+def _samples(samples, win_w, win_k):
+    """The samples g_k of the windows (win_w[i], win_k[i]): g(e^{k/w})
+    for a callable g, samples[k] for a mapping keyed by k."""
+    if callable(samples):
+        return _f_at_nodes(
+            samples, win_k / win_w,
+            lambda i: f"the sampling series at its node "
+                      f"e^{{{win_k[i]}/{win_w[i]}}}")
+    ks = win_k.tolist()
+    for k, w in zip(ks, win_w.tolist()):
+        if k not in samples:
+            raise SamplingError(
+                f"no sample for k={k} (node e^{{{k}/{w}}}) in the table")
+    return np.array([samples[k] for k in ks], dtype=float)
 
 
 def sampling_eval(chi, samples, w, x):
-    """The bare sampling series sum_k chi(e^{-k} x^w) g(e^{k/w})."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    tc, ks = _outer_window(chi, w, x)
-    weights = np.asarray(chi.eval_log(tc - ks), dtype=float)
-    total = 0.0
-    for k, cw in zip(ks, weights):
-        if cw == 0.0:
-            continue
-        total += cw * samples.sample(int(k), w)
-    return float(total)
+    """The bare sampling series sum_k chi(e^{-k} x^w) g_k at x > 0, a
+    float or a numpy array, with w broadcast against x as in
+    durrmeyer_eval.
+
+    samples is a callable g, sampled at the nodes e^{k/w} by one
+    evaluation of the distinct nodes of the call (one array call for a
+    RealFunction), or a mapping from k to g_k, where the first missing
+    window in (w, k) order raises SamplingError naming its k.  The value
+    at (x, w) depends only on chi, samples, x and w, not on the other
+    pairs of the call.
+    """
+    xs, ws = _pairs(x, w)
+    return _series(chi, xs, ws, None, functools.partial(_samples, samples))
 
 
 # --- batch evaluation -------------------------------------------------------

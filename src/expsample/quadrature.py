@@ -3,8 +3,10 @@
 Every integral on the multiplicative half-line carries the measure dt/t.
 Substituting u = log t turns it into an ordinary Lebesgue integral, which
 is what the routines here compute: composite Gauss-Legendre rules over a
-finite interval of the log coordinate.  Derivatives are likewise taken in
-the log coordinate, where x f'(x) becomes d/du f(e^u).
+finite interval of the log coordinate.  The finite-difference derivative
+in the log coordinate, where x f'(x) becomes d/du f(e^u), and the
+pointwise convolution mean serve only as test oracles; they live in
+tests/oracles.py.
 
 The Gauss-Legendre rules themselves are built here (_leggauss), bit for
 bit as numpy.polynomial builds them, because importing numpy.polynomial
@@ -175,50 +177,6 @@ def integrate_log(g, iv, cfg=DEFAULT_CONFIG, breakpoints=()):
             raise EvaluationError(f"non-finite integrand value {val!r} at u={u!r}")
         total += wt * val
     return float(total)
-
-
-# Central finite-difference stencils of accuracy order 2.
-# offsets are in units of the step h; dividing by h**r gives the derivative.
-_STENCILS = {
-    1: ((-1, 1), (-0.5, 0.5)),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
-    5: ((-3, -2, -1, 1, 2, 3), (-0.5, 2.0, -2.5, 2.5, -2.0, 0.5)),
-    6: ((-3, -2, -1, 0, 1, 2, 3), (1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0)),
-}
-
-# Truncation error shrinks with h while roundoff grows like eps/h^r, so the
-# sweet spot moves right as the order goes up.
-_DEFAULT_STEPS = {1: 1e-3, 2: 1e-3, 3: 1e-2, 4: 1e-2, 5: 3e-2, 6: 3e-2}
-
-
-def default_step(r):
-    """Default finite-difference step (in log units) for derivative order r."""
-    return _DEFAULT_STEPS[r]
-
-
-def mellin_derivative(f, x, r=1, h=None):
-    """r-th derivative of u -> f(e^u) at u = log x, by central differences.
-
-    For a function on the positive reals this equals the r-fold application
-    of the operator g -> x g'(x), i.e. the derivative taken in the log
-    coordinate.  Accuracy order 2 in h.
-    """
-    if r < 1 or r > 6:
-        raise ValueError(f"derivative order r={r} outside supported range 1..6")
-    if h is None:
-        h = default_step(r)
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if x <= 0:
-        raise ValueError("x must be positive")
-    u0 = math.log(x)
-    offsets, coeffs = _STENCILS[r]
-    acc = 0.0
-    for k, c in zip(offsets, coeffs):
-        acc += c * f(math.exp(u0 + k * h))
-    return acc / h**r
 
 
 def mellin_transform(f, point, cfg=DEFAULT_CONFIG, support=None, order=0):

@@ -5,7 +5,10 @@ B-spline oracles are the Cox-de Boor recursion and the truncated-power sum
 in exact rational arithmetic, rounded once, instead of Horner's rule on
 the pieces; the moment oracle is a raw lattice sum, and the operator
 oracle stacks a composite Simpson rule over the full combined window
-without any knot alignment.
+without any knot alignment.  The scalar oracles that used to be library
+functions live in tests/oracles.py: the pointwise convolution mean
+mellin_convolution, the scalar sampling-series loop series_oracle, and
+the finite-difference log derivative mellin_derivative.
 """
 
 import math

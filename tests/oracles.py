@@ -1,0 +1,117 @@
+"""Scalar oracles that the library does not use.
+
+Each computes one value point by point, on its own code path: the
+convolution mean of f on its own knot-aligned rule, the sampling series
+as a loop over k, and the log-coordinate derivative by central finite
+differences.  They may import from expsample only its errors and its
+quadrature rules; tests/test_oracles_independent.py checks that, and that
+the package defines none of the names here.
+"""
+
+import math
+
+import numpy as np
+
+from expsample.errors import EvaluationError, SamplingError
+from expsample.quadrature import DEFAULT_CONFIG, LogInterval, log_rule
+
+
+def _convolution_log(phi, f, w, log_s, cfg):
+    """w * int phi(t^w / s^w) f(t) dt/t with log s given directly."""
+    lo, hi = phi.support
+    iv = LogInterval(log_s + lo / w, log_s + hi / w)
+    knots = tuple(log_s + k / w for k in phi.knots)
+    nodes, weights = log_rule(iv, cfg, knots)
+    phis = np.asarray(phi.eval_log(w * (nodes - log_s)), dtype=float)
+    total = 0.0
+    for u, wt, pv in zip(nodes, weights, phis):
+        if pv == 0.0:
+            continue
+        t = math.exp(u)
+        try:
+            fv = f(t)
+        except EvaluationError as exc:
+            raise EvaluationError(
+                f"evaluating f at t={t!r} inside the convolution window "
+                f"around s=e^{log_s:.6g}: {exc}") from exc
+        if not math.isfinite(fv):
+            raise EvaluationError(
+                f"non-finite value of f at t={t!r} inside the "
+                f"convolution window around s=e^{log_s:.6g}")
+        total += wt * pv * fv
+    return float(w * total)
+
+
+def mellin_convolution(phi, f, w, s, cfg=DEFAULT_CONFIG):
+    """Convolution mean of f against the scaled kernel w phi(u^w), centred
+    at s > 0.  Reproduces constants exactly whenever phi integrates to 1."""
+    if s <= 0:
+        raise ValueError("s must be positive")
+    return _convolution_log(phi, f, w, math.log(s), cfg)
+
+
+def series_oracle(chi, samples, w, x):
+    """The sampling series sum_k chi(e^{-k} x^w) g_k at one x > 0, summed
+    k by k from the left over the integers with chi(e^{-k} x^w) != 0.
+    samples is a callable g, sampled at e^{k/w}, or a mapping from k to
+    g_k."""
+    lo, hi = chi.support
+    tc = (w * np.log(np.array([x], dtype=float)))[0]
+    ks = np.arange(int(np.floor(tc - hi)), int(np.ceil(tc - lo)) + 1)
+    weights = np.asarray(chi.eval_log(tc - ks), dtype=float)
+    total = 0.0
+    for k, cw in zip(ks.tolist(), weights):
+        if cw == 0.0:
+            continue
+        if callable(samples):
+            g = samples(math.exp(k / w))
+        elif k in samples:
+            g = samples[k]
+        else:
+            raise SamplingError(f"no sample for k={k} in the table")
+        total += cw * g
+    return float(total)
+
+
+# Central finite-difference stencils of accuracy order 2.
+# offsets are in units of the step h; dividing by h**r gives the derivative.
+_STENCILS = {
+    1: ((-1, 1), (-0.5, 0.5)),
+    2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
+    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
+    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
+    5: ((-3, -2, -1, 1, 2, 3), (-0.5, 2.0, -2.5, 2.5, -2.0, 0.5)),
+    6: ((-3, -2, -1, 0, 1, 2, 3), (1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0)),
+}
+
+# Truncation error shrinks with h while roundoff grows like eps/h^r, so the
+# sweet spot moves right as the order goes up.
+_DEFAULT_STEPS = {1: 1e-3, 2: 1e-3, 3: 1e-2, 4: 1e-2, 5: 3e-2, 6: 3e-2}
+
+
+def default_step(r):
+    """Default finite-difference step (in log units) for derivative order r."""
+    return _DEFAULT_STEPS[r]
+
+
+def mellin_derivative(f, x, r=1, h=None):
+    """r-th derivative of u -> f(e^u) at u = log x, by central differences.
+
+    For a function on the positive reals this equals the r-fold application
+    of the operator g -> x g'(x), i.e. the derivative taken in the log
+    coordinate.  Accuracy order 2 in h.
+    """
+    if r < 1 or r > 6:
+        raise ValueError(f"derivative order r={r} outside supported range 1..6")
+    if h is None:
+        h = default_step(r)
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    if x <= 0:
+        raise ValueError("x must be positive")
+    u0 = math.log(x)
+    offsets, coeffs = _STENCILS[r]
+    acc = 0.0
+    for k, c in zip(offsets, coeffs):
+        acc += c * f(math.exp(u0 + k * h))
+    return acc / h**r

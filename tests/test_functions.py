@@ -4,13 +4,8 @@ import math
 
 import pytest
 
-from expsample import (
-    ExpSampleError,
-    builtin,
-    default_step,
-    function_from_spec,
-    mellin_derivative,
-)
+from expsample import ExpSampleError, builtin, function_from_spec
+from oracles import default_step, mellin_derivative
 
 
 class TestBuiltins:

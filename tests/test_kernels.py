@@ -32,6 +32,7 @@ from expsample import (
 )
 from expsample.kernels import (
     _lattice_polynomials,
+    _pieces,
     _real_roots,
     _weighted_pieces,
     phase_moments,
@@ -579,6 +580,18 @@ class TestVectorisedRoutes:
                 got, ref = _real_roots(row, width), reference(row, width)
                 assert got.dtype == ref.dtype, (a, b)
                 assert got.tobytes() == ref.tobytes(), (a, b)
+
+    def test_piece_tables_are_built_once(self, psi, b2):
+        # verify_kernel needs psi's plain pieces (for its roots), psi cut
+        # at them and b2 cut at 0; the two absolute routes of psi that
+        # follow reuse psi's tables, and no caller can write to them
+        _pieces.cache_clear()
+        verify_kernel(psi, b2, 3)
+        absolute_moment(psi, 2, "discrete")
+        absolute_moment(psi, 2, "continuous")
+        assert _pieces.cache_info().misses == 3
+        edges, rows = _pieces(psi, ())
+        assert not edges.flags.writeable and not rows.flags.writeable
 
     def test_failing_partition_reports_same_residual(self, b2):
         chi = _stretched_hat()

@@ -14,21 +14,21 @@ from expsample import (
     EvaluationError,
     OperatorSpec,
     QuadratureConfig,
-    SampleAccessor,
     SamplingError,
     batch_eval,
     builtin,
     combined_eval,
     durrmeyer_eval,
     kantorovich_eval,
-    mellin_convolution,
     parse_function,
+    parse_kernel,
     sampling_eval,
     solve_coefficients,
     write_batch_csv,
 )
 from expsample.operators import BATCH_CSV_COLUMNS
 from conftest import dense_config_oracle, simpson_operator_oracle
+from oracles import mellin_convolution, series_oracle
 from test_analysis import _counting
 
 
@@ -193,7 +193,7 @@ class TestDurrmeyer:
         with pytest.raises(EvaluationError, match=message):
             kantorovich_eval(b4, f, 1e17, 2.0)
         with pytest.raises(EvaluationError, match=message):
-            sampling_eval(b4, SampleAccessor.from_function(f), 1e17, 2.0)
+            sampling_eval(b4, f, 1e17, 2.0)
 
     def test_window_below_integer_precision_evaluates(self, b4):
         # w log 2 = 6.9e14 < 2^52: the lattice indices are still exact
@@ -287,36 +287,110 @@ class TestKantorovich:
         assert scaled == pytest.approx(math.log(x), rel=5e-3)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("which", ["x", "w"])
+    def test_every_form_rejects_what_durrmeyer_rejects(self, b4, bad, which):
+        f = builtin("sinlog")
+        x, w = (bad, 10.0) if which == "x" else (2.0, bad)
+        with pytest.raises(ValueError) as expected:
+            durrmeyer_eval(OperatorSpec(b4, b4, 10.0), f, x, w)
+        assert str(expected.value).startswith(f"{which} must be")
+        for form in (kantorovich_eval, sampling_eval):
+            with pytest.raises(ValueError, match=f"^{expected.value}$"):
+                form(b4, f, w, x)
+
+
+SAMPLING_KERNELS = [f"bspline:{n}" for n in range(1, 7)] + [
+    "char", "translates:2:a=e^-2,b=e^-3", "translates:5:a=1.7,b=9.1"]
+
+
+def _sampling_pairs(rng, count):
+    ws = rng.uniform(0.5, 200.0, count)
+    xs = np.exp(rng.uniform(-2.0, 3.0, count))
+    return xs, ws
+
+
 class TestSampling:
+    @pytest.mark.parametrize("descriptor", SAMPLING_KERNELS)
+    def test_table_equals_scalar_series(self, descriptor, rng):
+        # the same products summed k by k from the left: the same double
+        chi = parse_kernel(descriptor)
+        table = {k: float(v) for k, v in
+                 zip(range(-700, 701), rng.normal(size=1401))}
+        xs, ws = _sampling_pairs(rng, 40)
+        values = sampling_eval(chi, table, ws, xs)
+        for x, w, value in zip(xs.tolist(), ws.tolist(), values.tolist()):
+            assert value == series_oracle(chi, table, w, x), (x, w)
+
+    @pytest.mark.parametrize("descriptor", SAMPLING_KERNELS)
+    def test_callable_matches_scalar_series(self, descriptor, rng):
+        # the nodes e^{k/w} come from np.exp here and math.exp in the
+        # oracle, which may differ in the last bit
+        chi = parse_kernel(descriptor)
+        xs, ws = _sampling_pairs(rng, 20)
+        for g in (builtin("sinlog"), lambda t: math.sin(math.log(t))):
+            values = sampling_eval(chi, g, ws, xs)
+            for x, w, value in zip(xs.tolist(), ws.tolist(),
+                                   values.tolist()):
+                ref = series_oracle(chi, g, w, x)
+                assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref))
+
+    def test_values_do_not_depend_on_the_batch(self, psi, rng):
+        table = {k: float(v) for k, v in
+                 zip(range(-700, 701), rng.normal(size=1401))}
+        xs, ws = _sampling_pairs(rng, 50)
+        for samples in (table, builtin("sinlog"), math.log):
+            values = sampling_eval(psi, samples, ws, xs)
+            assert values.shape == (50,)
+            for x, w, value in zip(xs.tolist(), ws.tolist(),
+                                   values.tolist()):
+                assert value == sampling_eval(psi, samples, w, x)
+
+    def test_real_function_gets_one_array_call(self, b4):
+        f, calls = _counting(builtin("sinlog"))
+        # at w = 1 the points x = e^0.5 and e^1.5 share the nodes k = 0..2
+        sampling_eval(b4, f, 1.0, np.exp([0.5, 1.5]))
+        assert calls == [5]
+
+    def test_batch_names_the_first_missing_k(self, b4):
+        # the windows are read in (w, k) order, whatever the pair order
+        table = {k: 1.0 for k in range(-1, 2)}
+        xs = [1.0, math.exp(5.5), math.exp(-3.25)]
+        ws = [1.0, 1.0, 2.0]
+        for order in (slice(None), slice(None, None, -1)):
+            with pytest.raises(SamplingError, match=r"k=4 \(node e\^\{4/1\.0\}\)"):
+                sampling_eval(b4, table, ws[order], xs[order])
+
+    def test_error_names_t_and_sample_node(self, b2):
+        with pytest.raises(EvaluationError,
+                           match=r"t=1\.0 inside .* node e\^\{0/1\.0\}"):
+            sampling_eval(b2, parse_function("log(x - 5)"), 1.0, 2.0)
+
     def test_constant_samples(self, b4):
-        acc = SampleAccessor.from_function(lambda t: 4.0)
-        assert sampling_eval(b4, acc, 3.0, 2.2) == pytest.approx(4.0, abs=1e-12)
+        assert sampling_eval(b4, lambda t: 4.0, 3.0, 2.2) == pytest.approx(4.0, abs=1e-12)
 
     def test_odd_moment_cancellation(self, b4):
-        acc = SampleAccessor.from_function(lambda t: math.log(t))
-        assert sampling_eval(b4, acc, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert sampling_eval(b4, math.log, 1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_factorization(self, b4, b2):
         # the operator is the sampling series applied to convolution means
         f = builtin("fig2")
         w, x = 10.0, 2.3
-        acc = SampleAccessor.from_function(
-            lambda t: mellin_convolution(b2, f, w, t))
-        composed = sampling_eval(b4, acc, w, x)
+        composed = sampling_eval(
+            b4, lambda t: mellin_convolution(b2, f, w, t), w, x)
         direct = durrmeyer_eval(OperatorSpec(b4, b2, w), f, x)
         assert abs(composed - direct) <= 1e-12
 
     def test_table_mode(self, b4):
         w, x = 1.0, 1.0
         table = {k: float(k) for k in range(-3, 4)}
-        acc = SampleAccessor.from_table(table)
-        got = sampling_eval(b4, acc, w, x)
+        got = sampling_eval(b4, table, w, x)
         assert got == pytest.approx(0.0, abs=1e-14)
 
     def test_missing_table_entry_lists_k(self, b4):
-        acc = SampleAccessor.from_table({0: 1.0})
         with pytest.raises(SamplingError, match="k=-1"):
-            sampling_eval(b4, acc, 1.0, 1.0)
+            sampling_eval(b4, {0: 1.0}, 1.0, 1.0)
 
 
 class TestBatch:

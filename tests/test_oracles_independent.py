@@ -1,0 +1,75 @@
+"""The oracles in tests/oracles.py stay independent of the library: they
+import from expsample only its errors and its quadrature rules, and the
+package defines none of their names, so no library path can be checked
+against itself."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import expsample
+
+ORACLES = Path(__file__).with_name("oracles.py")
+ALLOWED = {"errors", "quadrature"}
+
+
+def _tree():
+    return ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+
+
+def _imported_library_modules(tree):
+    """The expsample submodules the file imports from; the bare package
+    counts as the submodule ''."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "expsample":
+                found += [alias.name for alias in node.names]
+                continue
+            names = [node.module]
+        else:
+            continue
+        found += [name.partition(".")[2] for name in names
+                  if name == "expsample" or name.startswith("expsample.")]
+    return found
+
+
+def _defined_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_oracles_import_only_errors_and_quadrature():
+    modules = _imported_library_modules(_tree())
+    assert modules, "oracles.py no longer imports from expsample"
+    assert set(modules) <= ALLOWED, sorted(set(modules) - ALLOWED)
+
+
+def test_library_defines_no_oracle_name():
+    names = _defined_names(_tree())
+    assert {"mellin_convolution", "series_oracle",
+            "mellin_derivative"} <= names
+    modules = [expsample] + [
+        importlib.import_module(f"expsample.{info.name}")
+        for info in pkgutil.iter_modules(expsample.__path__)]
+    for module in modules:
+        clash = names & set(vars(module))
+        assert not clash, (module.__name__, sorted(clash))
+
+
+def test_the_guard_sees_a_forbidden_import():
+    tree = ast.parse("from expsample import operators\n"
+                     "from expsample.kernels import Kernel\n"
+                     "import expsample.quadrature\n")
+    assert _imported_library_modules(tree) == [
+        "operators", "kernels", "quadrature"]

@@ -13,15 +13,12 @@ from hypothesis import strategies as st
 from expsample import (
     EvaluationError,
     OperatorSpec,
-    SampleAccessor,
     builtin,
     characteristic,
     durrmeyer_eval,
     mellin_bspline,
-    mellin_convolution,
     parse_function,
     parse_kernel,
-    sampling_eval,
 )
 from expsample.expr import (
     Binary,
@@ -35,6 +32,7 @@ from expsample.expr import (
     parse_expression,
     to_source,
 )
+from oracles import mellin_convolution, series_oracle
 
 # --- engine ------------------------------------------------------------------
 
@@ -52,10 +50,10 @@ PAIRS = [(B[n], B[n]) for n in range(2, 7)] + [
 
 def reference(chi, phi, w, f, x):
     """The pointwise composition: the sampling series of the convolution
-    means, each mean on its own window."""
-    means = SampleAccessor.from_function(
-        lambda t: mellin_convolution(phi, f, w, t))
-    return sampling_eval(chi, means, w, x)
+    means, each mean on its own window, summed by the scalar loop that
+    shares no code with the engine."""
+    return series_oracle(chi, lambda t: mellin_convolution(phi, f, w, t),
+                         w, x)
 
 
 @settings(max_examples=60, deadline=None)
