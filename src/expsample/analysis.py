@@ -9,7 +9,6 @@ an order faster than reading off the last a_w directly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -22,11 +21,38 @@ from .combinations import (_moment_terms, combine, combined_eval,
                            solve_coefficients)
 from .operators import durrmeyer_eval, write_csv, write_json
 
+# hashlib loads OpenSSL (about 3.4 MB of resident memory) for this one
+# digest; CPython's built-in module computes the same SHA-256
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def _digest(text):
+    return sha256(text.encode()).hexdigest()[:16]
+
 
 def config_digest(payload):
-    """Stable hex digest of a configuration mapping (short form)."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    """Stable hex digest of a configuration mapping (short form): the first
+    16 hex digits of the SHA-256 of its canonical JSON (sorted keys,
+    compact separators, strict)."""
+    return _digest(_canonical(payload))
+
+
+class _Record(dict):
+    """A run record that keeps in `text` the canonical JSON of the record
+    without its digest: the exact text the digest hashes."""
+
+    __slots__ = ("text",)
 
 
 def config_record(spec=None, **fields):
@@ -38,9 +64,12 @@ def config_record(spec=None, **fields):
                       truncation_radius=spec.truncation_radius)
     record = {**fields, "version": __version__}
     try:
-        return {"digest": config_digest(record), **record}
+        text = _canonical(record)
     except ValueError:  # strict JSON: a non-finite number becomes a string
         return config_record(**json.loads(json.dumps(record), parse_constant=str))
+    out = _Record({"digest": _digest(text), **record})
+    out.text = text
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -65,10 +64,9 @@ def _quad_config(args):
 
 def _summary(command, record, note):
     """The run's summary: a note and the digest of its record, then the
-    rest of the record, whose config_digest that digest is."""
+    rest of the record as the canonical JSON that digest hashes."""
     print(f"expsample {command}: {note} digest={record['digest']}")
-    print("config: " + json.dumps(
-        {k: v for k, v in record.items() if k != "digest"}, sort_keys=True))
+    print("config: " + record.text)
 
 
 def _record(args, spec=None, **fields):

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,11 +156,12 @@ def characteristic():
 
 
 def _log_literal(value):
-    """Canonical descriptor text for a translate: e^<k> when the log is
-    integral, else the plain float."""
+    """Canonical descriptor text for a translate of log value: e^<k> when
+    the log is integral, else e^<repr of the log>, which parses back to
+    the same float."""
     if value == int(value):
         return f"e^{int(value)}"
-    return repr(value)
+    return f"e^{value!r}"
 
 
 def make_translate_combination(n, log_a, log_b):
@@ -183,18 +183,19 @@ def make_translate_combination(n, log_a, log_b):
                   ((c1, log_a + half), (c2, log_b + half)))
 
 
-_E_POW = re.compile(r"^e\^(-?\d+(\.\d+)?)$")
-
-
 def _parse_translate_value(text, field):
-    m = _E_POW.match(text)
-    if m:
-        return float(m.group(1))
+    """log of a translate field: a positive finite real, or e^<real> with
+    a finite exponent."""
+    power = text.startswith("e^")
     try:
-        v = float(text)
+        v = float(text[2:] if power else text)
     except ValueError:
         raise KernelError(f"bad value {text!r} for field {field!r}; "
-                          "expected a real or e^<k>") from None
+                          "expected a real or e^<real>") from None
+    if not math.isfinite(v):
+        raise KernelError(f"field {field!r} must be finite, got {text!r}")
+    if power:
+        return v
     if v <= 0:
         raise KernelError(f"field {field!r} must be positive, got {text!r}")
     return math.log(v)
@@ -204,7 +205,7 @@ def parse_kernel(descriptor):
     """Parse a CLI kernel descriptor.
 
     Forms: 'bspline:<n>', 'char',
-    'translates:<n>:a=<real|e^<k>>,b=<real|e^<k>>'.
+    'translates:<n>:a=<real|e^<real>>,b=<real|e^<real>>'.
     """
     if descriptor == "char":
         return characteristic()

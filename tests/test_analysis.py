@@ -1,6 +1,7 @@
 """Error tables, rate fits, and asymptotic-constant checks."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -14,6 +15,8 @@ from expsample import (
     batch_eval,
     builtin,
     combined_eval,
+    config_digest,
+    config_record,
     durrmeyer_eval,
     empirical_order,
     error_table,
@@ -73,6 +76,39 @@ class TestErrorTable:
         spec = OperatorSpec(b4, b2, 10.0)
         table = error_table(builtin("sinlog"), spec, [2.0], [10.0])
         assert table.cell(2.0, "w=10") == abs(table.rows[0][2] - table.rows[0][3])
+
+
+def _canonical(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+class TestConfigDigest:
+    """config_digest is the first 16 hex digits of the SHA-256 of the
+    canonical JSON, whichever module computes it."""
+
+    @pytest.mark.parametrize("record", [
+        {"chi": "bspline:4", "x": [1.5, 2.0], "p": [], "note": None,
+         "quadrature": {"panel_max_width": 0.5, "nodes_per_unit": 20}},
+        {"x": [1.0 + 5.0 * i / 1500 for i in range(1501)], "w": [25.0]},
+    ], ids=["small", "1501-floats"])
+    def test_equals_hashlib(self, record):
+        expected = hashlib.sha256(_canonical(record).encode()).hexdigest()
+        assert config_digest(record) == expected[:16]
+
+    def test_non_finite_fallback_record(self):
+        # the record of --panel-max-width inf: the number becomes a string
+        record = config_record(quadrature={"nodes_per_unit": 20,
+                                           "panel_max_width": math.inf},
+                               x=[2.0])
+        rest = {k: v for k, v in record.items() if k != "digest"}
+        assert rest["quadrature"]["panel_max_width"] == "Infinity"
+        expected = hashlib.sha256(_canonical(rest).encode()).hexdigest()
+        assert record["digest"] == config_digest(rest) == expected[:16]
+
+    def test_pinned_value(self):
+        # moves if the hash or the canonical form ever changes
+        assert config_digest({"a": 1}) == "015abd7f5cc57a2d"
 
 
 class TestEmpiricalOrder:

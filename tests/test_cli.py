@@ -1,5 +1,6 @@
 """Command-line interface behavior."""
 
+import hashlib
 import json
 import math
 
@@ -16,7 +17,8 @@ def _strict(constant):
 def _run(capsys, argv):
     """Exit code, stdout and record of one run.  The record is the config
     line, checked to be strict JSON whose config_digest is the digest of
-    the summary line, plus that digest."""
+    the summary line, plus that digest.  The line is the exact text that
+    digest hashes, so SHA-256 alone reproduces it."""
     code = main(argv)
     out = capsys.readouterr().out
     lines = out.splitlines()
@@ -24,8 +26,9 @@ def _run(capsys, argv):
     config = [ln for ln in lines if ln.startswith("config: ")]
     assert len(summary) == len(config) == 1, out
     digest = summary[0].rsplit("digest=", 1)[1]
-    record = json.loads(config[0].removeprefix("config: "),
-                        parse_constant=_strict)
+    text = config[0].removeprefix("config: ")
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    record = json.loads(text, parse_constant=_strict)
     assert config_digest(record) == digest
     return code, out, {"digest": digest, **record}
 
@@ -70,6 +73,12 @@ class TestMoments:
     def test_translate_order_below_one_is_usage_error(self, capsys, kernel):
         assert main(["moments", "--kernel", kernel, "--order", "0"]) == 2
         assert "order must be >= 1, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "e^inf", "e^nan"])
+    def test_non_finite_translate_is_usage_error(self, capsys, value):
+        assert main(["moments", "--kernel", f"translates:2:a={value},b=2",
+                     "--order", "2"]) == 2
+        assert "field 'a' must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("route", ["discrete", "continuous", "poisson",
                                        "absolute-discrete",

@@ -5,8 +5,11 @@ run, so a module that a command imports on first use is paid on every
 invocation.  This runs the set-up a CLI process makes (import the CLI,
 parse kernels and functions, build the parser), snapshots sys.modules,
 runs one command of each kind and asserts that no module was added.
+It also asserts that OpenSSL's `_hashlib` is never loaded: the run
+record's digest comes from CPython's built-in SHA-256.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,7 +62,8 @@ codes = []
 for argv in invocations:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(expsample.cli.main(argv))
-print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
+print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before),
+                  "hashlib": "_hashlib" in sys.modules}))
 """
 
 
@@ -74,5 +78,8 @@ def test_first_commands_import_no_module(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(INVOCATIONS)
     assert result["added"] == []
+    # a build without the built-in modules takes the hashlib fallback
+    if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        assert not result["hashlib"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "eval.csv", "rates.json", "table.json", "voronovskaya.json"]

@@ -405,6 +405,26 @@ class TestDescriptors:
         with pytest.raises(KernelError):
             parse_kernel("gauss:3")
 
+    @pytest.mark.parametrize("descriptor", [
+        "translates:2:a=2,b=3", "translates:2:a=e^1.5,b=e^3",
+        "translates:2:a=1e-300,b=3", "translates:2:a=0.5,b=e^-2"])
+    def test_descriptor_parses_back_to_the_kernel(self, descriptor):
+        # a non-integral log is written e^<log>, never as the plain log
+        kern = parse_kernel(descriptor)
+        again = parse_kernel(kern.descriptor)
+        assert again.terms == kern.terms
+        assert again.descriptor == kern.descriptor
+
+    def test_integral_logs_keep_their_text(self):
+        for descriptor in ("translates:2:a=e^2,b=e^3",
+                           "translates:4:a=e^-2,b=e^-3"):
+            assert parse_kernel(descriptor).descriptor == descriptor
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "e^inf", "e^nan"])
+    def test_non_finite_value_named(self, value):
+        with pytest.raises(KernelError, match="field 'a' must be finite"):
+            parse_kernel(f"translates:2:a={value},b=2")
+
 
 # --- reference loops ---------------------------------------------------------
 #
