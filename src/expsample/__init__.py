@@ -41,11 +41,11 @@ from .operators import (
     OperatorSpec,
     batch_eval,
     durrmeyer_eval,
-    kantorovich_eval,
     sampling_eval,
     write_batch_csv,
 )
 from .combinations import (
+    PLAIN,
     CombinationSpec,
     combined_eval,
     combined_moment,

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .combinations import (_moment_terms, combine, combined_eval,
+from .combinations import (PLAIN, _moment_terms, combine, combined_eval,
                            solve_coefficients)
 from .operators import durrmeyer_eval, write_csv, write_json
 
@@ -126,8 +126,9 @@ def error_table(f, spec, xs, columns):
     """Cross product of evaluation points and columns, row-major.
 
     All columns are one durrmeyer_eval call over the pairs (x, i w) of
-    every column (i = 1 .. p); values are kept at full precision.  The
-    metadata is the config_record of f's name, points and column labels.
+    every column (i = 1 .. p), and combine sums each column, p = 1
+    included; values are kept at full precision.  The metadata is the
+    config_record of f's name, points and column labels.
     """
     cols = [c if isinstance(c, Column) else Column(float(c)) for c in columns]
     scales = [i * c.w for c in cols for i in range(1, c.p + 1)]
@@ -135,9 +136,8 @@ def error_table(f, spec, xs, columns):
                             scales).T
     by_column, start = [], 0
     for c in cols:
-        block = values[start:start + c.p]
-        by_column.append((block[0] if c.p == 1 else
-                          combine(solve_coefficients(c.p), block)).tolist())
+        by_column.append(combine(solve_coefficients(c.p),
+                                 values[start:start + c.p]).tolist())
         start += c.p
     rows = []
     for i, x in enumerate(xs):
@@ -177,26 +177,29 @@ def richardson(ws, values):
     return values[-1] + (values[-1] - values[-2]) / (q - 1.0)
 
 
-def _sweep(f, spec, x, ws, combination):
-    """(I_w f)(x), or the combination, at every w of ws: one engine call."""
-    if combination is None:
-        return durrmeyer_eval(spec, f, x, ws).tolist()
-    return combined_eval(combination, spec, f, x, ws).tolist()
-
-
-def empirical_order(f, spec, x, ws, combination=None, target_order=None):
-    """Fit the empirical convergence order of the (combined) operator.
-
-    Needs at least 3 scales.  A zero error anywhere makes the order
-    meaningless; it is reported as +inf with the zero_error flag set.
-    """
+def _scales(ws):
+    """ws as a list of floats, or a ValueError unless it holds at least 3
+    strictly increasing scales."""
     ws = [float(w) for w in ws]
     if len(ws) < 3:
-        raise ValueError("need at least 3 scales for a rate fit")
-    if any(b >= a for a, b in zip(ws[1:], ws[:-1])):
+        raise ValueError("need at least 3 scales")
+    if any(b <= a for a, b in zip(ws, ws[1:])):
         raise ValueError("w sequence must be strictly increasing")
+    return ws
+
+
+def empirical_order(f, spec, x, ws, combination=PLAIN, target_order=None):
+    """Fit the empirical convergence order of the combined operator (by
+    default order 1, the operator itself).
+
+    Needs at least 3 strictly increasing scales.  A zero error anywhere
+    makes the order meaningless; it is reported as +inf with the
+    zero_error flag set.
+    """
+    ws = _scales(ws)
     fx = f(x)
-    errors = [val - fx for val in _sweep(f, spec, x, ws, combination)]
+    errors = [val - fx for val in
+              combined_eval(combination, spec, f, x, ws).tolist()]
     if any(e == 0.0 for e in errors):
         return RateReport(x=x, w_sequence=tuple(ws), errors=tuple(errors),
                           fitted_order=math.inf, extrapolated_constant=0.0,
@@ -266,7 +269,7 @@ class AsymptoticCheck:
 _ROUNDOFF = 1e-12
 
 
-def voronovskaya_check(f, spec, x, ws, j, combination=None):
+def voronovskaya_check(f, spec, x, ws, j, combination=PLAIN):
     """Compare the moment-formula prediction of w^j (I_w f - f)(x) with
     the measured scaled errors.
 
@@ -284,12 +287,12 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
     has the limit 0.0.  With a combination the prediction covers order j
     only: the orders below j cancel only where their coefficients are the
     same at every x^{iw}, which lower_orders_cancel reports.  Divergence
-    of the scaled-error sequence is flagged, not raised.  The operator
-    values at all the scales are one engine call.
+    of the scaled-error sequence is flagged, not raised.  The scales are
+    checked as by empirical_order, and the operator values at all of
+    them are one engine call; the combination defaults to order 1, the
+    operator itself.
     """
-    ws = [float(w) for w in ws]
-    if len(ws) < 3:
-        raise ValueError("need at least 3 scales")
+    ws = _scales(ws)
     if x <= 0:
         raise ValueError("x must be positive")
     deriv = f.log_derivative(j)
@@ -297,10 +300,10 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
         raise ValueError(
             f"{getattr(f, 'name', f)!r} has no closed-form derivative of "
             f"order {j}; the prediction needs one")
-    comb = combination if combination is not None else solve_coefficients(1)
     # the phase comes from w log x: x^w itself overflows
     log_u = np.array(ws) * math.log(x)
-    coeffs, sizes = _moment_terms(comb, spec.chi, spec.phi, j, log_u=log_u)
+    coeffs, sizes = _moment_terms(combination, spec.chi, spec.phi, j,
+                                  log_u=log_u)
     factor = deriv(x) / math.factorial(j)
     sizes = abs(factor) * sizes
     predictions = tuple(0.0 if abs(p) <= _ROUNDOFF * s else float(p)
@@ -310,18 +313,18 @@ def voronovskaya_check(f, spec, x, ws, j, combination=None):
     has_limit = spread <= _ROUNDOFF * magnitude
 
     fx = f(x)
-    scaled = [w ** j * (val - fx)
-              for w, val in zip(ws, _sweep(f, spec, x, ws, combination))]
+    scaled = [w ** j * (val - fx) for w, val in
+              zip(ws, combined_eval(combination, spec, f, x, ws).tolist())]
     mags = [abs(s) for s in scaled]
-    diverged = len(mags) >= 3 and mags[-1] > 2.0 * mags[0] and mags[-1] > mags[-2] > mags[-3]
+    diverged = mags[-1] > 2.0 * mags[0] and mags[-1] > mags[-2] > mags[-3]
     return AsymptoticCheck(
         x=x, order=j,
         predicted=predictions[-1] if has_limit else None,
         extrapolated=richardson(ws, scaled) if has_limit else None,
         scaled_errors=tuple(scaled), diverged=diverged,
         predictions=predictions, has_limit=has_limit, magnitude=magnitude,
-        lower_orders_cancel=comb.p == 1 or _lower_orders_cancel(
-            comb, spec.chi, spec.phi, j, log_u))
+        lower_orders_cancel=combination.p == 1 or _lower_orders_cancel(
+            combination, spec.chi, spec.phi, j, log_u))
 
 
 def _lower_orders_cancel(comb, chi, phi, j, log_u):

@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .analysis import (Column, config_record, empirical_order, error_table,
                        voronovskaya_check)
-from .combinations import solve_coefficients
+from .combinations import PLAIN, solve_coefficients
 from .errors import EvaluationError, ExpSampleError, SamplingError
 from .functions import function_from_spec
 from .kernels import (absolute_moment, continuous_moment, discrete_moment,
@@ -227,7 +227,7 @@ def _cmd_eval(args):
     f, xs, ws, spec, combs, record = _operator_inputs(
         args, "combination coefficients:")
     rows = batch_eval(spec, f, [(x, w) for x in xs for w in ws],
-                      combination=combs[-1] if combs else None)
+                      combination=(combs or [PLAIN])[-1])
     if args.out:
         if args.format == "csv":
             write_batch_csv(rows, args.out)
@@ -264,8 +264,8 @@ def _cmd_table(args):
 def _cmd_rates(args):
     f, x, ws, spec, combs, record = _operator_inputs(
         args, "combination coefficients:")
-    report = empirical_order(f, spec, x, ws, combination=combs[-1] if combs
-                             else None, target_order=args.target_order)
+    report = empirical_order(f, spec, x, ws, (combs or [PLAIN])[-1],
+                             target_order=args.target_order)
     print(f"fitted order: {report.fitted_order:.4f}")
     print(f"extrapolated constant (order {report.target_order}): "
           f"{report.extrapolated_constant:.6g}")
@@ -278,8 +278,8 @@ def _cmd_rates(args):
 
 def _cmd_voronovskaya(args):
     f, x, ws, spec, combs, record = _operator_inputs(args)
-    comb = combs[-1] if combs else None
-    check = voronovskaya_check(f, spec, x, ws, args.j, combination=comb)
+    comb = (combs or [PLAIN])[-1]
+    check = voronovskaya_check(f, spec, x, ws, args.j, comb)
     if check.has_limit:
         print(f"predicted constant:    {check.predicted:.8g}")
         print(f"extrapolated constant: {check.extrapolated:.8g}")
@@ -292,7 +292,7 @@ def _cmd_voronovskaya(args):
             print(f"w={w:g} predicted {pred:.8g} measured {scaled:.8g}")
         print(f"max deviation:         {check.max_deviation:.3g}")
         note = f"no limit, max deviation {check.max_deviation:.3g}"
-    if comb is not None and comb.p > 1:
+    if comb.p > 1:
         print("lower orders:          " + (
             "cancel at every w" if check.lower_orders_cancel else
             f"do not cancel at every w; the order-{args.j} prediction "

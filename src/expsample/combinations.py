@@ -51,6 +51,10 @@ def solve_coefficients(p):
     return CombinationSpec(p=p, beta=beta)
 
 
+# the order-1 combination, beta = (1): the operator itself
+PLAIN = solve_coefficients(1)
+
+
 def residuals(spec):
     """Residual of each equation of the coefficient system, in float."""
     out = []
@@ -75,9 +79,11 @@ def combined_eval(spec, op, f, x, w=None):
 
 def combine(spec, values):
     """sum_i beta_i values[i - 1], in index order, over the leading axis
-    of values (the evaluations at the scales w, 2w, ..., pw)."""
-    total = 0.0
-    for beta, value in zip(spec.beta, values):
+    of values (the evaluations at the scales w, 2w, ..., pw).  The sum
+    starts from beta_1 values[0], so order 1 returns the values
+    themselves, signed zeros included."""
+    total = spec.beta[0] * values[0]
+    for beta, value in zip(spec.beta[1:], values[1:]):
         total = total + beta * value
     return total
 
@@ -93,7 +99,7 @@ def pair_moment(chi, phi, j, u=1.0):
     log u for translate combinations from order 2 on, so the phase
     matters exactly when the kernel makes it matter.
     """
-    return combined_moment(solve_coefficients(1), chi, phi, j, u)
+    return combined_moment(PLAIN, chi, phi, j, u)
 
 
 def combined_moment(spec, chi, phi, j, u=1.0, log_u=None):

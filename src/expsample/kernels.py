@@ -164,6 +164,13 @@ def _log_literal(value):
     return f"e^{value!r}"
 
 
+# the support and lattice sums of a translate kernel grow with |log a| and
+# |log b|; past this bound they exhaust memory or lose every digit (log a =
+# 1e8 asked the discrete route for a 763 MiB array, 1e300 made the
+# continuous moment -3.0e300)
+MAX_TRANSLATE_LOG = 2.0 ** 16
+
+
 def make_translate_combination(n, log_a, log_b):
     """Kernel psi(x) = c1 B_n(a x) + c2 B_n(b x) with
 
@@ -171,8 +178,14 @@ def make_translate_combination(n, log_a, log_b):
 
     so that c1 + c2 = 1 and c1 log a + c2 log b = 0; the construction
     forces the zeroth discrete moment to 1 and the first to 0.  The
-    translates are given as log a, log b so that e^k shifts stay exact.
+    translates are given as log a, log b so that e^k shifts stay exact;
+    each must lie within +-MAX_TRANSLATE_LOG.
     """
+    for field, value in (("a", log_a), ("b", log_b)):
+        if not abs(value) <= MAX_TRANSLATE_LOG:
+            raise KernelError(
+                f"field {field!r}: |log {field}| = {abs(value):.6g} exceeds "
+                f"the bound 2^16 = {MAX_TRANSLATE_LOG:g}")
     if log_a == log_b:
         raise KernelError("singular system: log a = log b")
     c1 = log_b / (log_b - log_a)

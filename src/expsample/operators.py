@@ -12,9 +12,9 @@ window (w, k) that its points need once, from one evaluation of f on the
 nodes of the lattice periods those windows reach (see the engine notes
 below).  sampling_eval is the bare series driven by raw sample values;
 both sum their windows with one engine, _series.  Choosing phi as the
-indicator of [1, e) turns the inner integral into the plain mean of
-f(e^u) over [k/w, (k+1)/w]; kantorovich_eval implements that form
-directly, point by point, as an independent route.
+indicator of [1, e) (the char kernel) turns the inner integral into the
+plain mean of f(e^u) over [k/w, (k+1)/w]: the Kantorovich form is that
+operator, with no route of its own.
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ import numpy as np
 from .errors import EvaluationError, SamplingError
 from .functions import RealFunction
 from .kernels import Kernel
-from .quadrature import (DEFAULT_CONFIG, LogInterval, QuadratureConfig,
-                         cell_rule, log_rule, panel_counts)
+from .quadrature import QuadratureConfig, cell_rule, panel_counts
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """A (chi, phi) kernel pair with scale w and numerical policy.
 
-    truncation_radius narrows the outer sum to |k - w log x| <= radius (None:
-    the window of chi's support); it may not be smaller than chi's support
-    radius, so it drops only terms where chi is 0 and changes no value.
+    The engine does not read truncation_radius: every series sums over
+    the window of chi's support, outside which chi is 0.  The field stays
+    for callers that pass it, is validated (it may not be smaller than
+    chi's support radius) and enters the run record, null from the CLI.
     """
 
     chi: Kernel
@@ -62,10 +62,6 @@ class OperatorSpec:
                     "truncation_radius may not be smaller than the support "
                     f"radius {self.chi.log_support_radius} of chi")
 
-    def with_w(self, w):
-        return OperatorSpec(self.chi, self.phi, w,
-                            self.truncation_radius, self.quadrature)
-
 
 def _admissibility_warning(f):
     if not getattr(f, "admissible", False):
@@ -81,10 +77,10 @@ def _admissibility_warning(f):
 _MAX_CENTRE = 2.0 ** 52
 
 
-def _windows(chi, w, xs, radius=None):
+def _windows(chi, w, xs):
     """Centres w log x and the ranges kmin..kmax of integers k with
-    chi(e^{-k} x^w) != 0 (possibly narrowed by radius), one per x; w is
-    a float or an array of one scale per x."""
+    chi(e^{-k} x^w) != 0, one per x; w is a float or an array of one
+    scale per x."""
     xs = np.asarray(xs, dtype=float)
     ws = np.broadcast_to(np.asarray(w, dtype=float), xs.shape)
     tc = ws * np.log(xs)
@@ -96,18 +92,8 @@ def _windows(chi, w, xs, radius=None):
             ">= 2^52 the lattice indices around it are not exact in double "
             "precision")
     lo, hi = chi.support
-    kmin = np.floor(tc - hi)
-    kmax = np.ceil(tc - lo)
-    if radius is not None:
-        kmin = np.maximum(kmin, np.ceil(tc - radius))
-        kmax = np.minimum(kmax, np.floor(tc + radius))
-    empty = kmin > kmax
-    if np.any(empty):
-        i = int(np.argmax(empty))
-        raise EvaluationError(
-            f"empty summation window for w={ws[i]}, x={xs[i]}: check "
-            "truncation_radius")
-    return tc, kmin.astype(np.int64), kmax.astype(np.int64)
+    return (tc, np.floor(tc - hi).astype(np.int64),
+            np.ceil(tc - lo).astype(np.int64))
 
 
 # --- shared-lattice engine --------------------------------------------------
@@ -145,8 +131,18 @@ def _knot_phases(phi):
 def _f_at_nodes(f, us, where):
     """f at t = e^u for every u: one array call for a RealFunction, then
     point by point when that fails or for any other callable, so an error
-    names the first offending t and its window (where(i) for us[i])."""
-    ts = np.exp(us)
+    names the first offending t and its window.  where(i) gives the scale
+    and the window of us[i].  A node whose e^u is 0 or inf in double
+    precision fails before f is called, naming its u, w and window."""
+    with np.errstate(over="ignore"):
+        ts = np.exp(us)
+    outside = ~((ts > 0.0) & (ts < math.inf))
+    if np.any(outside):
+        i = int(np.argmax(outside))
+        w, window = where(i)
+        raise EvaluationError(
+            f"the node t=e^u at u={us[i]:.6g} for w={w} rounds to "
+            f"t={float(ts[i])!r} in double precision, inside {window}")
     if isinstance(f, RealFunction):
         try:
             values = np.asarray(f(ts), dtype=float)
@@ -159,11 +155,11 @@ def _f_at_nodes(f, us, where):
         try:
             fv = f(t)
         except EvaluationError as exc:
-            raise EvaluationError(
-                f"evaluating f at t={t!r} inside {where(i)}: {exc}") from exc
+            raise EvaluationError(f"evaluating f at t={t!r} inside "
+                                  f"{where(i)[1]}: {exc}") from exc
         if not math.isfinite(fv):
             raise EvaluationError(
-                f"non-finite value of f at t={t!r} inside {where(i)}")
+                f"non-finite value of f at t={t!r} inside {where(i)[1]}")
         values[i] = fv
     return values
 
@@ -180,7 +176,7 @@ def _distinct(major, minor):
     return major[new], minor[new], index
 
 
-def _series(chi, xs, ws, radius, window_values):
+def _series(chi, xs, ws, window_values):
     """The series sum_k chi(e^{-k} x^w) v_k at the pairs of the checked
     arrays xs and ws of one shape: an array of that shape, or a float
     for 0-d arrays.  window_values(win_w, win_k) gives the v_k of the
@@ -190,7 +186,7 @@ def _series(chi, xs, ws, radius, window_values):
     if xs.size == 0:
         return np.empty(shape)
     xs, ws = xs.ravel(), ws.ravel()
-    tc, kmin, kmax = _windows(chi, ws, xs, radius)
+    tc, kmin, kmax = _windows(chi, ws, xs)
     ks = kmin[:, None] + np.arange(int((kmax - kmin).max()) + 1)
     chi_rows = np.asarray(chi.eval_log((tc[:, None] - ks).ravel()),
                           dtype=float).reshape(ks.shape)
@@ -258,7 +254,7 @@ def _window_means(spec, f, win_w, win_k):
         reach = np.intersect1d(per_m[p] - ds[band[:, j] != 0.0],
                                win_k[win_w == w])
         k = reach[np.argmin(np.abs(w * us[i] - reach - 0.5 * (lo + hi)))]
-        return f"the convolution window around s=e^{k / w:.6g}"
+        return float(w), f"the convolution window around s=e^{k / w:.6g}"
 
     values = _f_at_nodes(f, np.concatenate([part[-1] for part in parts]), where)
     means = []
@@ -302,41 +298,7 @@ def durrmeyer_eval(spec, f, x, w=None):
     """
     xs, ws = _pairs(x, spec.w if w is None else w)
     _admissibility_warning(f)
-    return _series(spec.chi, xs, ws, spec.truncation_radius,
-                   functools.partial(_window_means, spec, f))
-
-
-def kantorovich_eval(chi, f, w, x, cfg=DEFAULT_CONFIG):
-    """The integral-mean form: sum_k chi(e^{-k} x^w) w int_{k/w}^{(k+1)/w}
-    f(e^u) du at one x > 0, written out directly rather than through a
-    phi kernel.  Must agree with durrmeyer_eval under the characteristic
-    kernel."""
-    _pairs(x, w)
-    _admissibility_warning(f)
-    tc, kmin, kmax = _windows(chi, w, [x])
-    ks = np.arange(kmin[0], kmax[0] + 1)
-    weights = np.asarray(chi.eval_log(tc[0] - ks), dtype=float)
-    total = 0.0
-    for k, cw in zip(ks, weights):
-        if cw == 0.0:
-            continue
-        iv = LogInterval(k / w, (k + 1) / w)
-        inner = 0.0
-        for u, wt in zip(*log_rule(iv, cfg)):
-            t = math.exp(u)
-            try:
-                fv = f(t)
-            except EvaluationError as exc:
-                raise EvaluationError(
-                    f"evaluating f at t={t!r} in the mean over "
-                    f"[{k}/{w}, {k + 1}/{w}]: {exc}") from exc
-            if not math.isfinite(fv):
-                raise EvaluationError(
-                    f"non-finite value of f at t={t!r} in the "
-                    f"mean over [{k}/{w}, {k + 1}/{w}]")
-            inner += wt * fv
-        total += cw * w * inner
-    return float(total)
+    return _series(spec.chi, xs, ws, functools.partial(_window_means, spec, f))
 
 
 def _samples(samples, win_w, win_k):
@@ -345,8 +307,8 @@ def _samples(samples, win_w, win_k):
     if callable(samples):
         return _f_at_nodes(
             samples, win_k / win_w,
-            lambda i: f"the sampling series at its node "
-                      f"e^{{{win_k[i]}/{win_w[i]}}}")
+            lambda i: (float(win_w[i]), f"the sampling series at its node "
+                                        f"e^{{{win_k[i]}/{win_w[i]}}}"))
     ks = win_k.tolist()
     for k, w in zip(ks, win_w.tolist()):
         if k not in samples:
@@ -368,27 +330,25 @@ def sampling_eval(chi, samples, w, x):
     pairs of the call.
     """
     xs, ws = _pairs(x, w)
-    return _series(chi, xs, ws, None, functools.partial(_samples, samples))
+    return _series(chi, xs, ws, functools.partial(_samples, samples))
 
 
 # --- batch evaluation -------------------------------------------------------
 
 def batch_eval(spec, f, points, combination=None):
-    """Evaluate the operator, or the combination sum_i beta_i I_{iw} when
-    one is given, at a list of (x, w) pairs.
+    """Evaluate the combination sum_i beta_i I_{iw} at a list of (x, w)
+    pairs; without one, the order-1 combination, the operator itself.
 
-    All points are one durrmeyer_eval (or combined_eval) call, so the
-    points of one scale share one lattice and all scales one evaluation
-    of f.  Returns rows (x, w, f(x), value, abs_err) in input order, with
-    f(x) from a scalar call.
+    All points are one combined_eval call, so the points of one scale
+    share one lattice and all scales one evaluation of f.  Returns rows
+    (x, w, f(x), value, abs_err) in input order, with f(x) from a scalar
+    call.
     """
+    # combinations imports this module, so its names are read at call time
+    from .combinations import PLAIN, combined_eval
     xs = np.array([x for x, _ in points], dtype=float)
     ws = np.array([w for _, w in points], dtype=float)
-    if combination is None:
-        values = durrmeyer_eval(spec, f, xs, ws)
-    else:
-        from .combinations import combined_eval
-        values = combined_eval(combination, spec, f, xs, ws)
+    values = combined_eval(combination or PLAIN, spec, f, xs, ws)
     rows = []
     for (x, w), value in zip(points, values.tolist()):
         fx = f(x)

@@ -123,8 +123,8 @@ def simpson_operator_oracle(chi, phi, w, f, x, n_inner=4001):
 def dense_config_oracle(spec, f, x):
     """The package's own evaluator at 10x quadrature density; independent
     of the default configuration.  Its truncation radius of twice chi's
-    support radius drops no term, as any radius may not cut into that
-    support."""
+    support radius is recorded but not read: every series sums over the
+    window of chi's support."""
     dense = OperatorSpec(
         chi=spec.chi,
         phi=spec.phi,

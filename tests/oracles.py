@@ -2,7 +2,8 @@
 
 Each computes one value point by point, on its own code path: the
 convolution mean of f on its own knot-aligned rule, the sampling series
-as a loop over k, and the log-coordinate derivative by central finite
+as a loop over k, the integral-mean (Kantorovich) form as a loop over k
+of plain means, and the log-coordinate derivative by central finite
 differences.  They may import from expsample only its errors and its
 quadrature rules; tests/test_oracles_independent.py checks that, and that
 the package defines none of the names here.
@@ -70,6 +71,37 @@ def series_oracle(chi, samples, w, x):
         else:
             raise SamplingError(f"no sample for k={k} in the table")
         total += cw * g
+    return float(total)
+
+
+def kantorovich_eval(chi, f, w, x, cfg=DEFAULT_CONFIG):
+    """The integral-mean form sum_k chi(e^{-k} x^w) w int_{k/w}^{(k+1)/w}
+    f(e^u) du at one x > 0, written out directly rather than through a
+    phi kernel: the operator with phi = char, summed k by k from the left
+    over the integers with chi(e^{-k} x^w) != 0."""
+    lo, hi = chi.support
+    tc = (w * np.log(np.array([x], dtype=float)))[0]
+    ks = np.arange(int(np.floor(tc - hi)), int(np.ceil(tc - lo)) + 1)
+    weights = np.asarray(chi.eval_log(tc - ks), dtype=float)
+    total = 0.0
+    for k, cw in zip(ks.tolist(), weights):
+        if cw == 0.0:
+            continue
+        inner = 0.0
+        for u, wt in zip(*log_rule(LogInterval(k / w, (k + 1) / w), cfg)):
+            t = math.exp(u)
+            try:
+                fv = f(t)
+            except EvaluationError as exc:
+                raise EvaluationError(
+                    f"evaluating f at t={t!r} in the mean over "
+                    f"[{k}/{w}, {k + 1}/{w}]: {exc}") from exc
+            if not math.isfinite(fv):
+                raise EvaluationError(
+                    f"non-finite value of f at t={t!r} in the "
+                    f"mean over [{k}/{w}, {k + 1}/{w}]")
+            inner += wt * fv
+        total += cw * w * inner
     return float(total)
 
 

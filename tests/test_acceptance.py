@@ -42,7 +42,6 @@ from expsample import (
     continuous_moment,
     durrmeyer_eval,
     empirical_order,
-    kantorovich_eval,
     make_translate_combination,
     mellin_bspline,
     mellin_transform,
@@ -54,6 +53,7 @@ from expsample import (
     voronovskaya_check,
 )
 from expsample.expr import evaluate, parse_expression, to_source
+from oracles import kantorovich_eval
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 

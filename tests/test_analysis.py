@@ -309,7 +309,7 @@ class TestOneEngineCall:
                 lambda f: voronovskaya_check(f, spec, 2.0, ws, 2),
                 lambda f: voronovskaya_check(f, spec, 2.0, ws, 3,
                                              combination=comb),
-                lambda f: combined_eval(comb, spec.with_w(50.0), f, 2.0),
+                lambda f: combined_eval(comb, spec, f, 2.0, 50.0),
                 lambda f: combined_eval(comb, spec, f, np.array([1.5, 2.0]),
                                         np.array([50.0, 80.0])),
                 lambda f: batch_eval(spec, f, [(2.0, 50.0), (3.0, 90.0)],
@@ -328,10 +328,10 @@ class TestOneEngineCall:
         for x, label, _, value in table.rows:
             col = cols[[c.label for c in cols].index(label)]
             if col.p == 1:
-                ref = durrmeyer_eval(spec.with_w(col.w), f, x)
+                ref = durrmeyer_eval(spec, f, x, col.w)
             else:
-                ref = combined_eval(solve_coefficients(col.p),
-                                    spec.with_w(col.w), f, x)
+                ref = combined_eval(solve_coefficients(col.p), spec, f, x,
+                                    col.w)
             assert abs(value - ref) <= 1e-13 * abs(ref)
 
     def test_values_do_not_depend_on_the_other_scales(self, b4, b2):
@@ -345,11 +345,11 @@ class TestOneEngineCall:
         ws = [50.0, 100.0, 200.0, 400.0]
         report = empirical_order(f, spec, 2.0, ws)
         assert list(report.errors) == [
-            durrmeyer_eval(spec.with_w(w), f, 2.0) - f(2.0) for w in ws]
+            durrmeyer_eval(spec, f, 2.0, w) - f(2.0) for w in ws]
         comb = solve_coefficients(3)
         report = empirical_order(f, spec, 2.0, ws, combination=comb)
         assert list(report.errors) == [
-            combined_eval(comb, spec.with_w(w), f, 2.0) - f(2.0) for w in ws]
+            combined_eval(comb, spec, f, 2.0, w) - f(2.0) for w in ws]
 
     def test_errors_name_t_and_window_through_a_sweep(self, b2):
         f = parse_function("log(x - 5)")

@@ -80,6 +80,32 @@ class TestMoments:
                      "--order", "2"]) == 2
         assert "field 'a' must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, route, value", [
+        ("a", "discrete", "e^1e8"), ("a", "continuous", "e^1e21"),
+        ("b", "continuous", "e^1e300"), ("b", "poisson", "e^-65537")])
+    def test_huge_translate_log_is_usage_error(self, capsys, field, route,
+                                               value):
+        # past |log a| = 2^16 the lattice sums exhaust memory (e^1e8 asked
+        # for 763 MiB) or lose every digit (e^1e300 printed -3.0e300)
+        other = "b=e^3" if field == "a" else "a=e^3"
+        kernel = f"translates:2:{field}={value},{other}"
+        assert main(["moments", "--kernel", kernel, "--order", "2",
+                     "--route", route]) == 2
+        err = capsys.readouterr().err
+        assert f"field {field!r}: |log {field}| = " in err
+        assert "exceeds the bound 2^16 = 65536" in err
+
+    @pytest.mark.parametrize("kernel, route, value", [
+        ("translates:2:a=e^1e4,b=e^3", "continuous", "-29999.8333333333"),
+        ("translates:2:a=e^1e4,b=e^3", "discrete", "-30000.0000000000"),
+        ("translates:2:a=e^2,b=e^3", "continuous", "-5.8333333333"),
+        ("translates:2:a=e^2,b=e^3", "discrete", "-6.0000000000")])
+    def test_translates_within_the_bound_are_unchanged(self, capsys, kernel,
+                                                       route, value):
+        assert main(["moments", "--kernel", kernel, "--order", "2",
+                     "--route", route]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == value
+
     @pytest.mark.parametrize("route", ["discrete", "continuous", "poisson",
                                        "absolute-discrete",
                                        "absolute-continuous"])
@@ -124,6 +150,21 @@ class TestEvalAndTable:
     def test_eval_numerical_failure_exit_code(self, capsys):
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",
                      "--fn", "expr:log(x - 5)", "--x", "2", "--w", "10"]) == 1
+
+    @pytest.mark.parametrize("fn, x, w, node", [
+        # the node e^u underflows to 0 at u near -1000, far from x = 2
+        ("name:const:1", "2", "0.002",
+         "u=-999.997 for w=0.002 rounds to t=0.0"),
+        # the node overflows to inf; f once read t = inf (const:1 printed 1)
+        ("name:sinlog", "1e308", "1", "u=709.83 for w=1.0 rounds to t=inf"),
+        ("name:const:1", "1e308", "1", "u=709.83 for w=1.0 rounds to t=inf")])
+    def test_node_beyond_double_range_is_named(self, capsys, fn, x, w, node):
+        assert main(["eval", "--chi", "bspline:4", "--phi", "bspline:2",
+                     "--fn", fn, "--x", x, "--w", w]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (f"numerical failure: the node t=e^u at {node} in double "
+                "precision, inside the convolution window around s=e^") in err
 
     def test_eval_malformed_expression_is_usage_error(self, capsys):
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",
@@ -262,6 +303,29 @@ class TestRatesAndVoronovskaya:
         doc = json.loads(out.read_text())
         assert doc["limit"] is True and doc["predicted"] == 0.0
         assert doc["relative_deviation"] == math.inf
+
+
+class TestScaleChecks:
+    @pytest.mark.parametrize("ws", ["400,100,50,200", "50,50,100",
+                                    "50,200,100", "50,100"])
+    @pytest.mark.parametrize("chi", ["bspline:4", "translates:2:a=e^2,b=e^3"])
+    def test_rates_and_voronovskaya_reject_the_same_scales(self, capsys, ws,
+                                                           chi):
+        # one check, before the engine call: at least 3 strictly
+        # increasing scales (voronovskaya once accepted all but the last)
+        common = ["--chi", chi, "--phi", "bspline:2", "--fn", "name:sinlog",
+                  "--x", "2", "--w", ws]
+        messages = []
+        for argv in (["rates", *common],
+                     ["voronovskaya", *common, "--j", "2"]):
+            assert main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            messages.append(err.removeprefix(f"expsample {argv[0]}: "))
+        assert messages[0] == messages[1]
+        assert messages[0] in ("numerical failure: need at least 3 scales\n",
+                               "numerical failure: w sequence must be "
+                               "strictly increasing\n")
 
 
 class TestRepeatedCalls:

@@ -17,6 +17,7 @@ from expsample import (
     residuals,
     solve_coefficients,
 )
+from expsample.combinations import combine
 
 
 def _eliminate(p):
@@ -79,6 +80,16 @@ class TestCombinedEval:
         spec = OperatorSpec(b4, b2, 17.0)
         f = builtin("fig2")
         assert combined_eval(comb, spec, f, 2.3) == durrmeyer_eval(spec, f, 2.3)
+
+    def test_order_1_returns_its_input_bit_for_bit(self, rng):
+        # the sum starts from beta_1 values[0]: a start at 0.0 would turn
+        # -0.0 into 0.0 + 1.0 * -0.0 = 0.0
+        values = np.array([[-0.0, 0.0, 1.5, -2.5e-310, math.inf,
+                            *rng.normal(size=5)]])
+        got = combine(solve_coefficients(1), values)
+        assert got.tobytes() == values[0].tobytes()
+        assert np.signbit(got[0]) and not np.signbit(got[1])
+        assert np.signbit(combine(solve_coefficients(1), [-0.0]))
 
     def test_p3_beats_plain_on_smooth_function(self, b4, b2):
         f = builtin("fig2")

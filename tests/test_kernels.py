@@ -138,6 +138,15 @@ class TestTranslateCombination:
         with pytest.raises(KernelError, match="singular"):
             make_translate_combination(2, 1.0, 1.0)
 
+    def test_translate_logs_are_bounded(self):
+        # up to 2^16 a translate builds; past it, or nan, is named
+        kern = make_translate_combination(2, -2.0 ** 16, 2.0 ** 16)
+        assert kern.coefficients == (0.5, 0.5)
+        for la, lb, field in [(2.0 ** 16 + 1.0, 3.0, "a"),
+                              (2.0, -1e300, "b"), (math.nan, 3.0, "a")]:
+            with pytest.raises(KernelError, match=f"field '{field}'.*2\\^16"):
+                make_translate_combination(2, la, lb)
+
     def test_coefficients_sum_to_one(self):
         for la, lb in [(-2.0, -3.0), (0.5, 2.0), (-1.0, 4.0)]:
             kern = make_translate_combination(3, la, lb)

@@ -2,6 +2,7 @@
 dual-route checks that keep them honest."""
 
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -19,7 +20,6 @@ from expsample import (
     builtin,
     combined_eval,
     durrmeyer_eval,
-    kantorovich_eval,
     parse_function,
     parse_kernel,
     sampling_eval,
@@ -28,7 +28,7 @@ from expsample import (
 )
 from expsample.operators import BATCH_CSV_COLUMNS
 from conftest import dense_config_oracle, simpson_operator_oracle
-from oracles import mellin_convolution, series_oracle
+from oracles import kantorovich_eval, mellin_convolution, series_oracle
 from test_analysis import _counting
 
 
@@ -106,8 +106,8 @@ class TestDurrmeyer:
         for _ in range(20):
             x = float(rng.uniform(1.2, 4.0))
             w = float(rng.uniform(5.0, 60.0))
-            ours = durrmeyer_eval(spec.with_w(w), f, x)
-            ref = dense_config_oracle(spec.with_w(w), f, x)
+            ours = durrmeyer_eval(spec, f, x, w)
+            ref = dense_config_oracle(dataclasses.replace(spec, w=w), f, x)
             assert abs(ours - ref) <= 1e-8
 
     def test_locality(self, b4, b2):
@@ -131,9 +131,9 @@ class TestDurrmeyer:
             OperatorSpec(b4, b2, 10.0, truncation_radius=1.0)
 
     def test_truncation_radius_drops_only_zero_terms(self, b4, b2):
-        # a radius (here twice the support radius of chi) only narrows the
-        # outer window and may not cut into chi's support, so the oracle of
-        # the golden tables gives the values of the exact window, bit for bit
+        # the engine does not read the radius (here twice the support
+        # radius of chi), so the oracle of the golden tables gives the
+        # values of the exact window, bit for bit
         f = builtin("fig2")
         cfg = QuadratureConfig(nodes_per_unit=200)
         xs = np.linspace(1.2, 4.8, 50)[:, None]
@@ -191,8 +191,6 @@ class TestDurrmeyer:
         with pytest.raises(EvaluationError, match=message):
             durrmeyer_eval(spec, f, 2.0)
         with pytest.raises(EvaluationError, match=message):
-            kantorovich_eval(b4, f, 1e17, 2.0)
-        with pytest.raises(EvaluationError, match=message):
             sampling_eval(b4, f, 1e17, 2.0)
 
     def test_window_below_integer_precision_evaluates(self, b4):
@@ -240,7 +238,7 @@ class TestDurrmeyer:
         assert got.shape == (3, 2)
         for i, w in enumerate(ws.ravel()):
             for j, x in enumerate(xs):
-                scalar = durrmeyer_eval(spec.with_w(float(w)), f, float(x))
+                scalar = durrmeyer_eval(spec, f, float(x), float(w))
                 assert abs(got[i, j] - scalar) <= 1e-13 * abs(scalar)
         assert isinstance(durrmeyer_eval(spec, f, 2.0, 30.0), float)
         with pytest.raises(ValueError, match="w must be positive"):
@@ -296,9 +294,8 @@ class TestInputChecks:
         with pytest.raises(ValueError) as expected:
             durrmeyer_eval(OperatorSpec(b4, b4, 10.0), f, x, w)
         assert str(expected.value).startswith(f"{which} must be")
-        for form in (kantorovich_eval, sampling_eval):
-            with pytest.raises(ValueError, match=f"^{expected.value}$"):
-                form(b4, f, w, x)
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            sampling_eval(b4, f, w, x)
 
 
 SAMPLING_KERNELS = [f"bspline:{n}" for n in range(1, 7)] + [
@@ -367,6 +364,15 @@ class TestSampling:
                            match=r"t=1\.0 inside .* node e\^\{0/1\.0\}"):
             sampling_eval(b2, parse_function("log(x - 5)"), 1.0, 2.0)
 
+    def test_node_beyond_double_range_is_named(self, b4):
+        # at w = 0.001 the nodes around x = 2 include e^-1000, which is 0
+        # in double precision; g is never called there
+        with pytest.raises(EvaluationError,
+                           match=r"u=-1000 for w=0\.001 rounds to t=0\.0 in "
+                                 r"double precision, inside the sampling "
+                                 r"series at its node e\^\{-1/0\.001\}"):
+            sampling_eval(b4, lambda t: 1.0, 0.001, 2.0)
+
     def test_constant_samples(self, b4):
         assert sampling_eval(b4, lambda t: 4.0, 3.0, 2.2) == pytest.approx(4.0, abs=1e-12)
 
@@ -414,7 +420,7 @@ class TestBatch:
         f = builtin("sinlog")
         points = [(x, w) for x in (1.5, 2.5, 3.5) for w in (5.0, 10.0)]
         for x, w, fx, val, err in batch_eval(spec, f, points):
-            scalar = durrmeyer_eval(spec.with_w(w), f, x)
+            scalar = durrmeyer_eval(spec, f, x, w)
             assert abs(val - scalar) <= 1e-13 * abs(scalar)
             assert fx == f(x) and err == abs(fx - val)
 
@@ -424,7 +430,7 @@ class TestBatch:
         comb = solve_coefficients(3)
         points = [(x, w) for x in (1.5, 3.5) for w in (5.0, 10.0)]
         for x, w, fx, val, err in batch_eval(spec, f, points, combination=comb):
-            scalar = combined_eval(comb, spec.with_w(w), f, x)
+            scalar = combined_eval(comb, spec, f, x, w)
             assert abs(val - scalar) <= 1e-13 * abs(scalar)
             assert err == abs(fx - val)
 
