@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .combinations import (PLAIN, _moment_terms, combine, combined_eval,
                            solve_coefficients)
-from .operators import durrmeyer_eval, write_csv, write_json
+from .operators import durrmeyer_eval, scalar_values, write_csv, write_json
 
 # hashlib loads OpenSSL (about 3.4 MB of resident memory) for this one
 # digest; CPython's built-in module computes the same SHA-256
@@ -140,8 +140,7 @@ def error_table(f, spec, xs, columns):
                                  values[start:start + c.p]).tolist())
         start += c.p
     rows = []
-    for i, x in enumerate(xs):
-        fx = f(x)
+    for i, (x, fx) in enumerate(zip(xs, scalar_values(f, xs))):
         for col, values in zip(cols, by_column):
             rows.append((x, col.label, fx, values[i]))
     return ErrorTable(rows=rows, metadata=config_record(

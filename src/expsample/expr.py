@@ -12,9 +12,10 @@ Numbers accept decimal and scientific notation.  Only whitelisted function
 names may be called.  All errors carry the offset into the source, a
 character index.
 
-evaluate walks the AST at one point; compile_array turns it into a numpy
-closure over arrays of points that falls back to evaluate wherever numpy
-flags a floating-point exception or yields a non-finite value.
+compile_scalar turns an AST once into a tree of closures over one point,
+which evaluate runs; compile_array turns it into a numpy closure over
+arrays of points that falls back to the scalar form wherever numpy flags
+a floating-point exception or yields a non-finite value.
 """
 
 from __future__ import annotations
@@ -48,16 +49,9 @@ OPERATORS = {
     "^": math.pow,
 }
 
-# numpy counterparts of FUNCTIONS and of OPERATORS
-ARRAY_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
+# numpy counterparts of FUNCTIONS, whose ufuncs carry the same names, and
+# of OPERATORS
+ARRAY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
 
 ARRAY_OPERATORS = {
     "+": np.add,
@@ -97,39 +91,10 @@ def to_source(node):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def evaluate(node, x):
-    """Evaluate an AST at the point x, raising EvaluationError on domain
-    violations (log of a nonpositive value, fractional power of a negative
-    base, division by zero, overflow)."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Unary):
-        return -evaluate(node.operand, x)
-    if isinstance(node, Binary):
-        a = evaluate(node.left, x)
-        b = evaluate(node.right, x)
-        if node.op not in OPERATORS:
-            raise EvaluationError(f"unknown operator {node.op!r}")
-        try:
-            return OPERATORS[node.op](a, b)
-        except ZeroDivisionError:
-            raise EvaluationError(f"division by zero at x={x!r}") from None
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"'{node.op}' failed for ({a!r}, {b!r}): {exc}") from None
-    if isinstance(node, Call):
-        v = evaluate(node.arg, x)
-        try:
-            return FUNCTIONS[node.name](v)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"{node.name}({v!r}) failed: {exc}") from None
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _array_closure(node):
+def _closure(node, functions, operators):
+    """A tree of closures over x that evaluates node by the given tables,
+    operands left to right; a ValueError, OverflowError or
+    ZeroDivisionError of a table entry becomes an EvaluationError."""
     if isinstance(node, Num):
         value = node.value
         return lambda x: value
@@ -139,17 +104,53 @@ def _array_closure(node):
         value = CONSTANTS[node.name]
         return lambda x: value
     if isinstance(node, Unary):
-        operand = _array_closure(node.operand)
-        return lambda x: np.negative(operand(x))
+        operand = _closure(node.operand, functions, operators)
+        return lambda x: -operand(x)
     if isinstance(node, Binary):
-        op = ARRAY_OPERATORS[node.op]
-        left, right = _array_closure(node.left), _array_closure(node.right)
-        return lambda x: op(left(x), right(x))
+        if node.op not in operators:
+            raise EvaluationError(f"unknown operator {node.op!r}")
+        op, name = operators[node.op], node.op
+        left = _closure(node.left, functions, operators)
+        right = _closure(node.right, functions, operators)
+
+        def binary(x):
+            a = left(x)
+            b = right(x)
+            try:
+                return op(a, b)
+            except ZeroDivisionError:
+                raise EvaluationError("division by zero") from None
+            except (ValueError, OverflowError) as exc:
+                raise EvaluationError(
+                    f"'{name}' failed for ({a!r}, {b!r}): {exc}") from None
+        return binary
     if isinstance(node, Call):
-        fn = ARRAY_FUNCTIONS[node.name]
-        arg = _array_closure(node.arg)
-        return lambda x: fn(arg(x))
+        fn, name = functions[node.name], node.name
+        arg = _closure(node.arg, functions, operators)
+
+        def call(x):
+            v = arg(x)
+            try:
+                return fn(v)
+            except (ValueError, OverflowError) as exc:
+                raise EvaluationError(f"{name}({v!r}) failed: {exc}") from None
+        return call
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def compile_scalar(node):
+    """Compile an AST into a function of one point x that makes the math
+    calls of the expression as written and raises EvaluationError on
+    domain violations (log of a nonpositive value, fractional power of a
+    negative base, division by zero, overflow).  The error gives the
+    cause only: a caller that loops over points names the point."""
+    return _closure(node, FUNCTIONS, OPERATORS)
+
+
+def evaluate(node, x):
+    """The value at x of node, an AST (compiled on every call) or its
+    compiled form from compile_scalar."""
+    return (node if callable(node) else compile_scalar(node))(x)
 
 
 def compile_array(node):
@@ -157,11 +158,12 @@ def compile_array(node):
 
     numpy evaluates the whole array with overflow, division by zero and
     invalid operations raised.  On such an exception, or on a non-finite
-    value, every point is evaluated again by evaluate, so the domain
-    violations of evaluate still raise EvaluationError and name the point.
-    Values may differ from evaluate in the last ulp.
+    value, every point is evaluated again by the compiled scalar form, so
+    its domain violations still raise EvaluationError, here naming the
+    point.  Values may differ from the scalar form in the last ulp.
     """
-    closure = _array_closure(node)
+    closure = _closure(node, ARRAY_FUNCTIONS, ARRAY_OPERATORS)
+    scalar = compile_scalar(node)
 
     def evaluate_array(x):
         try:
@@ -174,7 +176,7 @@ def compile_array(node):
         values = []
         for v in x.ravel().tolist():
             try:
-                values.append(evaluate(node, v))
+                values.append(evaluate(scalar, v))
             except EvaluationError as exc:
                 raise EvaluationError(f"at x={v!r}: {exc}") from None
         return np.array(values, dtype=float).reshape(x.shape)

@@ -74,8 +74,10 @@ def parse_function(src):
     """
     ast = _expr.parse_expression(src)
 
-    def evaluator(x, _ast=ast):
-        return _expr.evaluate(_ast, x)
+    def evaluator(x, _scalar=_expr.compile_scalar(ast)):
+        # evaluate is read at call time, so a wrapper put there sees
+        # every scalar point
+        return _expr.evaluate(_scalar, x)
 
     return RealFunction(evaluator=evaluator, name=src.strip(), bounded=False,
                         array_evaluator=_expr.compile_array(ast))

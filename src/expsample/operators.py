@@ -106,10 +106,11 @@ def _windows(chi, w, xs):
 # m + b_j depend only on d = m - k: one (d, j) template per rule.  Only the
 # subdivision depends on w; scales with the same one share a rule.
 #
-# Two tables, found with one lexsort each, drive the engine: the distinct
-# windows (w, k) that the chi rows need and the distinct periods
-# (w, m = k + d) their templates reach.  f is called once, on the period
-# nodes that a needed window weights, so overlapping windows share samples.
+# Two tables, each a union of runs of consecutive k (_run_union), drive
+# the engine: the distinct windows (w, k) that the chi rows need and the
+# distinct periods (w, m = k + d) their templates reach.  f is called
+# once, on the period nodes that a needed window weights, so overlapping
+# windows share samples.
 # A window mean is the sum over d, from the left, of the row sums of
 # template row d times period row k + d; a value reads its own windows only.
 
@@ -164,16 +165,35 @@ def _f_at_nodes(f, us, where):
     return values
 
 
-def _distinct(major, minor):
-    """The distinct pairs of two arrays, sorted by major, then minor, and
-    the index of every input pair among them."""
-    order = np.lexsort((minor, major))
-    major, minor = major[order], minor[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
-    index = np.empty_like(order)
-    index[order] = new.cumsum() - 1
-    return major[new], minor[new], index
+def _run_union(w, lo, hi):
+    """The union of the runs lo[i]..hi[i] at scales w[i], sorted by w
+    and, within a scale, by both lo and hi, so that a run meets the
+    earlier runs of its scale only through the one before it: the
+    union's entries (w, k), sorted by w, then k, and the entry of each
+    lo[i], found without sorting the entries."""
+    # the first k of each run that no earlier run of its scale reached
+    first = lo.copy()
+    first[1:] = np.where(w[1:] == w[:-1], np.maximum(lo[1:], hi[:-1] + 1),
+                         lo[1:])
+    new = hi - first + 1
+    end = new.cumsum()
+    k = np.repeat(first - end + new, new) + np.arange(end[-1])
+    return np.repeat(w, new), k, end - (hi - lo + 1)
+
+
+def _needed_windows(ws, tc, kmin, kmax, needed):
+    """The distinct windows (w, k) of the entries needed[i, j],
+    k = kmin[i] + j, sorted by w, then k, and the index of each such
+    entry among them."""
+    # by w, then w log x, neither kmin nor kmax falls within a scale
+    order = np.lexsort((tc, ws))
+    union_w, union_k, start = _run_union(ws[order], kmin[order], kmax[order])
+    first = np.empty_like(start)
+    first[order] = start
+    entry = (first[:, None] + np.arange(needed.shape[1]))[needed]
+    used = np.zeros(union_k.size, dtype=bool)
+    used[entry] = True
+    return union_w[used], union_k[used], used.cumsum()[entry] - 1
 
 
 def _series(chi, xs, ws, window_values):
@@ -192,8 +212,7 @@ def _series(chi, xs, ws, window_values):
                           dtype=float).reshape(ks.shape)
     chi_rows[ks > kmax[:, None]] = 0.0
     needed = chi_rows != 0.0
-    win_w, win_k, window_of = _distinct(
-        np.broadcast_to(ws[:, None], ks.shape)[needed], ks[needed])
+    win_w, win_k, window_of = _needed_windows(ws, tc, kmin, kmax, needed)
     terms = np.zeros(ks.shape)
     terms[needed] = window_values(win_w, win_k)[window_of]
     # k by k from the left, so the zeros that pad a short window to the
@@ -210,8 +229,9 @@ def _window_means(spec, f, win_w, win_k):
     lo, hi = phi.support
     ds = np.arange(math.floor(lo - phases[0] - 1.0),
                    math.ceil(hi - phases[0]) + 1)
-    per_w, per_m, period_of = _distinct(np.tile(win_w, ds.size),
-                                        (ds[:, None] + win_k).ravel())
+    # period_of[d, i]: the period row k + d of window i
+    per_w, per_m, start = _run_union(win_w, win_k + ds[0], win_k + ds[-1])
+    period_of = start + np.arange(ds.size)[:, None]
     # runs of consecutive scales with the same subdivision share a rule;
     # both tables are sorted by w, so a rule's rows are one slice of each
     scales = win_w[np.diff(win_w, prepend=0.0) != 0.0]
@@ -232,8 +252,7 @@ def _window_means(spec, f, win_w, win_k):
                           dtype=float).reshape(ds.size, nodes.size) * weights
         p0, p1 = per_cut[rule:rule + 2]
         # rows[d, i]: the period row k + d of the rule's window i
-        rows = period_of.reshape(ds.size, -1)[
-            :, win_cut[rule]:win_cut[rule + 1]] - p0
+        rows = period_of[:, win_cut[rule]:win_cut[rule + 1]] - p0
         # the nodes some needed window weights (a row of rows is distinct)
         live = np.zeros((p1 - p0, nodes.size), dtype=bool)
         for row, weighted in zip(rows, band != 0.0):
@@ -341,19 +360,31 @@ def batch_eval(spec, f, points, combination=None):
 
     All points are one combined_eval call, so the points of one scale
     share one lattice and all scales one evaluation of f.  Returns rows
-    (x, w, f(x), value, abs_err) in input order, with f(x) from a scalar
-    call.
+    (x, w, f(x), value, abs_err) in input order, with f(x) from the
+    scalar evaluator (scalar_values).
     """
     # combinations imports this module, so its names are read at call time
     from .combinations import PLAIN, combined_eval
-    xs = np.array([x for x, _ in points], dtype=float)
-    ws = np.array([w for _, w in points], dtype=float)
-    values = combined_eval(combination or PLAIN, spec, f, xs, ws)
-    rows = []
-    for (x, w), value in zip(points, values.tolist()):
-        fx = f(x)
-        rows.append((x, w, fx, value, abs(fx - value)))
-    return rows
+    xs = [x for x, _ in points]
+    values = combined_eval(combination or PLAIN, spec, f,
+                           np.array(xs, dtype=float),
+                           np.array([w for _, w in points], dtype=float))
+    return [(x, w, fx, value, abs(fx - value)) for (x, w), fx, value in
+            zip(points, scalar_values(f, xs), values.tolist())]
+
+
+def scalar_values(f, xs):
+    """f at each x of xs, a list: a RealFunction's scalar evaluator, or
+    any other callable called as it is.  The caller has checked that
+    every x is positive and finite.  An EvaluationError names its x."""
+    scalar = f.evaluator if isinstance(f, RealFunction) else f
+    values = []
+    for x in xs:
+        try:
+            values.append(scalar(x))
+        except EvaluationError as exc:
+            raise EvaluationError(f"evaluating f at x={x!r}: {exc}") from exc
+    return values
 
 
 BATCH_CSV_COLUMNS = ("x", "w", "fx", "Iwfx", "abs_err")
@@ -387,8 +418,11 @@ def write_json(path, doc):
 def write_batch_csv(rows, path):
     """Serialize batch rows with the documented column set, atomically,
     as the bytes csv.writer would give.  The file is formatted as one
-    string and written once: a float's repr never needs CSV quoting."""
+    string and written once: a float's repr never needs CSV quoting.
+    Each distinct scale is formatted once."""
+    scales = {w: repr(w) for w in {row[1] for row in rows}}
     text = ",".join(BATCH_CSV_COLUMNS) + "\r\n" + "".join(
-        "%r,%r,%r,%r,%r\r\n" % tuple(row) for row in rows)
+        "%r,%s,%r,%r,%r\r\n" % (x, scales[w], fx, value, err)
+        for x, w, fx, value, err in rows)
     with atomic_open(path, newline="") as fh:
         fh.write(text)

@@ -3,13 +3,14 @@
 Each computes one value point by point, on its own code path: the
 convolution mean of f on its own knot-aligned rule, the sampling series
 as a loop over k, the integral-mean (Kantorovich) form as a loop over k
-of plain means, and the log-coordinate derivative by central finite
-differences.  They may import from expsample only its errors and its
+of plain means, the log-coordinate derivative by central finite
+differences, and an expression's value by a walk over its AST.  They may import from expsample only its errors and its
 quadrature rules; tests/test_oracles_independent.py checks that, and that
 the package defines none of the names here.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -147,3 +148,42 @@ def mellin_derivative(f, x, r=1, h=None):
     for k, c in zip(offsets, coeffs):
         acc += c * f(math.exp(u0 + k * h))
     return acc / h**r
+
+
+_WALK_CALLS = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
+               "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+               "abs": abs}
+_WALK_OPERATORS = {"+": operator.add, "-": operator.sub,
+                   "*": operator.mul, "/": operator.truediv, "^": math.pow}
+
+
+def walk_expression(node, x):
+    """The value of an expression AST at x, node by node: the AST walker
+    the library once had.  It dispatches on the class name of a node and
+    raises EvaluationError with the cause only, as the compiled form does."""
+    kind = type(node).__name__
+    if kind == "Num":
+        return node.value
+    if kind == "Var":
+        return x
+    if kind == "Const":
+        return {"pi": math.pi, "e": math.e}[node.name]
+    if kind == "Unary":
+        return -walk_expression(node.operand, x)
+    if kind == "Binary":
+        a = walk_expression(node.left, x)
+        b = walk_expression(node.right, x)
+        try:
+            return _WALK_OPERATORS[node.op](a, b)
+        except ZeroDivisionError:
+            raise EvaluationError("division by zero") from None
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(
+                f"'{node.op}' failed for ({a!r}, {b!r}): {exc}") from None
+    if kind == "Call":
+        v = walk_expression(node.arg, x)
+        try:
+            return _WALK_CALLS[node.name](v)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(f"{node.name}({v!r}) failed: {exc}") from None
+    raise TypeError(f"not an AST node: {node!r}")

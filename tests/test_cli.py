@@ -166,6 +166,25 @@ class TestEvalAndTable:
         assert (f"numerical failure: the node t=e^u at {node} in double "
                 "precision, inside the convolution window around s=e^") in err
 
+    @pytest.mark.parametrize("command, fn, point", [
+        # the pole sits on a quadrature node: the engine names t and window
+        ("eval", "expr:1/(x-2.045485878677874)",
+         "evaluating f at t=2.045485878677874 inside the convolution window "
+         "around s=e^0.8: division by zero"),
+        # the engine never meets the pole; the fx column names x
+        ("eval", "expr:log(abs(x-2.5))",
+         "evaluating f at x=2.5: log(0.0) failed: math domain error"),
+        ("table", "expr:log(abs(x-2.5))",
+         "evaluating f at x=2.5: log(0.0) failed: math domain error")])
+    def test_expression_error_names_its_point_once(self, capsys, command,
+                                                   fn, point):
+        assert main([command, "--chi", "bspline:4", "--phi", "bspline:2",
+                     "--fn", fn, "--x", "2.5", "--w", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"expsample {command}: numerical failure: {point}")
+
     def test_eval_malformed_expression_is_usage_error(self, capsys):
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",
                      "--fn", "expr:2²", "--x", "2", "--w", "10"]) == 2

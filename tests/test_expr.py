@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from expsample import EvaluationError, ParseError, parse_function
@@ -84,6 +85,16 @@ class TestEvaluation:
         f = parse_function("1 / (x - 1)")
         with pytest.raises(EvaluationError):
             f(1.0)
+
+    def test_error_names_the_point_once(self):
+        # the scalar form gives the cause; the array form's loop over the
+        # points names the point
+        f = parse_function("1/(x-2)")
+        with pytest.raises(EvaluationError, match=r"^division by zero$"):
+            f(2.0)
+        with pytest.raises(EvaluationError,
+                           match=r"^at x=2\.0: division by zero$"):
+            f(np.array([1.0, 2.0]))
 
 
 ROUND_TRIP_SOURCES = [

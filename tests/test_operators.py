@@ -20,12 +20,14 @@ from expsample import (
     builtin,
     combined_eval,
     durrmeyer_eval,
+    function_from_spec,
     parse_function,
     parse_kernel,
     sampling_eval,
     solve_coefficients,
     write_batch_csv,
 )
+from expsample import operators
 from expsample.operators import BATCH_CSV_COLUMNS
 from conftest import dense_config_oracle, simpson_operator_oracle
 from oracles import kantorovich_eval, mellin_convolution, series_oracle
@@ -182,6 +184,37 @@ class TestDurrmeyer:
         f, calls = _counting(builtin("sinlog"))
         durrmeyer_eval(OperatorSpec(b4, b4, w), f, xs)
         assert calls == [points]
+
+    @pytest.mark.parametrize("descriptor", [
+        "bspline:2", "bspline:4", "translates:2:a=e^2,b=e^3"])
+    @pytest.mark.parametrize("holes", [False, True])
+    def test_needed_windows_match_a_sort_of_every_entry(self, descriptor,
+                                                        holes, rng):
+        # pairs at repeated and mixed scales, some x repeated; with holes,
+        # interior entries are dropped as an exact zero of chi would drop
+        # them (psi has one between its knots)
+        chi = parse_kernel(descriptor)
+        xs = np.concatenate([rng.uniform(0.3, 8.0, 300), [2.0, 2.0, 5.0]])
+        ws = rng.choice([0.7, 3.0, 45.0, 200.0], xs.size)
+        tc, kmin, kmax = operators._windows(chi, ws, xs)
+        ks = kmin[:, None] + np.arange(int((kmax - kmin).max()) + 1)
+        needed = ((np.asarray(chi.eval_log(tc[:, None] - ks)) != 0.0)
+                  & (ks <= kmax[:, None]))
+        if holes:
+            needed &= rng.uniform(size=needed.shape) > 0.2
+        entry_w = np.broadcast_to(ws[:, None], ks.shape)[needed]
+        entry_k = ks[needed]
+        order = np.lexsort((entry_k, entry_w))
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = ((entry_w[order][1:] != entry_w[order][:-1])
+                   | (entry_k[order][1:] != entry_k[order][:-1]))
+        index = np.empty_like(order)
+        index[order] = new.cumsum() - 1
+        win_w, win_k, window_of = operators._needed_windows(
+            ws, tc, kmin, kmax, needed)
+        assert np.array_equal(win_w, entry_w[order][new])
+        assert np.array_equal(win_k, entry_k[order][new])
+        assert np.array_equal(window_of, index)
 
     def test_window_beyond_integer_precision_raises(self, b4):
         # w log 2 = 6.9e16 > 2^52: the old code returned 0.42597 for 0.63896
@@ -434,11 +467,40 @@ class TestBatch:
             assert abs(val - scalar) <= 1e-13 * abs(scalar)
             assert err == abs(fx - val)
 
+    @pytest.mark.parametrize("fn", [
+        "name:fig1", "name:fig2", "name:sinlog", "name:logsq",
+        "name:const:2.5", "expr:x^2*cos(2*pi*x)",
+        "expr:x^(-3)*exp(-sin(x^2))"])
+    def test_fx_is_the_scalar_value(self, b4, b2, fn, rng):
+        f = function_from_spec(fn)
+        xs = rng.uniform(0.2, 9.0, 200).tolist()
+        rows = batch_eval(OperatorSpec(b4, b2, 10.0), f,
+                          [(x, 10.0) for x in xs])
+        assert [repr(row[2]) for row in rows] == [repr(f(x)) for x in xs]
+
+    def test_plain_callable(self, b4, b2):
+        spec = OperatorSpec(b4, b2, 10.0)
+        points = [(1.5, 10.0), (3.0, 20.0)]
+        rows = batch_eval(spec, lambda t: math.sin(math.log(t)), points)
+        ref = batch_eval(spec, builtin("sinlog"), points)
+        for (x, _, fx, value, _), (_, _, _, expected, _) in zip(rows, ref):
+            assert fx == math.sin(math.log(x))
+            assert abs(value - expected) <= 1e-13
+
+    @pytest.mark.parametrize("bad, text", [
+        (0.0, "x must be positive"), (-1.0, "x must be positive"),
+        (math.nan, "x must be positive"), (math.inf, "x must be finite")])
+    def test_bad_x_is_rejected_before_fx(self, b4, b2, bad, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            batch_eval(OperatorSpec(b4, b2, 10.0), builtin("fig1"),
+                       [(2.0, 10.0), (bad, 10.0)])
+
     def test_csv_bytes_match_csv_writer(self, b4, b2, tmp_path):
         # one formatted string gives the bytes csv.writer gives
         spec = OperatorSpec(b4, b2, 10.0)
-        rows = batch_eval(spec, builtin("fig1"), [(x, 10.0) for x in
-                                                  (0.5, 2.0, 3.3, 1e-3)])
+        rows = batch_eval(spec, builtin("fig1"), [(x, w) for x in
+                                                  (0.5, 2.0, 3.3, 1e-3)
+                                                  for w in (10.0, 2.5)])
         path = tmp_path / "batch.csv"
         write_batch_csv(rows, str(path))
         ref = io.StringIO(newline="")

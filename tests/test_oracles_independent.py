@@ -58,7 +58,7 @@ def test_oracles_import_only_errors_and_quadrature():
 def test_library_defines_no_oracle_name():
     names = _defined_names(_tree())
     assert {"mellin_convolution", "series_oracle", "kantorovich_eval",
-            "mellin_derivative"} <= names
+            "mellin_derivative", "walk_expression"} <= names
     modules = [expsample] + [
         importlib.import_module(f"expsample.{info.name}")
         for info in pkgutil.iter_modules(expsample.__path__)]

@@ -1,9 +1,11 @@
 """Property tests: the shared-lattice engine against the pointwise
-composition, the compiled (numpy) expression form against the scalar
-evaluator, and the printer against the parser."""
+composition, the compiled scalar expression form against an AST walker,
+the compiled (numpy) form against the scalar form, and the printer
+against the parser."""
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -28,11 +30,13 @@ from expsample.expr import (
     Unary,
     Var,
     compile_array,
+    compile_scalar,
     evaluate,
     parse_expression,
     to_source,
 )
-from oracles import mellin_convolution, series_oracle
+from oracles import mellin_convolution, series_oracle, walk_expression
+from test_expr import ROUND_TRIP_SOURCES
 
 # --- engine ------------------------------------------------------------------
 
@@ -160,6 +164,42 @@ def _extend(children):
 
 
 ASTS = st.recursive(_LEAVES, _extend, max_leaves=8)
+
+# seeded points and the domain edges of the expressions here: zero and
+# negative arguments of log, sqrt, / and fractional powers, overflow of
+# exp and ^, and non-finite x
+WALK_XS = [0.0, -0.0, 1.0, 2.0, -1.0, -2.5, 5e-324, 1e-300, 1e300, 709.8,
+           710.0, math.inf, -math.inf, math.nan,
+           *np.random.default_rng(20261019).uniform(-5.0, 100.0, 24).tolist()]
+
+
+def _outcome(fn, x):
+    """The bits of fn(x), or the text of its EvaluationError."""
+    try:
+        return struct.pack("<d", fn(x))
+    except EvaluationError as exc:
+        return f"EvaluationError: {exc}"
+
+
+def _assert_compiled_is_the_walk(ast):
+    scalar = compile_scalar(ast)
+    for x in WALK_XS:
+        assert _outcome(lambda v: evaluate(scalar, v), x) == _outcome(
+            lambda v: walk_expression(ast, v), x), (to_source(ast), x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=ASTS)
+# both operands fail below x = 3, each with its own cause
+@example(ast=parse_expression("log(x - 3) + sqrt(x - 4)"))
+def test_compiled_scalar_form_is_the_ast_walk(ast):
+    _assert_compiled_is_the_walk(ast)
+
+
+@pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
+def test_compiled_scalar_form_is_the_ast_walk_on_sources(src):
+    _assert_compiled_is_the_walk(parse_expression(src))
+
 
 # per-operation difference allowed between numpy and the scalar path
 _U = 4 * 2.0 ** -52
