@@ -43,6 +43,13 @@ pieces, the suprema of the lattice sums are maxima over cell ends and the
 real roots of the derivative, and the tails beyond the support vanish
 identically.  Only the Poisson route integrates numerically, so that it
 stays an independent check.
+
+The piece tables are short float lists, handled one polynomial at a
+time: numpy's fixed cost per call would outweigh their arithmetic.  They
+repeat the float operations of the whole-array form in
+tests/test_piece_algebra.py in its order, to the same doubles; numpy
+stays where its rounding differs from Python's (binomial powers, the
+continuous absolute moment's pairwise sum) and for roots of degree >= 2.
 """
 
 from __future__ import annotations
@@ -63,9 +70,10 @@ class Kernel:
     (c_i, o_i), with vectorized log-domain evaluation.
 
     support is the log-domain interval outside of which the kernel is
-    exactly zero; knots are the breakpoints of its pieces (integration
-    panels aligned with them make quadrature exact on each piece);
-    coefficients are the c_i.
+    exactly zero, intervals the disjoint union of the term supports
+    [-o_i, n - o_i] within it; knots are the breakpoints of its pieces
+    (integration panels aligned with them make quadrature exact on each
+    piece); coefficients are the c_i.
     """
 
     def __init__(self, name, descriptor, n, terms):
@@ -76,10 +84,15 @@ class Kernel:
         self.order = n
         self.terms = tuple((float(c), float(o)) for c, o in terms)
         self.coefficients = tuple(c for c, _ in self.terms)
-        self.support = (min(-o for _, o in self.terms),
-                        max(n - o for _, o in self.terms))
         self.knots = tuple(sorted({j - o for _, o in self.terms
                                    for j in range(n + 1)}))
+        merged = []
+        for lo, hi in sorted((-o, n - o) for _, o in self.terms):
+            if merged and lo <= merged[-1][1]:  # every term is n wide
+                lo = merged.pop()[0]
+            merged.append((lo, hi))
+        self.intervals = tuple(merged)
+        self.support = (merged[0][0], merged[-1][1])
 
     def __repr__(self):
         return f"Kernel({self.descriptor})"
@@ -260,7 +273,8 @@ def discrete_moment(chi, nu, u=1.0):
     nu of phase_moments at log u."""
     if not 0 < u < math.inf:
         raise ValueError(f"u must be positive and finite, got {u}")
-    return float(phase_moments(chi, nu, math.log(u))[0, nu])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan
+        return float(phase_moments(chi, nu, math.log(u))[0, nu])
 
 
 def _order(nu):
@@ -293,23 +307,22 @@ def phase_moments(chi, j, log_u, absolute=False):
     return np.sum(vals[:, :, None] * d[:, :, None] ** powers, axis=1)
 
 
-def _horner(table, t):
-    """Each row of table (highest power first) at its own t."""
-    out = table[..., 0]
-    for col in np.moveaxis(table[..., 1:], -1, 0):
-        out = out * t + col
+def _horner(row, t):
+    """The polynomial row (highest power first) at t."""
+    out = row[0]
+    for c in row[1:]:
+        out = out * t + c
     return out
 
 
-def _shifted(table, d):
-    """Each row p(t) of table (highest power first) as p(t + d), d one
-    shift per row: repeated synthetic division, exact when d = 0."""
-    table = np.array(table, dtype=float)
-    degree = table.shape[-1] - 1
-    for k in range(degree):
-        for i in range(1, degree + 1 - k):
-            table[..., i] += d * table[..., i - 1]
-    return table
+def _shifted(row, d):
+    """The polynomial row p(t) (highest power first) as p(t + d), a new
+    list: repeated synthetic division, exact when d = 0."""
+    row = list(row)
+    for k in range(len(row) - 1, 0, -1):
+        for i in range(1, k + 1):
+            row[i] += d * row[i - 1]
+    return row
 
 
 def _real_roots(row, width):
@@ -332,42 +345,49 @@ def _pieces(kernel, cuts):
     [e_p, e_{p+1}) as a polynomial in t = v - e_p, the Taylor-shifted
     B-spline pieces of every term summed.  Both arrays are shared by
     every caller, so they are read-only."""
-    n, table = kernel.order, _bspline_pieces(kernel.order)
+    n, columns = kernel.order, _bspline_pieces(kernel.order).T.tolist()
     lo, hi = kernel.support
-    edges = np.array(sorted({*kernel.knots,
-                             *(c for c in cuts if lo < c < hi)}))
-    left, mid = edges[:-1], 0.5 * (edges[:-1] + edges[1:])
-    rows = 0.0
-    for c, o in kernel.terms:
-        # piece j of the term holds each interval; outside [0, n) the
-        # clip selects a zero column
-        j = np.floor(mid + o)
-        cols = np.clip(j, -1, n).astype(np.intp) + 1
-        rows = rows + c * _shifted(table[:, cols].T, left + o - j)
+    edges = sorted({*kernel.knots, *(c for c in cuts if lo < c < hi)})
+    rows = []
+    for left, right in zip(edges, edges[1:]):
+        row = [0.0] * n
+        for c, o in kernel.terms:
+            # piece j of the term holds the interval; outside [0, n) the
+            # clip selects a zero column
+            j = math.floor(0.5 * (left + right) + o)
+            shifted = _shifted(columns[min(max(j, -1), n) + 1], left + o - j)
+            row = [r + c * s for r, s in zip(row, shifted)]
+        rows.append(row)
+    edges, rows = np.array(edges), np.array(rows)
     edges.flags.writeable = rows.flags.writeable = False
     return edges, rows
 
 
 def _weighted_pieces(kernel, nu, absolute):
-    """Edges and piece table (as in _pieces) of K(v) v^nu, or with
-    absolute=True of |K(v)| |v|^nu, cut also at v = 0 and at the real
-    roots of the kernel's pieces so that each piece keeps one sign."""
+    """Edges and piece rows (as in _pieces, as lists) of K(v) v^nu, or
+    with absolute=True of |K(v)| |v|^nu, cut also at v = 0 and at the
+    real roots of the kernel's pieces so that each piece keeps one sign."""
     cuts = [0.0] if absolute else []
     # with no negative coefficient the kernel keeps its sign
     if absolute and min(kernel.coefficients) < 0:
-        edges, rows = _pieces(kernel, ())
-        for e, width, row in zip(edges[:-1], np.diff(edges), rows):
-            cuts.extend((e + _real_roots(row, width)).tolist())
+        edges, rows = (a.tolist() for a in _pieces(kernel, ()))
+        for e, f, row in zip(edges, edges[1:], rows):
+            cuts.extend(e + r for r in _real_roots(row, f - e).tolist())
     edges, rows = _pieces(kernel, tuple(cuts))
     # (e_p + t)^nu, expanded by the binomial theorem
-    left, width = edges[:-1], rows.shape[1]
-    out = np.zeros((rows.shape[0], width + nu))
-    for k in range(nu + 1):
-        out[:, nu - k:nu - k + width] += rows * (
-            math.comb(nu, k) * left ** (nu - k))[:, None]
-    if absolute:
-        signs = _horner(out, 0.5 * np.diff(edges))
-        out *= np.where(signs < 0.0, -1.0, 1.0)[:, None]
+    factors = [(math.comb(nu, k) * edges[:-1] ** (nu - k)).tolist()
+               for k in range(nu + 1)]
+    edges, out = edges.tolist(), []
+    for p, row in enumerate(rows.tolist()):
+        acc = [0.0] * (len(row) + nu)
+        # a zero piece stays zero, also where a factor overflows
+        for k, factor in enumerate(factors if any(row) else ()):
+            f = factor[p]
+            for i, r in enumerate(row, nu - k):
+                acc[i] += r * f
+        if absolute and _horner(acc, 0.5 * (edges[p + 1] - edges[p])) < 0.0:
+            acc = [-a for a in acc]
+        out.append(acc)
     return edges, out
 
 
@@ -377,35 +397,43 @@ def _lattice_polynomials(kernel, nu, absolute=False):
     a table whose row c holds, highest power first, the sum on
     [p_c, p_{c+1}) in s = tau - p_c.  absolute=True gives the sums of
     |chi(e^{-k} u)| |k - log u|^nu instead.  Every term k of the sum
-    lies on one piece over a whole cell, found at the cell's midpoint."""
+    lies on one piece over a whole cell, found at the cell's midpoint;
+    each nonzero piece is taken at the k that put it there, in rising k."""
     edges, rows = _weighted_pieces(kernel, nu, absolute)
-    cells = np.array(sorted({*np.mod(edges, 1.0).tolist(), 0.0, 1.0}))
-    ks = np.arange(math.floor(edges[0]) - 1, math.ceil(edges[-1]) + 1)
-    at = cells[:-1, None] + ks
-    p = np.searchsorted(edges, 0.5 * (cells[1:, None] - cells[:-1, None])
-                        + at, side="right") - 1
-    inside = (p >= 0) & (p < rows.shape[0])
-    p = np.clip(p, 0, rows.shape[0] - 1)
-    table = _shifted(rows[p] * inside[..., None], at - edges[p]).sum(axis=1)
-    # (k - tau)^nu = (-v)^nu with v = tau - k on the kernel's side
-    return cells, (table if absolute or nu % 2 == 0 else -table)
+    cells = sorted({*(e % 1.0 for e in edges), 0.0, 1.0})
+    spans = [(a, b, row) for a, b, row in zip(edges, edges[1:], rows)
+             if any(row)]
+    table = []
+    for a, b in zip(cells, cells[1:]):
+        half, total = 0.5 * (b - a), [0.0] * len(rows[0])
+        for lo, hi, row in spans:
+            for k in range(math.floor(lo - b), math.ceil(hi - a) + 1):
+                at = a + k
+                if lo <= half + at < hi:
+                    total = [s + x for s, x in zip(total, _shifted(row, at - lo))]
+        # (k - tau)^nu = (-v)^nu with v = tau - k on the kernel's side
+        table.append(total if absolute or nu % 2 == 0 else [-x for x in total])
+    return cells, table
 
 
 def _max_abs(cells, table):
     """The supremum over tau in [0, 1) of |M(tau)|, M the polynomials of
     table on the cells: the largest |M_c| at the ends of its cell (the
-    one-sided limits there) and at the real roots of M_c' inside it."""
-    widths = np.diff(cells)
-    best = max(np.abs(table[:, -1]).max(),
-               np.abs(_horner(table, widths)).max())
-    degree = table.shape[1] - 1
+    one-sided limits there) and at the real roots of M_c' inside it;
+    inf when an end is not finite (a moment past double range)."""
+    widths = [b - a for a, b in zip(cells, cells[1:])]
+    ends = [abs(x) for row, w in zip(table, widths)
+            for x in (row[-1], _horner(row, w))]
+    if not all(map(math.isfinite, ends)):
+        return math.inf
+    best, degree = max(ends), len(table[0]) - 1
     if degree < 2:
-        return float(best)
-    slopes = table[:, :-1] * np.arange(degree, 0, -1)
-    for row, slope, width in zip(table, slopes, widths):
+        return best
+    for row, width in zip(table, widths):
+        slope = [c * (degree - i) for i, c in enumerate(row[:-1])]
         for s in _real_roots(slope, width).tolist():
             best = max(best, abs(_horner(row, s)))
-    return float(best)
+    return best
 
 
 @functools.cache
@@ -446,12 +474,18 @@ def absolute_moment(kernel, nu, side):
     side='continuous': the integral of |phi| |log|^nu.
     """
     _order(nu)
-    if side == "discrete":
-        return _max_abs(*_lattice_polynomials(kernel, nu, absolute=True))
-    if side == "continuous":
-        edges, rows = _weighted_pieces(kernel, nu, absolute=True)
-        powers = np.arange(rows.shape[1], 0, -1)
-        return float(np.sum(rows * np.diff(edges)[:, None] ** powers / powers))
+    try:
+        # an order past double range gives inf or nan, without warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            if side == "discrete":
+                return _max_abs(*_lattice_polynomials(kernel, nu, absolute=True))
+            if side == "continuous":
+                edges, rows = _weighted_pieces(kernel, nu, absolute=True)
+                powers = np.arange(len(rows[0]), 0, -1)
+                widths = np.diff(edges)[:, None]
+                return float(np.sum(np.array(rows) * widths ** powers / powers))
+    except OverflowError:  # a binomial coefficient past double range
+        return math.inf
     raise ValueError("side must be 'discrete' or 'continuous'")
 
 
@@ -530,8 +564,7 @@ def verify_kernel(chi, phi, r=1, tol=1e-8):
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     cells, table = _lattice_polynomials(chi, 0)
-    table[:, -1] -= 1.0
-    worst = _max_abs(cells, table)
+    worst = _max_abs(cells, [row[:-1] + [row[-1] - 1.0] for row in table])
     partition = ConditionResult("partition of unity", worst <= tol, worst)
 
     resid = abs(continuous_moment(phi, 0) - 1.0)

@@ -184,31 +184,30 @@ def mellin_transform(f, point, cfg=DEFAULT_CONFIG, support=None, order=0):
 
     Computes the integral of f(u) u^s du/u, i.e. of f(e^u) e^{su} du over
     the declared log-support, outside of which f must vanish.  Kernel
-    objects carry their own support and knots; for anything else the caller
-    must pass a finite LogInterval.  order = r > 0 gives the r-th
-    derivative in s, differentiated under the integral sign: the integral
-    of f(e^u) u^r e^{su} du on the same panels.
+    objects carry their own support intervals (one rule each) and knots;
+    for anything else the caller must pass a finite LogInterval.  order =
+    r > 0 gives the r-th derivative in s, differentiated under the
+    integral sign: the integral of f(e^u) u^r e^{su} du on the same panels.
 
     point is a MellinPoint or a sequence of them.  A sequence gives a list
     with one value per point; every point shares one rule and one
     evaluation of f, and each value is summed on its own, so it equals
     the single-point call exactly.
     """
-    knots = ()
+    knots, intervals = (), [support]
     if support is None:
         sup = getattr(f, "support", None)
         if sup is None:
             raise ValueError("a finite log-support interval is required")
-        support = LogInterval(sup[0], sup[1])
+        intervals = [LogInterval(*iv) for iv in getattr(f, "intervals", (sup,))]
         knots = tuple(getattr(f, "knots", ()))
-    if not (math.isfinite(support.lo) and math.isfinite(support.hi)):
-        raise ValueError("unbounded support is rejected; supply a finite interval")
     if order < 0:
         raise ValueError(f"derivative order must be >= 0, got {order}")
 
     eval_log = getattr(f, "eval_log", None)
 
-    nodes, weights = log_rule(support, cfg, knots)
+    rules = [log_rule(iv, cfg, knots) for iv in intervals]
+    nodes, weights = (np.concatenate(part) for part in zip(*rules))
     if eval_log is not None:
         vals = np.asarray(eval_log(nodes), dtype=float)
     else:

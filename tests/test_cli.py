@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -488,3 +489,176 @@ class TestRunRecord:
         assert code == 0
         out = tmp_path / argv[argv.index("--out") + 1]
         assert json.loads(out.read_text())["metadata"] == record
+
+
+WIDE = "translates:2:a=e^-65536,b=e^65536"
+PSI_BENCH = "translates:2:a=e^2,b=e^3"
+ROUTES = ("discrete", "continuous", "poisson", "absolute-discrete",
+          "absolute-continuous")
+
+# the full stdout of the kernels commands; their residuals are at
+# roundoff level, so any change in the order of the float operations
+# behind them moves these lines
+VERIFY_STDOUT = {
+    ("bspline:2", "bspline:2"): (
+        "partition of unity: pass (residual 0.000e+00)\n"
+        "unit integral: pass (residual 0.000e+00)\n"
+        "absolute moments of order 3 finite: pass (residual 2.250e-01)\n"
+        "tail vanishing: pass (residual 0.000e+00)\n"
+        "expsample verify: all pass digest=d813ceb85aea4044\n"
+        'config: {"chi":"bspline:2","command":"verify","phi":"bspline:2",'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},"r":3,'
+        '"tol":1e-08,"version":"0.1.0"}\n'),
+    ("bspline:4", "bspline:2"): (
+        "partition of unity: pass (residual 1.388e-16)\n"
+        "unit integral: pass (residual 0.000e+00)\n"
+        "absolute moments of order 3 finite: pass (residual 4.333e-01)\n"
+        "tail vanishing: pass (residual 0.000e+00)\n"
+        "expsample verify: all pass digest=02b2468d5689b805\n"
+        'config: {"chi":"bspline:4","command":"verify","phi":"bspline:2",'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},"r":3,'
+        '"tol":1e-08,"version":"0.1.0"}\n'),
+    ("bspline:6", "bspline:4"): (
+        "partition of unity: pass (residual 1.214e-17)\n"
+        "unit integral: pass (residual 0.000e+00)\n"
+        "absolute moments of order 3 finite: pass (residual 8.619e-01)\n"
+        "tail vanishing: pass (residual 0.000e+00)\n"
+        "expsample verify: all pass digest=d6cff4d61a8f7fbe\n"
+        'config: {"chi":"bspline:6","command":"verify","phi":"bspline:4",'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},"r":3,'
+        '"tol":1e-08,"version":"0.1.0"}\n'),
+    ("char", "char"): (
+        "partition of unity: pass (residual 0.000e+00)\n"
+        "unit integral: pass (residual 0.000e+00)\n"
+        "absolute moments of order 3 finite: pass (residual 1.250e+00)\n"
+        "tail vanishing: pass (residual 0.000e+00)\n"
+        "expsample verify: all pass digest=f9142a290791414b\n"
+        'config: {"chi":"char","command":"verify","phi":"char",'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},"r":3,'
+        '"tol":1e-08,"version":"0.1.0"}\n'),
+    (PSI_BENCH, "bspline:2"): (
+        "partition of unity: pass (residual 0.000e+00)\n"
+        "unit integral: pass (residual 0.000e+00)\n"
+        "absolute moments of order 3 finite: pass (residual 7.810e+01)\n"
+        "tail vanishing: pass (residual 0.000e+00)\n"
+        "expsample verify: all pass digest=ffb86f4a6fcf9f91\n"
+        'config: {"chi":"translates:2:a=e^2,b=e^3","command":"verify",'
+        '"phi":"bspline:2","quadrature":{"nodes_per_unit":20,'
+        '"panel_max_width":0.5},"r":3,"tol":1e-08,"version":"0.1.0"}\n'),
+}
+MOMENTS_STDOUT = {
+    ("bspline:4", "discrete"): (
+        "0.3333333333\n"
+        "expsample moments: order 2 discrete digest=0e3ef70bb5ff77ce\n"
+        'config: {"command":"moments","kernel":"bspline:4","order":2,'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
+        '"route":"discrete","u":1.7,"version":"0.1.0"}\n'),
+    ("bspline:4", "continuous"): (
+        "0.3333333333\n"
+        "expsample moments: order 2 continuous digest=1b77834841caab87\n"
+        'config: {"command":"moments","kernel":"bspline:4","order":2,'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
+        '"route":"continuous","version":"0.1.0"}\n'),
+    ("bspline:4", "poisson"): (
+        "0.3333333333\n"
+        "expsample moments: order 2 poisson digest=eb1cd340b3f2e8a2\n"
+        'config: {"command":"moments","kernel":"bspline:4","order":2,'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
+        '"route":"poisson","version":"0.1.0"}\n'),
+    ("bspline:4", "absolute-discrete"): (
+        "0.3333333333\n"
+        "expsample moments: order 2 absolute-discrete digest=52f8fb8fdd2f4c"
+        "be\n"
+        'config: {"command":"moments","kernel":"bspline:4","order":2,'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
+        '"route":"absolute-discrete","version":"0.1.0"}\n'),
+    ("bspline:4", "absolute-continuous"): (
+        "0.3333333333\n"
+        "expsample moments: order 2 absolute-continuous digest=5a0e98a211e9"
+        "528e\n"
+        'config: {"command":"moments","kernel":"bspline:4","order":2,'
+        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
+        '"route":"absolute-continuous","version":"0.1.0"}\n'),
+    (PSI_BENCH, "discrete"): (
+        "-5.7509380898\n"
+        "expsample moments: order 2 discrete digest=250dcd46e9b939ff\n"
+        'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
+        '"order":2,"quadrature":{"nodes_per_unit":20,'
+        '"panel_max_width":0.5},"route":"discrete","u":1.7,'
+        '"version":"0.1.0"}\n'),
+    (PSI_BENCH, "continuous"): (
+        "-5.8333333333\n"
+        "expsample moments: order 2 continuous digest=1578854b2f6fefe3\n"
+        'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
+        '"order":2,"quadrature":{"nodes_per_unit":20,'
+        '"panel_max_width":0.5},"route":"continuous","version":"0.1.0"}\n'),
+    (PSI_BENCH, "poisson"): (
+        "-5.9712427222\n"
+        "expsample moments: order 2 poisson digest=ee0824aefe3dd336\n"
+        'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
+        '"order":2,"quadrature":{"nodes_per_unit":20,'
+        '"panel_max_width":0.5},"route":"poisson","version":"0.1.0"}\n'),
+    (PSI_BENCH, "absolute-discrete"): (
+        "30.0000000000\n"
+        "expsample moments: order 2 absolute-discrete digest=cb8dd759796272"
+        "c1\n"
+        'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
+        '"order":2,"quadrature":{"nodes_per_unit":20,'
+        '"panel_max_width":0.5},"route":"absolute-discrete",'
+        '"version":"0.1.0"}\n'),
+    (PSI_BENCH, "absolute-continuous"): (
+        "23.0813333333\n"
+        "expsample moments: order 2 absolute-continuous digest=b0effd824da9"
+        "c564\n"
+        'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
+        '"order":2,"quadrature":{"nodes_per_unit":20,'
+        '"panel_max_width":0.5},"route":"absolute-continuous",'
+        '"version":"0.1.0"}\n'),
+}
+
+
+class TestKernelsStdout:
+    @pytest.mark.parametrize("chi, phi", list(VERIFY_STDOUT))
+    def test_verify(self, capsys, chi, phi):
+        assert main(["verify", "--chi", chi, "--phi", phi, "--r", "3"]) == 0
+        assert capsys.readouterr().out == VERIFY_STDOUT[chi, phi]
+
+    @pytest.mark.parametrize("kernel, route", list(MOMENTS_STDOUT))
+    def test_moments(self, capsys, kernel, route):
+        assert main(["moments", "--kernel", kernel, "--order", "2",
+                     "--route", route, "--u", "1.7"]) == 0
+        assert capsys.readouterr().out == MOMENTS_STDOUT[kernel, route]
+
+
+class TestOrdersPastDoubleRange:
+    # |v|^80 reaches 65537^80 = 10^385 on the wide kernel
+    @pytest.mark.parametrize("route", [r for r in ROUTES if r != "poisson"])
+    def test_moments_fail_with_named_cause(self, capsys, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["moments", "--kernel", WIDE, "--order", "80",
+                         "--route", route])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == (f"expsample moments: numerical failure: the moment of "
+                       f"order 80 of {WIDE} overflows double precision\n")
+
+    def test_poisson_route_keeps_its_order_cap(self, capsys):
+        assert main(["moments", "--kernel", WIDE, "--order", "80",
+                     "--route", "poisson"]) == 1
+        assert "supports orders j <= 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r, phi", [(80, WIDE), (1100, "bspline:2")])
+    def test_verify_reports_the_failure(self, capsys, r, phi):
+        # 1100 is past double range already in the binomial coefficients
+        chi = WIDE if r == 80 else "bspline:4"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--chi", chi, "--phi", phi,
+                         "--r", str(r)])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[2] == (f"absolute moments of order {r} finite: "
+                            "FAIL (residual inf)")
+        assert lines[4].startswith("expsample verify: FAILURES reported ")

@@ -338,6 +338,47 @@ class TestPoissonRoute:
                 for k in range(-3, 4))
             assert got == float(((-1) ** j * total).real)
 
+    @pytest.mark.parametrize("descriptor, values", [
+        ("bspline:4", ["0x1.ffffffffffff9p-1", "-0x1.0000000000000p-59",
+                       "0x1.5555555555551p-2", "-0x1.b000000000000p-58",
+                       "0x1.5518f69c06074p-2"]),
+        ("translates:2:a=e^-2,b=e^-3", [
+            "0x1.ffffffffffff8p-1", "-0x1.a000000000000p-53",
+            "-0x1.7e28d73c0f638p+2", "0x1.dfffffffffffcp+4",
+            "-0x1.cc075e48ca433p+6"])])
+    def test_one_interval_keeps_its_values(self, descriptor, values):
+        # a support of one interval gets one rule over all of it
+        kernel = parse_kernel(descriptor)
+        assert kernel.intervals == (kernel.support,)
+        assert [poisson_moment(kernel, j).hex() for j in range(5)] == values
+
+    def test_rule_skips_the_gap_between_terms(self):
+        # the two terms sit 131070 apart; the kernel is zero in between,
+        # and the rule covers only the two term supports
+        kernel = parse_kernel("translates:2:a=e^-65536,b=e^65536")
+        assert kernel.intervals == ((-65537.0, -65535.0), (65535.0, 65537.0))
+        points = []
+
+        def counted(v):
+            points.append(len(v))
+            return Kernel.eval_log(kernel, v)
+
+        kernel.eval_log = counted
+        for j in range(5):
+            poisson_moment(kernel, j)
+        assert len(points) == 5 and sum(points) < 10 ** 4
+        # the terms are the hat shifted by -+65536 with weight 1/2 each, so
+        # m_0 = 1 and m_2 = 65536^2 + O(1); the nodes near |v| = 65536 are
+        # placed to an ulp of 65536, 1.5e-11
+        assert poisson_moment(kernel, 0) == pytest.approx(1.0, abs=1e-9)
+        assert poisson_moment(kernel, 2) == pytest.approx(2.0 ** 32, rel=1e-10)
+
+    def test_overlapping_and_touching_terms_merge(self):
+        assert parse_kernel("translates:2:a=e^-1,b=e^1").intervals == (
+            (-2.0, 2.0),)
+        assert parse_kernel("translates:2:a=e^-3,b=e^3").intervals == (
+            (-4.0, -2.0), (2.0, 4.0))
+
 
 class TestVerifyKernel:
     def test_b4_b2_passes(self, b4, b2):
@@ -587,7 +628,7 @@ class TestVectorisedRoutes:
                            "translates:5:a=1.7,b=9.1"):
             kernel = parse_kernel(descriptor)
             edges = _weighted_pieces(kernel, 0, absolute=True)[0]
-            cuts = sorted(set(edges.tolist()) - set(kernel.knots) - {0.0})
+            cuts = sorted(set(edges) - set(kernel.knots) - {0.0})
             ref = _loop_sign_changes(kernel)
             assert ref, descriptor
             assert np.allclose(cuts, ref, rtol=0.0, atol=1e-12), descriptor
@@ -680,5 +721,5 @@ class TestExactSuprema:
         for nu, coeffs in ((2, [0.0, -1.0, 1.0, -6.0]),
                            (3, [0.0, 2.0, -3.0, 1.0, 30.0])):
             cells, table = _lattice_polynomials(psi, nu)
-            assert cells.tolist() == [0.0, 1.0]
+            assert cells == [0.0, 1.0]
             assert np.allclose(table[0], coeffs, rtol=0.0, atol=1e-13)
