@@ -142,7 +142,8 @@ def _add_operator(sub, name, summary, point=False):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parse_args keeps no
-    state in it, so repeated main() calls can share it."""
+    state in it, so repeated main() calls can share it.  Its `commands`
+    maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="expsample",
         description="Exponential sampling operators: kernels, moments, "
@@ -187,7 +188,28 @@ def build_parser():
     p.add_argument("--j", type=int, required=True, help="expansion order")
     p.add_argument("--combine", help="p=<int>")
 
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv):
+    """The namespace build_parser().parse_args(argv) gives, key order
+    included.  A command line that starts with a command is parsed once,
+    by that command's parser, into a namespace that starts with
+    `command`; every other one goes through the top level, and so does
+    one that leaves words over, so that the top-level usage line and
+    error report them."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    # the top level reads a word "--=..." as an ambiguous abbreviation
+    # of its own flags
+    if command and not any(a.startswith("--=") for a in argv):
+        args, extra = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def _cmd_coeffs(args):
@@ -328,8 +350,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         # a command returns the record and note of its summary, if any
         summary = _COMMANDS[args.command](args)

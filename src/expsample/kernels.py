@@ -73,26 +73,33 @@ class Kernel:
     exactly zero, intervals the disjoint union of the term supports
     [-o_i, n - o_i] within it; knots are the breakpoints of its pieces
     (integration panels aligned with them make quadrature exact on each
-    piece); coefficients are the c_i.
+    piece); coefficients are the c_i.  parse_kernel shares one instance
+    per descriptor, and the moment and rule caches are keyed by it, so a
+    Kernel is read-only: setting or deleting an attribute raises
+    AttributeError.
     """
 
     def __init__(self, name, descriptor, n, terms):
         if n < 1:
             raise KernelError(f"kernel order must be >= 1, got {n}")
-        self.name = name
-        self.descriptor = descriptor
-        self.order = n
-        self.terms = tuple((float(c), float(o)) for c, o in terms)
-        self.coefficients = tuple(c for c, _ in self.terms)
-        self.knots = tuple(sorted({j - o for _, o in self.terms
-                                   for j in range(n + 1)}))
+        terms = tuple((float(c), float(o)) for c, o in terms)
         merged = []
-        for lo, hi in sorted((-o, n - o) for _, o in self.terms):
+        for lo, hi in sorted((-o, n - o) for _, o in terms):
             if merged and lo <= merged[-1][1]:  # every term is n wide
                 lo = merged.pop()[0]
             merged.append((lo, hi))
-        self.intervals = tuple(merged)
-        self.support = (merged[0][0], merged[-1][1])
+        vars(self).update(
+            name=name, descriptor=descriptor, order=n, terms=terms,
+            coefficients=tuple(c for c, _ in terms),
+            knots=tuple(sorted({j - o for _, o in terms
+                                for j in range(n + 1)})),
+            intervals=tuple(merged), support=(merged[0][0], merged[-1][1]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self!r} is read-only; cannot delete {name!r}")
 
     def __repr__(self):
         return f"Kernel({self.descriptor})"
@@ -227,11 +234,15 @@ def _parse_translate_value(text, field):
     return math.log(v)
 
 
+@functools.lru_cache(maxsize=64)
 def parse_kernel(descriptor):
     """Parse a CLI kernel descriptor.
 
     Forms: 'bspline:<n>', 'char',
     'translates:<n>:a=<real|e^<real>>,b=<real|e^<real>>'.
+
+    A process parses each descriptor once and shares the read-only
+    Kernel (bounded cache); a bad descriptor raises on every call.
     """
     if descriptor == "char":
         return characteristic()
@@ -449,12 +460,14 @@ def _spline_moments(n, nu):
     return moments
 
 
+@functools.lru_cache(maxsize=256)
 def continuous_moment(phi, nu):
     """Algebraic moment of order nu of a continuous-role kernel: the
     integral of phi(u) log^nu u du/u over the support.  A term
     c N_n(v + o) contributes c int N_n(s) (s - o)^nu ds, a binomial sum
     of the moments of N_n; the whole sum is exact in rational arithmetic
-    (c and o are exact binary fractions) and rounded once."""
+    (c and o are exact binary fractions) and rounded once; a process
+    computes it once per (phi, nu) (bounded cache)."""
     moments = _spline_moments(phi.order, _order(nu))
     total = Fraction(0)
     for c, o in phi.terms:

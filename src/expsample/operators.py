@@ -221,63 +221,92 @@ def _series(chi, xs, ws, window_values):
     return float(values[0]) if not shape else values.reshape(shape)
 
 
-def _window_means(spec, f, win_w, win_k):
-    """The convolution means of f at the windows (win_w[i], win_k[i]),
-    sorted by w, then k."""
-    phi, cfg = spec.phi, spec.quadrature
+def _period(phi):
+    """The ends p_0 < ... < p_C = p_0 + 1 of the cells of phi's period
+    in b, p_0 .. p_{C-1} its knot phases, and the offsets d = m - k of
+    the periods m that a window k reaches."""
     phases = _knot_phases(phi)
     lo, hi = phi.support
-    ds = np.arange(math.floor(lo - phases[0] - 1.0),
-                   math.ceil(hi - phases[0]) + 1)
+    return [*phases, phases[0] + 1.0], np.arange(
+        math.floor(lo - phases[0] - 1.0), math.ceil(hi - phases[0]) + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _period_rule(phi, subdivision):
+    """The period rule of phi for one subdivision (panels, points) of
+    its cells: the nodes b_j of the period [p_0, p_0 + 1), its phi band
+    phi(d + b_j) times the weight of b_j, one row per offset d, and the
+    band's nonzero mask.  The quadrature settings enter only through the
+    subdivision, and by the dilation invariance of the lattice e^{k/w}
+    neither x nor w enters at all, so one rule serves every call with
+    that key; the arrays are shared, so they are read-only."""
+    ends, ds = _period(phi)
+    nodes, weights = cell_rule(ends, *subdivision)
+    band = np.asarray(phi.eval_log((ds[:, None] + nodes).ravel()),
+                      dtype=float).reshape(ds.size, nodes.size) * weights
+    weighted = band != 0.0
+    for a in (nodes, band, weighted):
+        a.flags.writeable = False
+    return nodes, band, weighted
+
+
+def _window_means(spec, f, win_w, win_k):
+    """The convolution means of f at the windows (win_w[i], win_k[i]),
+    sorted by w, then k.  Each distinct scale's subdivision of the
+    period cells is worked out on plain floats by panel_counts, as
+    log_rule does; the rule and phi band of each subdivision come from
+    _period_rule, built once per (phi, subdivision) in a process."""
+    phi, cfg = spec.phi, spec.quadrature
+    ends, ds = _period(phi)
+    lo, hi = phi.support
     # period_of[d, i]: the period row k + d of window i
     per_w, per_m, start = _run_union(win_w, win_k + ds[0], win_k + ds[-1])
     period_of = start + np.arange(ds.size)[:, None]
     # runs of consecutive scales with the same subdivision share a rule;
     # both tables are sorted by w, so a rule's rows are one slice of each
-    scales = win_w[np.diff(win_w, prepend=0.0) != 0.0]
-    # log_rule's panels of the cells [p_i / w, p_{i+1} / w] at each scale
-    ends = [*phases, phases[0] + 1.0]
-    panels, points = panel_counts(np.diff(ends) / scales[:, None], cfg)
-    first = np.ones(scales.size, dtype=bool)
-    first[1:] = ((panels[1:] != panels[:-1]) |
-                 (points[1:] != points[:-1])).any(axis=1)
-    bounds = np.append(scales[first], np.inf)
-    win_cut, per_cut = (np.searchsorted(w, bounds) for w in (win_w, per_w))
+    widths = [b - a for a, b in zip(ends, ends[1:])]
+    rules, firsts = [], []
+    for w in win_w[np.diff(win_w, prepend=0.0) != 0.0].tolist():
+        # log_rule's panels of the cells [p_i / w, p_{i+1} / w]
+        subdivision = tuple(map(tuple, panel_counts([x / w for x in widths],
+                                                    cfg)))
+        if not rules or subdivision != rules[-1]:
+            rules.append(subdivision)
+            firsts.append(w)
+    win_cut, per_cut = (np.searchsorted(w, [*firsts, math.inf])
+                        for w in (win_w, per_w))
     parts, end = [], 0
-    for rule, (m, n) in enumerate(zip(panels[first].tolist(),
-                                      points[first].tolist())):
+    for rule, subdivision in enumerate(rules):
         # the period [p0, p0 + 1) in b, its cells cut into equal panels
-        nodes, weights = cell_rule(ends, m, n)
-        band = np.asarray(phi.eval_log((ds[:, None] + nodes).ravel()),
-                          dtype=float).reshape(ds.size, nodes.size) * weights
+        nodes, band, weighted = _period_rule(phi, subdivision)
         p0, p1 = per_cut[rule:rule + 2]
         # rows[d, i]: the period row k + d of the rule's window i
         rows = period_of[:, win_cut[rule]:win_cut[rule + 1]] - p0
         # the nodes some needed window weights (a row of rows is distinct)
         live = np.zeros((p1 - p0, nodes.size), dtype=bool)
-        for row, weighted in zip(rows, band != 0.0):
-            live[row] |= weighted
+        for row, mask in zip(rows, weighted):
+            live[row] |= mask
         # a node of period m sits at b = m + b_j, that is u = (m + b_j) / w
         us = ((per_m[p0:p1, None] + nodes) / per_w[p0:p1, None])[live]
         end += us.size
-        parts.append((end, p0, rows, band, live, us))
+        parts.append((end, p0, rows, band, weighted, live, us))
 
     def where(i):
         # of the needed windows that weight the node, the one whose centre
         # is nearest to it
-        end, p0, _, band, live, us = parts[
+        end, p0, _, _, weighted, live, us = parts[
             np.searchsorted([part[0] for part in parts], i, side="right")]
         i -= end - us.size
         p, j = np.argwhere(live)[i] + (p0, 0)
         w = per_w[p]
-        reach = np.intersect1d(per_m[p] - ds[band[:, j] != 0.0],
+        reach = np.intersect1d(per_m[p] - ds[weighted[:, j]],
                                win_k[win_w == w])
         k = reach[np.argmin(np.abs(w * us[i] - reach - 0.5 * (lo + hi)))]
         return float(w), f"the convolution window around s=e^{k / w:.6g}"
 
     values = _f_at_nodes(f, np.concatenate([part[-1] for part in parts]), where)
     means = []
-    for end, _, rows, band, live, us in parts:
+    for end, _, rows, band, _, live, us in parts:
         grid = np.zeros(live.shape)
         grid[live] = values[end - us.size:end]
         # row by row rather than a matrix product, whose blocking of the

@@ -117,14 +117,15 @@ def _leggauss(n):
 
 def panel_counts(widths, cfg):
     """Panels per cell and points per panel of log_rule on cells of the
-    given widths (an array): cells are cut into equal panels no wider
-    than panel_max_width, and a panel gets nodes_per_unit points per unit
-    of its width, but at least max(6, 0.7 * nodes_per_unit)."""
-    widths = np.asarray(widths, dtype=float)
-    panels = np.maximum(1.0, np.ceil(widths / cfg.panel_max_width))
-    points = np.maximum(max(6, math.ceil(0.7 * cfg.nodes_per_unit)),
-                        np.ceil(cfg.nodes_per_unit * widths / panels))
-    return panels.astype(np.int64), points.astype(np.int64)
+    given widths, two lists of ints: cells are cut into equal panels no
+    wider than panel_max_width, and a panel gets nodes_per_unit points
+    per unit of its width, but at least max(6, 0.7 * nodes_per_unit).
+    Plain floats: the lists are short, and numpy's fixed cost per call
+    would outweigh their arithmetic."""
+    least = max(6, math.ceil(0.7 * cfg.nodes_per_unit))
+    panels = [max(1, math.ceil(w / cfg.panel_max_width)) for w in widths]
+    return panels, [max(least, math.ceil(cfg.nodes_per_unit * w / m))
+                    for w, m in zip(widths, panels)]
 
 
 def cell_rule(cuts, panels, points):
@@ -155,10 +156,10 @@ def log_rule(iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     density ~1e-10 accuracy on integrands oscillating up to ~10 radians
     per panel.
     """
-    cuts = np.array(sorted({iv.lo, iv.hi,
-                            *(b for b in breakpoints if iv.lo < b < iv.hi)}))
-    panels, points = panel_counts(cuts[1:] - cuts[:-1], cfg)
-    return cell_rule(cuts.tolist(), panels.tolist(), points.tolist())
+    cuts = sorted({iv.lo, iv.hi,
+                   *(b for b in breakpoints if iv.lo < b < iv.hi)})
+    return cell_rule(cuts, *panel_counts(
+        [b - a for a, b in zip(cuts, cuts[1:])], cfg))
 
 
 def integrate_log(g, iv, cfg=DEFAULT_CONFIG, breakpoints=()):

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from expsample.analysis import config_digest
-from expsample.cli import _parse_reals, main
+from expsample.cli import _parse, _parse_reals, build_parser, main
 
 
 def _strict(constant):
@@ -450,6 +450,115 @@ DIGEST_CHANGES = [
     (TABLE, [], ["--combine", "p=2"]),
     (TABLE, ["--format", "csv"], ["--format", "json"]),
 ]
+
+
+# the top-level usage, which reports a missing or unknown command and any
+# word that the command's parser leaves over
+USAGE = ("usage: expsample [-h] [--version]\n"
+         "                 {coeffs,moments,verify,eval,table,rates,"
+         "voronovskaya} ...\n")
+RATES_USAGE = (
+    "usage: expsample rates [-h] --chi CHI --phi PHI --fn FN --x X --w W\n"
+    "                       [--nodes-per-unit NODES_PER_UNIT]\n"
+    "                       [--panel-max-width PANEL_MAX_WIDTH] [--out OUT]\n"
+    "                       [--combine COMBINE] [--target-order TARGET_ORDER]\n")
+TABLE_HELP = """\
+usage: expsample table [-h] --chi CHI --phi PHI --fn FN --x X --w W
+                       [--nodes-per-unit NODES_PER_UNIT]
+                       [--panel-max-width PANEL_MAX_WIDTH] [--out OUT]
+                       [--format {csv,json}] [--combine COMBINE]
+
+options:
+  -h, --help            show this help message and exit
+  --chi CHI             discrete-role kernel
+  --phi PHI             continuous-role kernel
+  --fn FN               name:<builtin> or expr:<string>
+  --x X                 points: list or start:stop:step
+  --w W                 scales: list or start:stop:step
+  --nodes-per-unit NODES_PER_UNIT
+                        Gauss-Legendre points per unit log-length
+  --panel-max-width PANEL_MAX_WIDTH
+                        maximum quadrature panel width (log units)
+  --out OUT             output file path
+  --format {csv,json}   output format (default csv)
+  --combine COMBINE     add combined columns p=<int> (repeatable)
+"""
+TOP_HELP = USAGE + """
+Exponential sampling operators: kernels, moments, error tables, and rate
+studies.
+
+positional arguments:
+  {coeffs,moments,verify,eval,table,rates,voronovskaya}
+    coeffs              combination coefficients of order p
+    moments             kernel moments
+    verify              check the kernel-pair assumptions
+    eval                evaluate the operator on a grid
+    table               error table over points and scales
+    rates               empirical convergence order
+    voronovskaya        predicted vs extrapolated error constant
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+SINLOG_RATES = ["rates", "--chi", "bspline:4", "--phi", "bspline:2", "--fn",
+                "name:sinlog", "--x", "2", "--w", "50,100,200"]
+
+# (argv, exit code, stdout, stderr), as argparse prints them at 80 columns
+USAGE_CASES = [
+    ([], 2, "", USAGE + "expsample: error: the following arguments are "
+     "required: command\n"),
+    (["frobnicate"], 2, "", USAGE + "expsample: error: argument command: "
+     "invalid choice: 'frobnicate' (choose from 'coeffs', 'moments', "
+     "'verify', 'eval', 'table', 'rates', 'voronovskaya')\n"),
+    (["--version"], 0, "0.1.0\n", ""),
+    (["-h"], 0, TOP_HELP, ""),
+    (SINLOG_RATES + ["--bogus", "1"], 2, "",
+     USAGE + "expsample: error: unrecognized arguments: --bogus 1\n"),
+    (["coeffs", "--p", "3", "--", "x"], 2, "",
+     USAGE + "expsample: error: unrecognized arguments: -- x\n"),
+    # the top level reads "--=" as an abbreviation of both its flags
+    (["table", "--=1"], 2, "", USAGE + "expsample: error: ambiguous option: "
+     "--=1 could match --help, --version\n"),
+    (["moments", "--order", "2"], 2, "",
+     "usage: expsample moments [-h] --kernel KERNEL --order ORDER\n"
+     "                         [--route {discrete,continuous,poisson,"
+     "absolute-discrete,absolute-continuous}]\n"
+     "                         [--u U] [--nodes-per-unit NODES_PER_UNIT]\n"
+     "                         [--panel-max-width PANEL_MAX_WIDTH]\n"
+     "expsample moments: error: the following arguments are required: "
+     "--kernel\n"),
+    (["rates", "--chi", "bspline:4", "--x"], 2, "", RATES_USAGE +
+     "expsample rates: error: argument --x: expected one argument\n"),
+    (["table", "--help"], 0, TABLE_HELP, ""),
+]
+
+
+class TestUsageAndErrors:
+    """Each command line is parsed once, by its command's parser; usage
+    text, errors and exit codes are those of the one top-level parser."""
+
+    @pytest.mark.parametrize("argv, code, out, err", USAGE_CASES,
+                             ids=[" ".join(c[0][:3]) or "none"
+                                  for c in USAGE_CASES])
+    def test_output_and_exit_code(self, capsys, monkeypatch, argv, code, out,
+                                  err):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("argv", [
+        SINLOG_RATES, SINLOG_RATES + ["--combine=p=3", "--target-order", "2"],
+        MOMENTS, VERIFY, EVAL + ["--combine", "p=2"],
+        TABLE + ["--combine", "p=2", "--combine", "p=3"],
+        VORONOVSKAYA, ["coeffs", "--p", "3"]])
+    def test_namespace_is_the_top_level_one(self, argv):
+        # the run record's keys follow the namespace, in its order
+        got = vars(_parse(argv))
+        want = vars(build_parser().parse_args(argv))
+        assert list(got.items()) == list(want.items())
 
 
 class TestRunRecord:

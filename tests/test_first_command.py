@@ -5,6 +5,8 @@ run, so a module that a command imports on first use is paid on every
 invocation.  This runs the set-up a CLI process makes (import the CLI,
 parse kernels and functions, build the parser), snapshots sys.modules,
 runs one command of each kind and asserts that no module was added.
+It then runs the same commands again, on the caches the first run
+warmed, and asserts the same stdout and files byte for byte.
 It also asserts that OpenSSL's `_hashlib` is never loaded: the run
 record's digest comes from CPython's built-in SHA-256.
 """
@@ -47,7 +49,7 @@ INVOCATIONS = [
 ]
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, pathlib, sys
 import expsample.cli
 from expsample import function_from_spec, parse_kernel
 
@@ -58,12 +60,23 @@ for spec in functions:
     function_from_spec(spec)
 expsample.cli.build_parser().parse_args(invocations[0])
 before = set(sys.modules)
-codes = []
-for argv in invocations:
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(expsample.cli.main(argv))
-print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before),
-                  "hashlib": "_hashlib" in sys.modules}))
+
+
+def run():
+    codes, outputs = [], []
+    for argv in invocations:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            codes.append(expsample.cli.main(argv))
+        outputs.append(out.getvalue())
+    files = {p.name: p.read_bytes().decode() for p in pathlib.Path().iterdir()}
+    return codes, outputs, files
+
+
+codes, outputs, files = run()
+added = sorted(set(sys.modules) - before)
+print(json.dumps({"codes": codes, "added": added,
+                  "hashlib": "_hashlib" in sys.modules,
+                  "warm_same": run() == (codes, outputs, files)}))
 """
 
 
@@ -78,6 +91,8 @@ def test_first_commands_import_no_module(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(INVOCATIONS)
     assert result["added"] == []
+    # a second run, on warm caches, reproduces stdout and every file
+    assert result["warm_same"]
     # a build without the built-in modules takes the hashlib fallback
     if any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
         assert not result["hashlib"]
