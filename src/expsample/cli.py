@@ -220,18 +220,15 @@ def _cmd_coeffs(args):
 def _cmd_moments(args):
     kernel = parse_kernel(args.kernel)
     cfg = _quad_config(args)
-    try:
-        if args.route == "discrete":
-            value = discrete_moment(kernel, args.order, args.u)
-        elif args.route == "continuous":
-            value = continuous_moment(kernel, args.order)
-        elif args.route == "poisson":
-            value = poisson_moment(kernel, args.order, cfg=cfg)
-        else:
-            value = absolute_moment(kernel, args.order,
-                                    args.route.removeprefix("absolute-"))
-    except OverflowError:
-        value = math.inf
+    if args.route == "discrete":
+        value = discrete_moment(kernel, args.order, args.u)
+    elif args.route == "continuous":
+        value = continuous_moment(kernel, args.order)
+    elif args.route == "poisson":
+        value = poisson_moment(kernel, args.order, cfg=cfg)
+    else:
+        value = absolute_moment(kernel, args.order,
+                                args.route.removeprefix("absolute-"))
     if not math.isfinite(value):
         raise EvaluationError(f"the moment of order {args.order} of "
                               f"{kernel.descriptor} overflows double precision")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import continuous_moment, phase_moments
+from .kernels import continuous_moment, lattice_moments
 from .operators import durrmeyer_eval
 
 MAX_ORDER = 12
@@ -131,16 +131,16 @@ def _moment_terms(spec, chi, phi, j, u=1.0, log_u=None, sides=(False, True)):
     """combined_moment (side False) and combined_moment_size (side True),
     one result per entry of sides, with the continuous factors of phi
     computed once for all of them."""
-    weights = np.array([math.comb(j, eta) * continuous_moment(phi, j - eta)
-                        for eta in range(j + 1)])
+    weights = [math.comb(j, eta) * continuous_moment(phi, j - eta)
+               for eta in range(j + 1)]
     logs = np.asarray(math.log(u) if log_u is None else log_u, dtype=float)
     out = []
     for absolute in sides:
-        factors = np.abs(weights) if absolute else weights
+        part = abs if absolute else float  # a term, or its magnitude
         total = 0.0
         for i, beta in enumerate(spec.beta, start=1):
-            coeff = abs(beta) if absolute else beta
-            total = total + coeff / i ** j * (
-                phase_moments(chi, j, i * logs, absolute) @ factors)
+            total = total + part(beta) / i ** j * sum(
+                part(weight) * lattice_moments(chi, eta, i * logs, absolute)
+                for eta, weight in enumerate(weights))
         out.append(total if logs.ndim else float(total[0]))
     return out

@@ -38,9 +38,10 @@ from order 2 on; Strang & Fix 1973).
 Since a kernel is piecewise polynomial, so are K(v) v^nu and |K(v)| |v|^nu
 once they are cut at the real roots of the pieces and at v = 0, and so are
 their lattice sums as functions of the phase of log u, with breaks at the
-phases of the cuts.  The continuous moments are exact integrals of the
-pieces, the suprema of the lattice sums are maxima over cell ends and the
-real roots of the derivative, and the tails beyond the support vanish
+phases of the cuts.  Every lattice moment reads one table of these
+phase polynomials per (kernel, nu, absolute), whose cost grows with the
+pieces, not with the support's width.  The continuous moments are exact
+integrals of the pieces, and the tails beyond the support vanish
 identically.  Only the Poisson route integrates numerically, so that it
 stays an independent check.
 
@@ -54,6 +55,7 @@ continuous absolute moment's pairwise sum) and for roots of degree >= 2.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -184,10 +186,8 @@ def _log_literal(value):
     return f"e^{value!r}"
 
 
-# the support and lattice sums of a translate kernel grow with |log a| and
-# |log b|; past this bound they exhaust memory or lose every digit (log a =
-# 1e8 asked the discrete route for a 763 MiB array, 1e300 made the
-# continuous moment -3.0e300)
+# the Poisson route's quadrature loses digits with a translate kernel's width:
+# at log a = -log b = 1e6 it reads 999999999884.67 for m_2(chi, 1) = 1e12
 MAX_TRANSLATE_LOG = 2.0 ** 16
 
 
@@ -278,14 +278,24 @@ def parse_kernel(descriptor):
 
 # --- moments ---------------------------------------------------------------
 
+def _inf_past_double_range(moment):
+    """moment, giving inf or nan past double range, without warnings."""
+    @functools.wraps(moment)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return moment(*args, **kwargs)
+        except OverflowError:  # a binomial coefficient or a Fraction
+            return math.inf
+    return guarded
+
+
+@_inf_past_double_range
 def discrete_moment(chi, nu, u=1.0):
-    """Algebraic moment of order nu of a discrete-role kernel at u: the
-    exact finite sum over the integers inside the kernel support, entry
-    nu of phase_moments at log u."""
+    """The lattice moment m_nu(chi, u) of a discrete-role kernel."""
     if not 0 < u < math.inf:
         raise ValueError(f"u must be positive and finite, got {u}")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan
-        return float(phase_moments(chi, nu, math.log(u))[0, nu])
+    return float(lattice_moments(chi, nu, math.log(u))[0])
 
 
 def _order(nu):
@@ -295,27 +305,21 @@ def _order(nu):
     return nu
 
 
-def phase_moments(chi, j, log_u, absolute=False):
-    """Discrete moments m_0 .. m_j of chi at u = e^{log_u}, one row per
-    entry of log_u (shape (len(log_u), j + 1)); absolute=True gives the
-    sums of |chi(e^{-k} u)| |k - log u|^nu instead.
-
-    The sums are 1-periodic in log u, so only the phase frac(log u)
-    matters; taking the log keeps u = x^w usable where x^w overflows.
-    Every (phase, k) term is one point of a single kernel evaluation,
-    over the k that reach a phase in [0, 1) and a margin of two.
-    """
-    taus = np.mod(np.atleast_1d(np.asarray(log_u, dtype=float)), 1.0)
-    powers = np.arange(_order(j) + 1)
-    lo, hi = chi.support
-    # the margin stays: with one power numpy sums the k axis pairwise, in
-    # blocks of 8, so a window cut to the support moves m_0 by an ulp
-    ks = np.arange(math.floor(0.5 - hi) - 2, math.ceil(0.5 - lo) + 3)
-    d = ks - taus[:, None]
-    vals = chi.eval_log(-d.ravel()).reshape(d.shape)
-    if absolute:
-        vals, d = np.abs(vals), np.abs(d)
-    return np.sum(vals[:, :, None] * d[:, :, None] ** powers, axis=1)
+def lattice_moments(chi, nu, log_u, absolute=False):
+    """m_nu(chi, e^tau) at the entries tau of log_u (a float or a 1-d
+    array), as an array, or with absolute=True the absolute sums: Horner's
+    rule about the nearer end of the cell of each phase (about the left
+    end only, B2 loses up to 85 eps at orders 3-4).  The log keeps u = x^w
+    usable where x^w overflows."""
+    cells, left, right = _lattice_polynomials(chi, _order(nu), absolute)
+    out = []
+    for tau in np.ravel(log_u).tolist():
+        tau = tau % 1.0 % 1.0  # -1e-20 % 1.0 rounds up to 1.0, the phase 0
+        c = bisect.bisect_right(cells, tau) - 1
+        a, b = cells[c], cells[c + 1]
+        out.append(_horner(left[c], tau - a) if tau - a <= b - tau
+                   else _horner(right[c], tau - b))
+    return np.array(out)
 
 
 def _horner(row, t):
@@ -402,29 +406,31 @@ def _weighted_pieces(kernel, nu, absolute):
     return edges, out
 
 
-def _lattice_polynomials(kernel, nu, absolute=False):
+@functools.lru_cache(maxsize=256)
+def _lattice_polynomials(kernel, nu, absolute):
     """The lattice sum m_nu(kernel, e^tau) as a polynomial on each cell
     between the phases of its breaks: cells 0 = p_0 < ... < p_C = 1 and
-    a table whose row c holds, highest power first, the sum on
-    [p_c, p_{c+1}) in s = tau - p_c.  absolute=True gives the sums of
-    |chi(e^{-k} u)| |k - log u|^nu instead.  Every term k of the sum
-    lies on one piece over a whole cell, found at the cell's midpoint;
-    each nonzero piece is taken at the k that put it there, in rising k."""
+    two tables whose rows c hold, highest power first, the sum on
+    [p_c, p_{c+1}) in s = tau - p_c (left) and in s = tau - p_{c+1}
+    (right); absolute=True gives the sums of |chi(e^{-k} u)| |k - log u|^nu.
+    Each term k lies on one piece over a whole cell (found at its midpoint),
+    summed in rising k; a process builds the tuples once (bounded cache)."""
     edges, rows = _weighted_pieces(kernel, nu, absolute)
     cells = sorted({*(e % 1.0 for e in edges), 0.0, 1.0})
     spans = [(a, b, row) for a, b, row in zip(edges, edges[1:], rows)
              if any(row)]
-    table = []
+    flip = not absolute and nu % 2 == 1  # (k - tau)^nu = (-v)^nu, v = tau - k
+    left, right = [], []
     for a, b in zip(cells, cells[1:]):
-        half, total = 0.5 * (b - a), [0.0] * len(rows[0])
-        for lo, hi, row in spans:
-            for k in range(math.floor(lo - b), math.ceil(hi - a) + 1):
-                at = a + k
-                if lo <= half + at < hi:
-                    total = [s + x for s, x in zip(total, _shifted(row, at - lo))]
-        # (k - tau)^nu = (-v)^nu with v = tau - k on the kernel's side
-        table.append(total if absolute or nu % 2 == 0 else [-x for x in total])
-    return cells, table
+        terms = [(row, k, lo) for lo, hi, row in spans
+                 for k in range(math.floor(lo - b), math.ceil(hi - a) + 1)
+                 if lo <= 0.5 * (b - a) + (a + k) < hi]
+        for end, table in ((a, left), (b, right)):
+            total = [0.0] * len(rows[0])
+            for row, k, lo in terms:
+                total = [s + x for s, x in zip(total, _shifted(row, end + k - lo))]
+            table.append(tuple(-x if flip else x for x in total))
+    return tuple(cells), tuple(left), tuple(right)
 
 
 def _max_abs(cells, table):
@@ -461,6 +467,7 @@ def _spline_moments(n, nu):
 
 
 @functools.lru_cache(maxsize=256)
+@_inf_past_double_range
 def continuous_moment(phi, nu):
     """Algebraic moment of order nu of a continuous-role kernel: the
     integral of phi(u) log^nu u du/u over the support.  A term
@@ -477,6 +484,7 @@ def continuous_moment(phi, nu):
     return float(total)
 
 
+@_inf_past_double_range
 def absolute_moment(kernel, nu, side):
     """Absolute moment of order nu, exact on the polynomial pieces of the
     kernel cut at their real roots and at v = 0.
@@ -486,19 +494,13 @@ def absolute_moment(kernel, nu, side):
     log u over their cells, one-sided limits at the cell ends included.
     side='continuous': the integral of |phi| |log|^nu.
     """
-    _order(nu)
-    try:
-        # an order past double range gives inf or nan, without warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            if side == "discrete":
-                return _max_abs(*_lattice_polynomials(kernel, nu, absolute=True))
-            if side == "continuous":
-                edges, rows = _weighted_pieces(kernel, nu, absolute=True)
-                powers = np.arange(len(rows[0]), 0, -1)
-                widths = np.diff(edges)[:, None]
-                return float(np.sum(np.array(rows) * widths ** powers / powers))
-    except OverflowError:  # a binomial coefficient past double range
-        return math.inf
+    if side == "discrete":
+        return _max_abs(*_lattice_polynomials(kernel, _order(nu), True)[:2])
+    if side == "continuous":
+        edges, rows = _weighted_pieces(kernel, _order(nu), absolute=True)
+        powers = np.arange(len(rows[0]), 0, -1)
+        widths = np.diff(edges)[:, None]
+        return float(np.sum(np.array(rows) * widths ** powers / powers))
     raise ValueError("side must be 'discrete' or 'continuous'")
 
 
@@ -576,8 +578,8 @@ def verify_kernel(chi, phi, r=1, tol=1e-8):
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    cells, table = _lattice_polynomials(chi, 0)
-    worst = _max_abs(cells, [row[:-1] + [row[-1] - 1.0] for row in table])
+    cells, table, _ = _lattice_polynomials(chi, 0, False)
+    worst = _max_abs(cells, [(*row[:-1], row[-1] - 1.0) for row in table])
     partition = ConditionResult("partition of unity", worst <= tol, worst)
 
     resid = abs(continuous_moment(phi, 0) - 1.0)

@@ -4,13 +4,16 @@ Each computes one value point by point, on its own code path: the
 convolution mean of f on its own knot-aligned rule, the sampling series
 as a loop over k, the integral-mean (Kantorovich) form as a loop over k
 of plain means, the log-coordinate derivative by central finite
-differences, and an expression's value by a walk over its AST.  They may import from expsample only its errors and its
-quadrature rules; tests/test_oracles_independent.py checks that, and that
-the package defines none of the names here.
+differences, an expression's value by a walk over its AST, and a
+kernel's lattice moments exactly, in rational arithmetic, from its own
+truncated-power B-spline.  They may import from expsample only its
+errors and its quadrature rules; tests/test_oracles_independent.py
+checks that, and that the package defines none of the names here.
 """
 
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,6 +107,35 @@ def kantorovich_eval(chi, f, w, x, cfg=DEFAULT_CONFIG):
             inner += wt * fv
         total += cw * w * inner
     return float(total)
+
+
+def _truncated_power_bspline(n, s):
+    """N_n(s) for a Fraction s, exactly: the truncated-power form
+    sum_j (-1)^j C(n, j) (s - j)_+^(n-1) / (n-1)!, zero outside [0, n)."""
+    if not 0 <= s < n:
+        return Fraction(0)
+    total = sum((-1) ** j * math.comb(n, j) * (s - j) ** (n - 1)
+                for j in range(n + 1) if s >= j)
+    return total / math.factorial(n - 1)
+
+
+def exact_lattice_moment(kernel, nu, log_u):
+    """The lattice moment sum_k sum_i c_i N_n(tau - k + o_i) (k - tau)^nu
+    and the matching absolute sum sum_k |chi(tau - k)| |k - tau|^nu, as
+    exact Fractions at the exact phase tau of the float log_u.  The kernel
+    is read as data only: its order n and its terms (c_i, o_i)."""
+    tau = Fraction(log_u) % 1
+    n = kernel.order
+    terms = [(Fraction(c), Fraction(o)) for c, o in kernel.terms]
+    ks = sorted({k for _, o in terms
+                 for k in range(math.ceil(tau + o - n), math.floor(tau + o) + 1)})
+    plain = absolute = Fraction(0)
+    for k in ks:
+        value = sum(c * _truncated_power_bspline(n, tau - k + o)
+                    for c, o in terms)
+        plain += value * (k - tau) ** nu
+        absolute += abs(value) * abs(k - tau) ** nu
+    return plain, absolute
 
 
 # Central finite-difference stencils of accuracy order 2.

@@ -9,6 +9,8 @@ import pytest
 
 from expsample.analysis import config_digest
 from expsample.cli import _parse, _parse_reals, build_parser, main
+from expsample.kernels import parse_kernel
+from oracles import exact_lattice_moment
 
 
 def _strict(constant):
@@ -751,6 +753,19 @@ class TestOrdersPastDoubleRange:
         assert code == 1 and out == ""
         assert err == (f"expsample moments: numerical failure: the moment of "
                        f"order 80 of {WIDE} overflows double precision\n")
+
+    def test_wide_kernel_reads_the_direct_sum(self, capsys):
+        # 2^32 + 0.249..., the rounded exact lattice sum at log 1.7, which
+        # the direct sum over every lattice point printed too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["moments", "--kernel", WIDE, "--order", "2",
+                         "--route", "discrete", "--u", "1.7"])
+        out = capsys.readouterr().out
+        exact = exact_lattice_moment(parse_kernel(WIDE), 2, math.log(1.7))[0]
+        assert code == 0
+        assert out.splitlines()[0] == "4294967296.2490615845"
+        assert f"{float(exact):.10f}" == "4294967296.2490615845"
 
     def test_poisson_route_keeps_its_order_cap(self, capsys):
         assert main(["moments", "--kernel", WIDE, "--order", "80",

@@ -8,6 +8,8 @@ integral (1-|u|) u^nu du are 1, 0, 1/6, 0, 1/15 for nu = 0..4).
 
 import functools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from expsample import (
     MellinPoint,
     absolute_moment,
     characteristic,
+    combined_moment_size,
     continuous_moment,
     discrete_moment,
     integrate_log,
@@ -28,6 +31,7 @@ from expsample import (
     mellin_transform,
     parse_kernel,
     poisson_moment,
+    solve_coefficients,
     verify_kernel,
 )
 from expsample.kernels import (
@@ -35,9 +39,10 @@ from expsample.kernels import (
     _pieces,
     _real_roots,
     _weighted_pieces,
-    phase_moments,
+    lattice_moments,
 )
 from conftest import cox_de_boor, direct_discrete_moment, exact_bspline
+from oracles import exact_lattice_moment
 
 
 class TestBsplineEvaluation:
@@ -266,7 +271,7 @@ class TestMomentArguments:
     # a negative order has no moment: each route names it instead of
     # returning a number (0.0, inf, a quadrature value) or an IndexError
     @pytest.mark.parametrize("moment", [
-        lambda k: phase_moments(k, -1, 0.0),
+        lambda k: lattice_moments(k, -1, 0.0),
         lambda k: discrete_moment(k, -1),
         lambda k: continuous_moment(k, -1),
         lambda k: absolute_moment(k, -1, "discrete"),
@@ -489,6 +494,25 @@ class TestDescriptors:
 # lie above each grid maximum and within the grid's own slope times its
 # spacing of it.
 
+def phase_moments(chi, j, log_u, absolute=False):
+    """Discrete moments m_0 .. m_j of chi at u = e^{log_u} as direct
+    lattice sums, one row per entry of log_u (shape (len(log_u), j + 1));
+    absolute=True gives the sums of |chi(e^{-k} u)| |k - log u|^nu
+    instead.  Every (phase, k) term is one point of a single kernel
+    evaluation, over the k that reach a phase in [0, 1) and a margin of
+    two: with one power numpy sums the k axis pairwise, in blocks of 8,
+    so a window cut to the support would move m_0 by an ulp."""
+    taus = np.mod(np.atleast_1d(np.asarray(log_u, dtype=float)), 1.0)
+    powers = np.arange(j + 1)
+    lo, hi = chi.support
+    ks = np.arange(math.floor(0.5 - hi) - 2, math.ceil(0.5 - lo) + 3)
+    d = ks - taus[:, None]
+    vals = chi.eval_log(-d.ravel()).reshape(d.shape)
+    if absolute:
+        vals, d = np.abs(vals), np.abs(d)
+    return np.sum(vals[:, :, None] * d[:, :, None] ** powers, axis=1)
+
+
 def _loop_window(chi):
     """Every k with chi(tau - k) possibly nonzero for a tau in [0, 1)."""
     lo, hi = chi.support
@@ -613,16 +637,19 @@ class TestVectorisedRoutes:
 
     @pytest.mark.parametrize("count", [1, 512, 1029])
     def test_phase_blocks_match_loop(self, psi, count):
-        # any number of phases is one kernel evaluation
+        # any number of phases, each read from its cell's polynomial
         log_u = np.linspace(-3.0, 7.0, count)
-        got = phase_moments(psi, 4, log_u)
+        got = np.array([lattice_moments(psi, nu, log_u)
+                        for nu in range(5)]).T
         assert got.shape == (count, 5)
+        ref = phase_moments(psi, 4, log_u)
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-12)
         for row, lu in zip(got, log_u):
             tau = lu % 1.0
             ks = _loop_window(psi)
             vals = psi.eval_log(tau - ks)
-            ref = [float(np.sum(vals * (ks - tau) ** nu)) for nu in range(5)]
-            assert np.allclose(row, ref, rtol=1e-13, atol=1e-12)
+            loop = [float(np.sum(vals * (ks - tau) ** nu)) for nu in range(5)]
+            assert np.allclose(row, loop, rtol=1e-13, atol=1e-12)
 
     def test_batched_roots_match_scalar_bisection(self):
         # the absolute routes cut the pieces at the real roots of every
@@ -661,12 +688,29 @@ class TestVectorisedRoutes:
         # at them and b2 cut at 0; the two absolute routes of psi that
         # follow reuse psi's tables, and no caller can write to them
         _pieces.cache_clear()
+        _lattice_polynomials.cache_clear()
         verify_kernel(psi, b2, 3)
         absolute_moment(psi, 2, "discrete")
         absolute_moment(psi, 2, "continuous")
         assert _pieces.cache_info().misses == 3
         edges, rows = _pieces(psi, ())
         assert not edges.flags.writeable and not rows.flags.writeable
+
+    def test_lattice_tables_are_built_once(self, psi, b2):
+        # every moment caller reads one table per (kernel, nu, absolute):
+        # verify_kernel builds (psi, 0, plain) and (psi, 3, absolute), the
+        # discrete route (psi, 2, plain), the combined size the absolute
+        # tables of orders 0-2, and the rest reuse them
+        _lattice_polynomials.cache_clear()
+        verify_kernel(psi, b2, 3)
+        discrete_moment(psi, 2, 1.7)
+        combined_moment_size(solve_coefficients(3), psi, b2, 2, 1.7)
+        absolute_moment(psi, 2, "discrete")
+        lattice_moments(psi, 0, [0.25, 0.5])
+        info = _lattice_polynomials.cache_info()
+        assert info.misses == 6 and info.currsize == 6
+        cells, left, right = _lattice_polynomials(psi, 2, False)
+        assert all(isinstance(t, tuple) for t in (cells, *left, *right))
 
     def test_failing_partition_reports_same_residual(self, b2):
         chi = _stretched_hat()
@@ -725,6 +769,39 @@ class TestExactSuprema:
         psi = parse_kernel("translates:2:a=e^-2,b=e^-3")
         for nu, coeffs in ((2, [0.0, -1.0, 1.0, -6.0]),
                            (3, [0.0, 2.0, -3.0, 1.0, 30.0])):
-            cells, table = _lattice_polynomials(psi, nu)
-            assert cells == [0.0, 1.0]
+            cells, table, _ = _lattice_polynomials(psi, nu, False)
+            assert cells == (0.0, 1.0)
             assert np.allclose(table[0], coeffs, rtol=0.0, atol=1e-13)
+
+
+# --- exact lattice moments ---------------------------------------------------
+
+ORACLE_KERNELS = ["bspline:2", "bspline:4", "bspline:6", "char",
+                  "translates:2:a=e^-2,b=e^-3", "translates:3:a=e^1,b=e^4",
+                  "translates:5:a=1.7,b=9.1"]
+
+
+class TestLatticeMomentAccuracy:
+    # each moment read from the phase polynomials lies within 16 eps of
+    # the exact absolute sum S of its terms: at seeded log u, at phases
+    # 1e-9 inside every cell end (given in [0, 1), so the float is the
+    # phase itself), and at log u = -42.0057, phase 0.9943, where B2
+    # expanded about the left end of its cell only is 32-85 eps S off at
+    # orders 3-4, and up to 5e8 eps S off 1e-9 before the end
+    @pytest.mark.parametrize("descriptor", ORACLE_KERNELS)
+    def test_within_16_eps_of_exact(self, descriptor):
+        kernel = parse_kernel(descriptor)
+        rng = random.Random(20261019)
+        seeded = [rng.uniform(-60.0, 60.0) for _ in range(24)] + [-42.0057]
+        eps = np.finfo(float).eps
+        for nu in range(5):
+            for absolute in (False, True):
+                cells = _lattice_polynomials(kernel, nu, absolute)[0]
+                log_u = (seeded + [p - 1e-9 for p in cells[1:]]
+                         + [p + 1e-9 for p in cells[:-1]])
+                got = lattice_moments(kernel, nu, log_u, absolute)
+                for value, lu in zip(got.tolist(), log_u):
+                    plain, size = exact_lattice_moment(kernel, nu, lu)
+                    exact = size if absolute else plain
+                    assert abs(Fraction(value) - exact) <= 16 * eps * size, (
+                        nu, absolute, lu)

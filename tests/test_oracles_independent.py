@@ -58,7 +58,8 @@ def test_oracles_import_only_errors_and_quadrature():
 def test_library_defines_no_oracle_name():
     names = _defined_names(_tree())
     assert {"mellin_convolution", "series_oracle", "kantorovich_eval",
-            "mellin_derivative", "walk_expression"} <= names
+            "mellin_derivative", "walk_expression",
+            "exact_lattice_moment"} <= names
     modules = [expsample] + [
         importlib.import_module(f"expsample.{info.name}")
         for info in pkgutil.iter_modules(expsample.__path__)]

@@ -94,11 +94,12 @@ def _weighted_pieces(kernel, nu, absolute):
     return edges, out
 
 
-def _lattice_polynomials(kernel, nu, absolute=False):
+def _lattice_polynomials(kernel, nu, absolute=False, right=False):
     """The lattice sum m_nu(kernel, e^tau) as a polynomial on each cell
     between the phases of its breaks: cells 0 = p_0 < ... < p_C = 1 and
     a table whose row c holds, highest power first, the sum on
-    [p_c, p_{c+1}) in s = tau - p_c.  absolute=True gives the sums of
+    [p_c, p_{c+1}) in s = tau - p_c, or with right=True in
+    s = tau - p_{c+1}.  absolute=True gives the sums of
     |chi(e^{-k} u)| |k - log u|^nu instead.  Every term k of the sum
     lies on one piece over a whole cell, found at the cell's midpoint."""
     edges, rows = _weighted_pieces(kernel, nu, absolute)
@@ -109,6 +110,8 @@ def _lattice_polynomials(kernel, nu, absolute=False):
                         + at, side="right") - 1
     inside = (p >= 0) & (p < rows.shape[0])
     p = np.clip(p, 0, rows.shape[0] - 1)
+    if right:
+        at = cells[1:, None] + ks
     table = _shifted(rows[p] * inside[..., None], at - edges[p]).sum(axis=1)
     # (k - tau)^nu = (-v)^nu with v = tau - k on the kernel's side
     return cells, (table if absolute or nu % 2 == 0 else -table)
@@ -207,10 +210,13 @@ def test_lattice_algebra_matches_reference(kernel):
             ref_edges, ref_rows = _weighted_pieces(kernel, nu, absolute)
             assert _bytes(edges) == _bytes(ref_edges), (nu, absolute)
             assert _bytes(rows) == _bytes(ref_rows), (nu, absolute)
-            cells, table = kernels._lattice_polynomials(kernel, nu, absolute)
+            cells, table, right = kernels._lattice_polynomials(kernel, nu,
+                                                               absolute)
             ref_cells, ref_table = _lattice_polynomials(kernel, nu, absolute)
+            ref_right = _lattice_polynomials(kernel, nu, absolute, True)[1]
             assert _bytes(cells) == _bytes(ref_cells), (nu, absolute)
             assert _bytes(table) == _bytes(ref_table), (nu, absolute)
+            assert _bytes(right) == _bytes(ref_right), (nu, absolute)
             assert (_bytes(kernels._max_abs(cells, table))
                     == _bytes(_max_abs(ref_cells, ref_table))), (nu, absolute)
         for side in ("discrete", "continuous"):
@@ -242,8 +248,9 @@ def test_cost_grows_with_the_pieces(monkeypatch):
     monkeypatch.setattr(kernels, "_shifted",
                         lambda row, d: shifts.append(d) or shifted(row, d))
     kernels._pieces.cache_clear()
+    kernels._lattice_polynomials.cache_clear()
     absolute_moment(kernel, 3, "discrete")
     pieces = len(edges) - 1
     # the piece tables (one shift per piece and term) and the lattice sum
-    # (one per nonzero piece and cell)
-    assert len(shifts) <= (len(kernel.terms) + len(cells) - 1) * pieces
+    # (one per nonzero piece, cell and cell end)
+    assert len(shifts) <= (len(kernel.terms) + 2 * (len(cells) - 1)) * pieces
