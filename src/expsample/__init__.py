@@ -13,7 +13,6 @@ from .errors import (
     ExpSampleError,
     KernelError,
     ParseError,
-    SamplingError,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -41,7 +40,6 @@ from .operators import (
     OperatorSpec,
     batch_eval,
     durrmeyer_eval,
-    sampling_eval,
     write_batch_csv,
 )
 from .combinations import (
@@ -49,7 +47,6 @@ from .combinations import (
     CombinationSpec,
     combined_eval,
     combined_moment,
-    combined_moment_size,
     pair_moment,
     residuals,
     solve_coefficients,

@@ -115,12 +115,6 @@ class ErrorTable:
             write_json(path, doc)
         return doc
 
-    def cell(self, x, label):
-        for rx, rlabel, fx, value in self.rows:
-            if rlabel == label and math.isclose(rx, x):
-                return abs(fx - value)
-        raise KeyError(f"no cell ({x}, {label})")
-
 
 def error_table(f, spec, xs, columns):
     """Cross product of evaluation points and columns, row-major.

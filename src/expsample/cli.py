@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import (Column, config_record, empirical_order, error_table,
                        voronovskaya_check)
 from .combinations import PLAIN, solve_coefficients
-from .errors import EvaluationError, ExpSampleError, SamplingError
+from .errors import EvaluationError, ExpSampleError
 from .functions import function_from_spec
 from .kernels import (absolute_moment, continuous_moment, discrete_moment,
                       parse_kernel, poisson_moment, verify_kernel)
@@ -87,7 +87,9 @@ def _operator_inputs(args, label=None):
     is one), the scales, the OperatorSpec of both kernels with the
     quadrature flags at the first scale, one combination per --combine
     and the run's record.  When label is given, each combination's
-    coefficients are printed after it (formatted with the order p)."""
+    coefficients are printed after it (formatted with the order p).  A
+    function that declares neither boundedness nor a growth bound gets
+    one warning line on stderr."""
     chi, phi = parse_kernel(args.chi), parse_kernel(args.phi)
     f = function_from_spec(args.fn)
     xs = _parse_reals(args.x, "--x") if isinstance(args.x, str) else args.x
@@ -101,6 +103,10 @@ def _operator_inputs(args, label=None):
         if label:
             print(label.format(p=comb.p), " ".join(f"{b:g}" for b in comb.beta))
         combs.append(comb)
+    if not f.admissible:
+        print(f"expsample {args.command}: warning: function {f.name!r} "
+              "declares neither boundedness nor a growth bound; the "
+              "operator series may not converge globally", file=sys.stderr)
     return f, xs, ws, spec, combs, _record(args, spec, x=xs, w=ws,
                                            p=[c.p for c in combs])
 
@@ -354,8 +360,7 @@ def main(argv=None):
         if summary:
             _summary(args.command, *summary)
         return 0
-    except (EvaluationError, SamplingError, ValueError,
-            ArithmeticError) as exc:
+    except (EvaluationError, ValueError, ArithmeticError) as exc:
         print(f"expsample {args.command}: numerical failure: {exc}",
               file=sys.stderr)
         return 1

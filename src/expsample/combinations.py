@@ -115,27 +115,21 @@ def combined_moment(spec, chi, phi, j, u=1.0, log_u=None):
     construction of the beta whenever the pair moment is the same at
     every u^i, as for b-spline pairs.
     """
-    return _moment_terms(spec, chi, phi, j, u, log_u, (False,))[0]
+    return _moment_terms(spec, chi, phi, j, u, log_u)[0]
 
 
-def combined_moment_size(spec, chi, phi, j, u=1.0, log_u=None):
-    """The sum of the magnitudes of the terms of combined_moment(spec,
-    chi, phi, j, u, log_u), |beta_i| / i^j binom(j, eta)
+def _moment_terms(spec, chi, phi, j, u=1.0, log_u=None):
+    """combined_moment(spec, chi, phi, j, u, log_u) and its size, the sum
+    of the magnitudes of its terms, |beta_i| / i^j binom(j, eta)
     |mhat_{j-eta}| |chi(tau - l)| |l - tau|^eta at the same phases: the
     scale of the roundoff in that coefficient, so a coefficient below
-    about 1e-12 of its size is zero."""
-    return _moment_terms(spec, chi, phi, j, u, log_u, (True,))[0]
-
-
-def _moment_terms(spec, chi, phi, j, u=1.0, log_u=None, sides=(False, True)):
-    """combined_moment (side False) and combined_moment_size (side True),
-    one result per entry of sides, with the continuous factors of phi
-    computed once for all of them."""
+    about 1e-12 of its size is zero.  The continuous factors of phi are
+    computed once for both."""
     weights = [math.comb(j, eta) * continuous_moment(phi, j - eta)
                for eta in range(j + 1)]
     logs = np.asarray(math.log(u) if log_u is None else log_u, dtype=float)
     out = []
-    for absolute in sides:
+    for absolute in (False, True):
         part = abs if absolute else float  # a term, or its magnitude
         total = 0.0
         for i, beta in enumerate(spec.beta, start=1):

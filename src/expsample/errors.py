@@ -21,7 +21,3 @@ class ParseError(ExpSampleError):
 
 class KernelError(ExpSampleError):
     """Invalid kernel construction or descriptor."""
-
-
-class SamplingError(ExpSampleError):
-    """A required sample value is missing from the accessor."""

@@ -138,12 +138,6 @@ class Kernel:
             out = c * val if out is None else out + c * val
         return float(out[0]) if v.ndim == 0 else out
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise ValueError("kernels are defined on positive reals")
-        return self.eval_log(np.log(x))
-
 
 @functools.cache
 def _bspline_pieces(n):

@@ -10,11 +10,11 @@ integral lives on log t in [(k + lo_phi)/w, (k + hi_phi)/w] and is done by
 knot-aligned Gauss-Legendre panels.  durrmeyer_eval computes each distinct
 window (w, k) that its points need once, from one evaluation of f on the
 nodes of the lattice periods those windows reach (see the engine notes
-below).  sampling_eval is the bare series driven by raw sample values;
-both sum their windows with one engine, _series.  Choosing phi as the
-indicator of [1, e) (the char kernel) turns the inner integral into the
-plain mean of f(e^u) over [k/w, (k+1)/w]: the Kantorovich form is that
-operator, with no route of its own.
+below).  Choosing phi as the indicator of [1, e) (the char kernel) turns
+the inner integral into the plain mean of f(e^u) over [k/w, (k+1)/w]:
+the Kantorovich form is that operator, with no route of its own.  The
+bare sampling series of raw sample values has no route either; its
+scalar loop is a test oracle.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ import functools
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationError, SamplingError
+from .errors import EvaluationError
 from .functions import RealFunction
 from .kernels import Kernel
 from .quadrature import QuadratureConfig, cell_rule, panel_counts
@@ -61,15 +60,6 @@ class OperatorSpec:
                 raise ValueError(
                     "truncation_radius may not be smaller than the support "
                     f"radius {self.chi.log_support_radius} of chi")
-
-
-def _admissibility_warning(f):
-    if not getattr(f, "admissible", False):
-        name = getattr(f, "name", repr(f))
-        warnings.warn(
-            f"function {name!r} declares neither boundedness nor a growth "
-            "bound; the operator series may not converge globally",
-            stacklevel=3)
 
 
 # beyond 2^52 consecutive integers are no longer exactly representable
@@ -196,15 +186,16 @@ def _needed_windows(ws, tc, kmin, kmax, needed):
     return union_w[used], union_k[used], used.cumsum()[entry] - 1
 
 
-def _series(chi, xs, ws, window_values):
+def _series(spec, f, xs, ws):
     """The series sum_k chi(e^{-k} x^w) v_k at the pairs of the checked
     arrays xs and ws of one shape: an array of that shape, or a float
-    for 0-d arrays.  window_values(win_w, win_k) gives the v_k of the
-    distinct windows (w, k) that some chi row weights, sorted by w, then
-    k; a value reads its own windows only."""
+    for 0-d arrays.  The v_k are the convolution means of f at the
+    distinct windows (w, k) that some chi row weights (_window_means);
+    a value reads its own windows only."""
     shape = xs.shape
     if xs.size == 0:
         return np.empty(shape)
+    chi = spec.chi
     xs, ws = xs.ravel(), ws.ravel()
     tc, kmin, kmax = _windows(chi, ws, xs)
     ks = kmin[:, None] + np.arange(int((kmax - kmin).max()) + 1)
@@ -214,7 +205,7 @@ def _series(chi, xs, ws, window_values):
     needed = chi_rows != 0.0
     win_w, win_k, window_of = _needed_windows(ws, tc, kmin, kmax, needed)
     terms = np.zeros(ks.shape)
-    terms[needed] = window_values(win_w, win_k)[window_of]
+    terms[needed] = _window_means(spec, f, win_w, win_k)[window_of]
     # k by k from the left, so the zeros that pad a short window to the
     # longest of the call change nothing
     values = functools.reduce(np.add, (chi_rows * terms).T)
@@ -345,40 +336,7 @@ def durrmeyer_eval(spec, f, x, w=None):
     call.
     """
     xs, ws = _pairs(x, spec.w if w is None else w)
-    _admissibility_warning(f)
-    return _series(spec.chi, xs, ws, functools.partial(_window_means, spec, f))
-
-
-def _samples(samples, win_w, win_k):
-    """The samples g_k of the windows (win_w[i], win_k[i]): g(e^{k/w})
-    for a callable g, samples[k] for a mapping keyed by k."""
-    if callable(samples):
-        return _f_at_nodes(
-            samples, win_k / win_w,
-            lambda i: (float(win_w[i]), f"the sampling series at its node "
-                                        f"e^{{{win_k[i]}/{win_w[i]}}}"))
-    ks = win_k.tolist()
-    for k, w in zip(ks, win_w.tolist()):
-        if k not in samples:
-            raise SamplingError(
-                f"no sample for k={k} (node e^{{{k}/{w}}}) in the table")
-    return np.array([samples[k] for k in ks], dtype=float)
-
-
-def sampling_eval(chi, samples, w, x):
-    """The bare sampling series sum_k chi(e^{-k} x^w) g_k at x > 0, a
-    float or a numpy array, with w broadcast against x as in
-    durrmeyer_eval.
-
-    samples is a callable g, sampled at the nodes e^{k/w} by one
-    evaluation of the distinct nodes of the call (one array call for a
-    RealFunction), or a mapping from k to g_k, where the first missing
-    window in (w, k) order raises SamplingError naming its k.  The value
-    at (x, w) depends only on chi, samples, x and w, not on the other
-    pairs of the call.
-    """
-    xs, ws = _pairs(x, w)
-    return _series(chi, xs, ws, functools.partial(_samples, samples))
+    return _series(spec, f, xs, ws)
 
 
 # --- batch evaluation -------------------------------------------------------

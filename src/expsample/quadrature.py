@@ -3,9 +3,10 @@
 Every integral on the multiplicative half-line carries the measure dt/t.
 Substituting u = log t turns it into an ordinary Lebesgue integral, which
 is what the routines here compute: composite Gauss-Legendre rules over a
-finite interval of the log coordinate.  The finite-difference derivative
-in the log coordinate, where x f'(x) becomes d/du f(e^u), and the
-pointwise convolution mean serve only as test oracles; they live in
+finite interval of the log coordinate, and on them the Mellin transform
+of a kernel, which the Poisson moment route reads.  The finite-difference
+derivative in the log coordinate, where x f'(x) becomes d/du f(e^u), and
+the pointwise convolution mean serve only as test oracles; they live in
 tests/oracles.py.
 
 The Gauss-Legendre rules themselves are built here (_leggauss), bit for
@@ -121,9 +122,18 @@ def panel_counts(widths, cfg):
     wider than panel_max_width, and a panel gets nodes_per_unit points
     per unit of its width, but at least max(6, 0.7 * nodes_per_unit).
     Plain floats: the lists are short, and numpy's fixed cost per call
-    would outweigh their arithmetic."""
+    would outweigh their arithmetic.  A ValueError names panel_max_width
+    and the cell width when their quotient is not finite."""
     least = max(6, math.ceil(0.7 * cfg.nodes_per_unit))
-    panels = [max(1, math.ceil(w / cfg.panel_max_width)) for w in widths]
+    try:
+        panels = [max(1, math.ceil(w / cfg.panel_max_width)) for w in widths]
+    except (OverflowError, ValueError):
+        width = next(w for w in widths
+                     if not math.isfinite(w / cfg.panel_max_width))
+        raise ValueError(
+            f"panel_max_width={cfg.panel_max_width!r} is too small for a "
+            f"cell of width {width!r}: the panel count "
+            f"{width / cfg.panel_max_width!r} is not finite") from None
     return panels, [max(least, math.ceil(cfg.nodes_per_unit * w / m))
                     for w, m in zip(widths, panels)]
 
@@ -180,39 +190,27 @@ def integrate_log(g, iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     return float(total)
 
 
-def mellin_transform(f, point, cfg=DEFAULT_CONFIG, support=None, order=0):
-    """Numerical Mellin transform of f at s = c + it.
+def mellin_transform(kernel, point, cfg=DEFAULT_CONFIG, order=0):
+    """Numerical Mellin transform of a Kernel at s = c + it.
 
-    Computes the integral of f(u) u^s du/u, i.e. of f(e^u) e^{su} du over
-    the declared log-support, outside of which f must vanish.  Kernel
-    objects carry their own support intervals (one rule each) and knots;
-    for anything else the caller must pass a finite LogInterval.  order =
-    r > 0 gives the r-th derivative in s, differentiated under the
-    integral sign: the integral of f(e^u) u^r e^{su} du on the same panels.
+    Computes the integral of K(u) u^s du/u, i.e. of K(e^u) e^{su} du, on
+    one rule per interval of kernel.intervals, its panels cut at
+    kernel.knots, where the polynomial pieces meet, with the values from
+    kernel.eval_log.  order = r > 0 gives the r-th derivative in s,
+    differentiated under the integral sign: the integral of
+    K(e^u) u^r e^{su} du on the same panels.
 
     point is a MellinPoint or a sequence of them.  A sequence gives a list
     with one value per point; every point shares one rule and one
-    evaluation of f, and each value is summed on its own, so it equals
-    the single-point call exactly.
+    evaluation of the kernel, and each value is summed on its own, so it
+    equals the single-point call exactly.
     """
-    knots, intervals = (), [support]
-    if support is None:
-        sup = getattr(f, "support", None)
-        if sup is None:
-            raise ValueError("a finite log-support interval is required")
-        intervals = [LogInterval(*iv) for iv in getattr(f, "intervals", (sup,))]
-        knots = tuple(getattr(f, "knots", ()))
     if order < 0:
         raise ValueError(f"derivative order must be >= 0, got {order}")
-
-    eval_log = getattr(f, "eval_log", None)
-
-    rules = [log_rule(iv, cfg, knots) for iv in intervals]
+    rules = [log_rule(LogInterval(*iv), cfg, kernel.knots)
+             for iv in kernel.intervals]
     nodes, weights = (np.concatenate(part) for part in zip(*rules))
-    if eval_log is not None:
-        vals = np.asarray(eval_log(nodes), dtype=float)
-    else:
-        vals = np.array([f(math.exp(u)) for u in nodes], dtype=float)
+    vals = np.asarray(kernel.eval_log(nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals)][0]
         raise EvaluationError(f"non-finite transform integrand at u={bad!r}")

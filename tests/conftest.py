@@ -12,7 +12,6 @@ the finite-difference log derivative mellin_derivative.
 """
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,15 +25,6 @@ from expsample import (
     make_translate_combination,
     mellin_bspline,
 )
-
-
-@pytest.fixture(autouse=True)
-def _silence_admissibility():
-    # the suite exercises unbounded test functions on purpose
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message=".*neither boundedness nor a growth bound.*")
-        yield
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from expsample.errors import EvaluationError, SamplingError
+from expsample.errors import EvaluationError
 from expsample.quadrature import DEFAULT_CONFIG, LogInterval, log_rule
 
 
@@ -55,11 +55,10 @@ def mellin_convolution(phi, f, w, s, cfg=DEFAULT_CONFIG):
     return _convolution_log(phi, f, w, math.log(s), cfg)
 
 
-def series_oracle(chi, samples, w, x):
-    """The sampling series sum_k chi(e^{-k} x^w) g_k at one x > 0, summed
-    k by k from the left over the integers with chi(e^{-k} x^w) != 0.
-    samples is a callable g, sampled at e^{k/w}, or a mapping from k to
-    g_k."""
+def series_oracle(chi, g, w, x):
+    """The sampling series sum_k chi(e^{-k} x^w) g(e^{k/w}) at one x > 0,
+    summed k by k from the left over the integers with
+    chi(e^{-k} x^w) != 0."""
     lo, hi = chi.support
     tc = (w * np.log(np.array([x], dtype=float)))[0]
     ks = np.arange(int(np.floor(tc - hi)), int(np.ceil(tc - lo)) + 1)
@@ -68,13 +67,7 @@ def series_oracle(chi, samples, w, x):
     for k, cw in zip(ks.tolist(), weights):
         if cw == 0.0:
             continue
-        if callable(samples):
-            g = samples(math.exp(k / w))
-        elif k in samples:
-            g = samples[k]
-        else:
-            raise SamplingError(f"no sample for k={k} in the table")
-        total += cw * g
+        total += cw * g(math.exp(k / w))
     return float(total)
 
 

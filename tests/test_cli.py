@@ -188,6 +188,18 @@ class TestEvalAndTable:
         assert err.splitlines()[-1] == (
             f"expsample {command}: numerical failure: {point}")
 
+    @pytest.mark.parametrize("name, warned", [("fig2", True),
+                                              ("sinlog", False)])
+    def test_admissibility_warning(self, capsys, name, warned):
+        # one stderr line that names the function, not a library file
+        assert main(["eval", "--chi", "bspline:4", "--phi", "bspline:2",
+                     "--fn", f"name:{name}", "--x", "4", "--w", "10"]) == 0
+        err = capsys.readouterr().err
+        assert err == (
+            f"expsample eval: warning: function '{name}' declares neither "
+            "boundedness nor a growth bound; the operator series may not "
+            "converge globally\n" if warned else "")
+
     def test_eval_malformed_expression_is_usage_error(self, capsys):
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",
                      "--fn", "expr:2²", "--x", "2", "--w", "10"]) == 2
@@ -408,6 +420,22 @@ class TestFlagHandling:
     def test_empty_x_list(self, capsys):
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",
                      "--fn", "name:sinlog", "--x", ",", "--w", "10"]) == 2
+
+    @pytest.mark.parametrize("argv, width", [
+        (["eval", "--chi", "bspline:4", "--phi", "bspline:2",
+          "--fn", "name:sinlog", "--x", "2", "--w", "10"], "0.1"),
+        (["moments", "--kernel", "bspline:4", "--order", "2",
+          "--route", "poisson"], "1.0")])
+    def test_panel_count_beyond_float_range_is_named(self, capsys, argv,
+                                                     width):
+        # width / panel_max_width overflows to inf
+        assert main([*argv, "--panel-max-width", "1e-320"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"expsample {argv[0]}: numerical failure: panel_max_width=1e-320 "
+            f"is too small for a cell of width {width}: the panel count inf "
+            "is not finite\n")
 
 
 MOMENTS = ["moments", "--kernel", "translates:2:a=e^2,b=e^3", "--order", "2"]

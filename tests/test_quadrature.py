@@ -203,10 +203,6 @@ class TestMellinTransform:
         ref = (math.sin(t / 2) / (t / 2)) ** n
         assert abs(got - ref) <= 1e-8
 
-    def test_generic_callable_needs_support(self):
-        with pytest.raises(ValueError, match="support"):
-            mellin_transform(lambda x: 1.0 / (1.0 + x), MellinPoint(0.0, 0.0))
-
     @pytest.mark.parametrize("descriptor", [
         *(f"bspline:{n}" for n in range(1, 7)), "char",
         "translates:2:a=e^2,b=e^3", "translates:5:a=1.7,b=9.1"])
@@ -219,21 +215,3 @@ class TestMellinTransform:
         got = mellin_transform(kernel, points, order=order)
         assert got == [mellin_transform(kernel, p, order=order)
                        for p in points]
-
-    def test_point_list_of_a_callable(self, rng):
-        def f(x):
-            return x * math.cos(x)
-
-        support = LogInterval(-0.7, 1.3)
-        points = [MellinPoint(float(c), float(t)) for c, t in
-                  zip(rng.uniform(-1.0, 1.0, 6), rng.uniform(-9.0, 9.0, 6))]
-        for order in range(5):
-            got = mellin_transform(f, points, support=support, order=order)
-            assert got == [mellin_transform(f, p, support=support,
-                                            order=order) for p in points]
-
-    def test_generic_callable_with_support(self):
-        # f(e^u) = 1 on [0, 1]: transform at s = 0 is the window length
-        got = mellin_transform(lambda x: 1.0, MellinPoint(0.0, 0.0),
-                               support=LogInterval(0.0, 1.0))
-        assert got.real == pytest.approx(1.0, abs=1e-13)
