@@ -42,8 +42,12 @@ phases of the cuts.  Every lattice moment reads one table of these
 phase polynomials per (kernel, nu, absolute), whose cost grows with the
 pieces, not with the support's width.  The continuous moments are exact
 integrals of the pieces, and the tails beyond the support vanish
-identically.  Only the Poisson route integrates numerically, so that it
-stays an independent check.
+identically.  Every kernel-only result (piece tables, phase polynomials,
+algebraic and absolute moments, the partition residual) is computed
+once per process and kept in a bounded cache keyed by the read-only
+Kernel; a bad argument raises on every call, since no exception is
+cached.  Only the Poisson route integrates numerically, at every call,
+so that it stays an independent check.
 
 The piece tables are short float lists, handled one polynomial at a
 time: numpy's fixed cost per call would outweigh their arithmetic.  They
@@ -346,7 +350,7 @@ def _real_roots(row, width):
     return r.real[(r.imag == 0) & (r.real > 0) & (r.real < width)]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _pieces(kernel, cuts):
     """The kernel as a piecewise polynomial: edges e_0 < ... < e_P, its
     knots and the points of the tuple cuts inside its support, and a
@@ -372,10 +376,13 @@ def _pieces(kernel, cuts):
     return edges, rows
 
 
+@functools.lru_cache(maxsize=256)
 def _weighted_pieces(kernel, nu, absolute):
-    """Edges and piece rows (as in _pieces, as lists) of K(v) v^nu, or
+    """Edges and piece rows (as in _pieces, as tuples) of K(v) v^nu, or
     with absolute=True of |K(v)| |v|^nu, cut also at v = 0 and at the
-    real roots of the kernel's pieces so that each piece keeps one sign."""
+    real roots of the kernel's pieces so that each piece keeps one sign;
+    a process builds them once (bounded cache), so both routes of one
+    kernel share its roots."""
     cuts = [0.0] if absolute else []
     # with no negative coefficient the kernel keeps its sign
     if absolute and min(kernel.coefficients) < 0:
@@ -396,8 +403,8 @@ def _weighted_pieces(kernel, nu, absolute):
                 acc[i] += r * f
         if absolute and _horner(acc, 0.5 * (edges[p + 1] - edges[p])) < 0.0:
             acc = [-a for a in acc]
-        out.append(acc)
-    return edges, out
+        out.append(tuple(acc))
+    return tuple(edges), tuple(out)
 
 
 @functools.lru_cache(maxsize=256)
@@ -478,10 +485,13 @@ def continuous_moment(phi, nu):
     return float(total)
 
 
+@functools.lru_cache(maxsize=256)
 @_inf_past_double_range
 def absolute_moment(kernel, nu, side):
     """Absolute moment of order nu, exact on the polynomial pieces of the
-    kernel cut at their real roots and at v = 0.
+    kernel cut at their real roots and at v = 0; a process computes it
+    once per (kernel, nu, side) (bounded cache), and a bad order or side
+    raises on every call.
 
     side='discrete': sup over u of sum_k |chi(e^{-k} u)| |k - log u|^nu,
     the largest value of the lattice-sum polynomials of the phase of
@@ -559,6 +569,14 @@ class AssumptionReport:
                 self.moments_finite, self.tail_vanishing)
 
 
+@functools.lru_cache(maxsize=256)
+def _partition_residual(chi):
+    """The largest |m_0(chi, u) - 1| over the whole period, read from the
+    lattice-sum polynomials of order 0; once per process (bounded cache)."""
+    cells, table, _ = _lattice_polynomials(chi, 0, False)
+    return _max_abs(cells, [(*row[:-1], row[-1] - 1.0) for row in table])
+
+
 def verify_kernel(chi, phi, r=1, tol=1e-8):
     """Check the two kernel assumptions for a (chi, phi) pair.
 
@@ -568,12 +586,13 @@ def verify_kernel(chi, phi, r=1, tol=1e-8):
     absolute moments of order r are finite and the tail of the chi sum
     beyond the support radius vanishes, which holds identically because
     the support lies within that radius.  Failures are reported with
-    measured residuals, never raised.
+    measured residuals, never raised.  The residuals and moments are
+    computed once per process (bounded caches); the report and its
+    tolerance checks are built at every call.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    cells, table, _ = _lattice_polynomials(chi, 0, False)
-    worst = _max_abs(cells, [(*row[:-1], row[-1] - 1.0) for row in table])
+    worst = _partition_residual(chi)
     partition = ConditionResult("partition of unity", worst <= tol, worst)
 
     resid = abs(continuous_moment(phi, 0) - 1.0)

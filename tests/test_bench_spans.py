@@ -37,14 +37,17 @@ def test_span_target_resolves(key, module, name):
 
 @pytest.mark.parametrize("name", ["profile", "study", "kernels"])
 def test_small_plan_keeps_every_span(name, tmp_path, monkeypatch, capsys):
-    tracer = _load("tracing").Tracer()
+    # the second pass runs on warm caches, which must skip no span
+    tracing = _load("tracing")
+    plan = _load("workloads").make_plan(name, 1, small=True)
     monkeypatch.chdir(tmp_path)
-    with tracer.installed():
-        for argv in _load("workloads").make_plan(name, 1, small=True)[
-                "invocations"]:
-            assert expsample.cli.main(argv) == 0
-    metrics = tracer.layer_metrics(name)
-    assert metrics["trace.unmeasured"] == 0
-    if name == "profile":
-        # the fx column of the 21-point expression pass
-        assert metrics["expr.points"] == 21
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            for argv in plan["invocations"]:
+                assert expsample.cli.main(argv) == 0
+        metrics = tracer.layer_metrics(name)
+        assert metrics["trace.unmeasured"] == 0
+        if name == "profile":
+            # the fx column of the 21-point expression pass
+            assert metrics["expr.points"] == 21

@@ -36,6 +36,7 @@ from expsample import (
 from expsample.combinations import _moment_terms
 from expsample.kernels import (
     _lattice_polynomials,
+    _partition_residual,
     _pieces,
     _real_roots,
     _weighted_pieces,
@@ -689,8 +690,9 @@ class TestVectorisedRoutes:
         # verify_kernel needs psi's plain pieces (for its roots), psi cut
         # at them and b2 cut at 0; the two absolute routes of psi that
         # follow reuse psi's tables, and no caller can write to them
-        _pieces.cache_clear()
-        _lattice_polynomials.cache_clear()
+        for cache in (_pieces, _weighted_pieces, _lattice_polynomials,
+                      _partition_residual, absolute_moment):
+            cache.cache_clear()
         verify_kernel(psi, b2, 3)
         absolute_moment(psi, 2, "discrete")
         absolute_moment(psi, 2, "continuous")
@@ -704,7 +706,9 @@ class TestVectorisedRoutes:
         # discrete route (psi, 2, plain), a combined coefficient and its
         # size the plain table of order 1 and the absolute tables of
         # orders 0-2, and the rest reuse them
-        _lattice_polynomials.cache_clear()
+        for cache in (_lattice_polynomials, _partition_residual,
+                      absolute_moment):
+            cache.cache_clear()
         verify_kernel(psi, b2, 3)
         discrete_moment(psi, 2, 1.7)
         _moment_terms(solve_coefficients(3), psi, b2, 2, 1.7)

@@ -247,8 +247,9 @@ def test_cost_grows_with_the_pieces(monkeypatch):
     shifted = kernels._shifted
     monkeypatch.setattr(kernels, "_shifted",
                         lambda row, d: shifts.append(d) or shifted(row, d))
-    kernels._pieces.cache_clear()
-    kernels._lattice_polynomials.cache_clear()
+    for cache in (kernels._pieces, kernels._weighted_pieces,
+                  kernels._lattice_polynomials, absolute_moment):
+        cache.cache_clear()
     absolute_moment(kernel, 3, "discrete")
     pieces = len(edges) - 1
     # the piece tables (one shift per piece and term) and the lattice sum

@@ -1,6 +1,8 @@
-"""What a process builds once and shares: parsed kernels, continuous
-moments and the engine's period rules.  Shared state is read-only, and a
-value from a warm cache is the same double as one built fresh."""
+"""What a process builds once and shares: parsed kernels, piece and
+lattice tables, continuous and absolute moments, partition residuals and
+the engine's period rules.  Shared state is read-only, a value from a
+warm cache is the same double as one built fresh, and every cache keyed
+by a kernel is bounded."""
 
 import numpy as np
 import pytest
@@ -9,16 +11,28 @@ from expsample import (
     KernelError,
     OperatorSpec,
     QuadratureConfig,
+    absolute_moment,
     continuous_moment,
     durrmeyer_eval,
     function_from_spec,
     parse_kernel,
+    poisson_moment,
+    verify_kernel,
 )
-from expsample import operators
+from expsample import kernels, operators
 from expsample.cli import main
 
 PSI = "translates:2:a=e^2,b=e^3"
-CACHES = (parse_kernel, continuous_moment, operators._period_rule)
+CACHES = (parse_kernel, continuous_moment, absolute_moment,
+          kernels._pieces, kernels._weighted_pieces,
+          kernels._lattice_polynomials, kernels._partition_residual,
+          operators._period_rule)
+MOMENT_KERNELS = ["bspline:2", "bspline:4", "bspline:6", "char", PSI]
+# the verify pairs of the kernels benchmark
+PAIRS = [("bspline:2", "bspline:2"), ("bspline:4", "bspline:2"),
+         ("bspline:6", "bspline:4"), ("char", "char"), (PSI, "bspline:2")]
+# caches keyed by integer orders alone, never by a kernel
+ORDER_KEYED = {"_bspline_pieces", "_spline_moments"}
 XS = np.array([1.75, 2.0, 2.1, 3.3])
 DEFAULT = ("bspline:4", "bspline:2")
 FINER = ("bspline:4", "bspline:2", QuadratureConfig(nodes_per_unit=40))
@@ -79,6 +93,72 @@ class TestCachedMoments:
         for _ in range(2):
             with pytest.raises(ValueError, match="moment order"):
                 continuous_moment(parse_kernel("bspline:2"), -1)
+
+    @pytest.mark.parametrize("descriptor", MOMENT_KERNELS)
+    def test_absolute_cold_and_warm_agree(self, cold, descriptor):
+        def moments():
+            kernel = parse_kernel(descriptor)
+            return [absolute_moment(kernel, nu, side).hex()
+                    for side in ("discrete", "continuous")
+                    for nu in range(5)]
+
+        fresh = moments()
+        warm = moments()
+        cold()
+        assert fresh == warm == moments()
+
+    @pytest.mark.parametrize("chi, phi", PAIRS)
+    def test_verify_cold_and_warm_agree(self, cold, chi, phi):
+        def reports():
+            out = []
+            for r in (1, 3):
+                report = verify_kernel(parse_kernel(chi), parse_kernel(phi), r)
+                out.append([(c.name, c.passed, c.residual.hex())
+                            for c in report.conditions()])
+            return out
+
+        fresh = reports()
+        warm = reports()
+        cold()
+        assert fresh == warm == reports()
+
+    @pytest.mark.parametrize("side", ["discrete", "continuous"])
+    def test_absolute_bad_arguments_raise_every_time(self, side):
+        kernel = parse_kernel("bspline:2")
+        absolute_moment(kernel, 1, side)  # a warm entry for the kernel
+        for _ in range(2):
+            with pytest.raises(ValueError, match="moment order"):
+                absolute_moment(kernel, -1, side)
+            with pytest.raises(ValueError, match="side must be"):
+                absolute_moment(kernel, 1, side + "s")
+
+    def test_poisson_route_integrates_every_call(self, monkeypatch):
+        # the transform route stays an independent check: no cache
+        calls = []
+        transform = kernels.mellin_transform
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "mellin_transform", counted)
+        kernel = parse_kernel(PSI)
+        values = [poisson_moment(kernel, 2).hex() for _ in range(3)]
+        assert len(calls) == 3 and len(set(values)) == 1
+
+
+def test_kernel_keyed_caches_are_bounded():
+    # a Kernel held by an unbounded cache would outlive parse_kernel's
+    # bound of 64 descriptors
+    caches = {name: value for module in (kernels, operators)
+              for name, value in vars(module).items()
+              if hasattr(value, "cache_info")}
+    assert {"_pieces", "_weighted_pieces", "_lattice_polynomials",
+            "_partition_residual", "absolute_moment", "continuous_moment",
+            "_period_rule"} <= set(caches)
+    for name, cache in caches.items():
+        if name not in ORDER_KEYED:
+            assert cache.cache_info().maxsize is not None, name
 
 
 class TestPeriodRules:
