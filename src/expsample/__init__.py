@@ -17,7 +17,6 @@ from .errors import (
 from .quadrature import (
     DEFAULT_CONFIG,
     LogInterval,
-    MellinPoint,
     QuadratureConfig,
     integrate_log,
     mellin_transform,

@@ -57,11 +57,12 @@ class _Record(dict):
 
 def config_record(spec=None, **fields):
     """The run record: fields, the kernels, quadrature and truncation radius
-    of spec, and the version, plus "digest", their config_digest."""
+    of spec, and the version, plus "digest", their config_digest.  The
+    quadrature leads the fields, the key order of every JSON file so far."""
     if spec is not None:
-        fields.update(chi=spec.chi.descriptor, phi=spec.phi.descriptor,
-                      quadrature=vars(spec.quadrature),
-                      truncation_radius=spec.truncation_radius)
+        fields = {"quadrature": vars(spec.quadrature), **fields,
+                  "chi": spec.chi.descriptor, "phi": spec.phi.descriptor,
+                  "truncation_radius": spec.truncation_radius}
     record = {**fields, "version": __version__}
     try:
         text = _canonical(record)

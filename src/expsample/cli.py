@@ -57,11 +57,6 @@ def _parse_combine(text):
         raise ExpSampleError(f"--combine expects p=<int>, got {text!r}") from None
 
 
-def _quad_config(args):
-    return QuadratureConfig(nodes_per_unit=args.nodes_per_unit,
-                            panel_max_width=args.panel_max_width)
-
-
 def _summary(command, record, note):
     """The run's summary: a note and the digest of its record, then the
     rest of the record as the canonical JSON that digest hashes."""
@@ -71,15 +66,15 @@ def _summary(command, record, note):
 
 def _record(args, spec=None, **fields):
     """config_record of the run: every flag that can change its output, with
-    points, scales and combination orders parsed and kernels by descriptor
-    (spec, fields); never --out, nor --u where the route does not read it."""
+    points, scales and combination orders parsed, kernels by descriptor and
+    the quadrature flags as the operator's settings (spec, fields); never
+    --out, nor --u where the route does not read it."""
     skip = {"out", "x", "w", "combine", "chi", "phi", "kernel",
             "nodes_per_unit", "panel_max_width"}
     if getattr(args, "route", "discrete") != "discrete":
         skip.add("u")
     flags = {k: v for k, v in vars(args).items() if k not in skip}
-    return config_record(spec, quadrature=vars(_quad_config(args)),
-                         **flags, **fields)
+    return config_record(spec, **flags, **fields)
 
 
 def _operator_inputs(args, label=None):
@@ -94,7 +89,8 @@ def _operator_inputs(args, label=None):
     f = function_from_spec(args.fn)
     xs = _parse_reals(args.x, "--x") if isinstance(args.x, str) else args.x
     ws = _parse_reals(args.w, "--w")
-    spec = OperatorSpec(chi, phi, ws[0], quadrature=_quad_config(args))
+    spec = OperatorSpec(chi, phi, ws[0], quadrature=QuadratureConfig(
+        args.nodes_per_unit, args.panel_max_width))
     texts = args.combine if isinstance(args.combine, list) else (
         [args.combine] if args.combine else [])
     combs = []
@@ -111,13 +107,6 @@ def _operator_inputs(args, label=None):
                                            p=[c.p for c in combs])
 
 
-def _add_common(parser):
-    parser.add_argument("--nodes-per-unit", type=int, default=20,
-                        help="Gauss-Legendre points per unit log-length")
-    parser.add_argument("--panel-max-width", type=float, default=0.5,
-                        help="maximum quadrature panel width (log units)")
-
-
 def _add_pair(parser):
     parser.add_argument("--chi", required=True, help="discrete-role kernel")
     parser.add_argument("--phi", required=True, help="continuous-role kernel")
@@ -125,9 +114,9 @@ def _add_pair(parser):
 
 def _add_operator(sub, name, summary, point=False):
     """A subcommand on the operator of a kernel pair, a function, the
-    points --x (one point when point is set) and the scales --w, with
-    quadrature flags and an output file (CSV or JSON for eval and table,
-    always JSON otherwise)."""
+    points --x (one point when point is set) and the scales --w, with the
+    quadrature flags, which only these commands take, and an output file
+    (CSV or JSON for eval and table, always JSON otherwise)."""
     p = sub.add_parser(name, help=summary)
     _add_pair(p)
     p.add_argument("--fn", required=True, help="name:<builtin> or expr:<string>")
@@ -137,7 +126,10 @@ def _add_operator(sub, name, summary, point=False):
         p.add_argument("--x", required=True,
                        help="points: list or start:stop:step")
     p.add_argument("--w", required=True, help="scales: list or start:stop:step")
-    _add_common(p)
+    p.add_argument("--nodes-per-unit", type=int, default=20,
+                   help="Gauss-Legendre points per unit log-length")
+    p.add_argument("--panel-max-width", type=float, default=0.5,
+                   help="maximum quadrature panel width (log units)")
     p.add_argument("--out", help="output file path")
     if name in ("eval", "table"):
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -169,13 +161,11 @@ def build_parser():
                    help="which moment to compute (default discrete)")
     p.add_argument("--u", type=float, default=1.0,
                    help="evaluation point for the discrete route")
-    _add_common(p)
 
     p = sub.add_parser("verify", help="check the kernel-pair assumptions")
     _add_pair(p)
     p.add_argument("--r", type=int, default=1, help="moment order to check")
     p.add_argument("--tol", type=float, default=1e-8)
-    _add_common(p)
 
     p = _add_operator(sub, "eval", "evaluate the operator on a grid")
     p.add_argument("--combine", help="evaluate the combination p=<int> instead")
@@ -225,13 +215,12 @@ def _cmd_coeffs(args):
 
 def _cmd_moments(args):
     kernel = parse_kernel(args.kernel)
-    cfg = _quad_config(args)
     if args.route == "discrete":
         value = discrete_moment(kernel, args.order, args.u)
     elif args.route == "continuous":
         value = continuous_moment(kernel, args.order)
     elif args.route == "poisson":
-        value = poisson_moment(kernel, args.order, cfg=cfg)
+        value = poisson_moment(kernel, args.order)
     else:
         value = absolute_moment(kernel, args.order,
                                 args.route.removeprefix("absolute-"))
@@ -245,13 +234,11 @@ def _cmd_moments(args):
 
 def _cmd_verify(args):
     chi, phi = parse_kernel(args.chi), parse_kernel(args.phi)
-    # the record checks the quadrature flags before anything is printed
-    record = _record(args, chi=chi.descriptor, phi=phi.descriptor)
     report = verify_kernel(chi, phi, args.r, args.tol)
     for cond in report.conditions():
         print(cond)
     verdict = "all pass" if report.all_passed else "FAILURES reported"
-    return record, verdict
+    return _record(args, chi=chi.descriptor, phi=phi.descriptor), verdict
 
 
 def _cmd_eval(args):

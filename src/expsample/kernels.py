@@ -62,18 +62,20 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import KernelError
-from .quadrature import DEFAULT_CONFIG, MellinPoint, mellin_transform
+from .quadrature import mellin_transform
 
 
 class Kernel:
-    """A named kernel sum_i c_i N_n(v + o_i) of order n, terms the pairs
-    (c_i, o_i), with vectorized log-domain evaluation.
+    """The kernel sum_i c_i N_n(v + o_i) of order n, terms the pairs
+    (c_i, o_i), with vectorized log-domain evaluation; its descriptor is
+    its identity.
 
     support is the log-domain interval outside of which the kernel is
     exactly zero, intervals the disjoint union of the term supports
@@ -85,7 +87,7 @@ class Kernel:
     AttributeError.
     """
 
-    def __init__(self, name, descriptor, n, terms):
+    def __init__(self, descriptor, n, terms):
         if n < 1:
             raise KernelError(f"kernel order must be >= 1, got {n}")
         terms = tuple((float(c), float(o)) for c, o in terms)
@@ -95,7 +97,7 @@ class Kernel:
                 lo = merged.pop()[0]
             merged.append((lo, hi))
         vars(self).update(
-            name=name, descriptor=descriptor, order=n, terms=terms,
+            descriptor=descriptor, order=n, terms=terms,
             coefficients=tuple(c for c, _ in terms),
             knots=tuple(sorted({j - o for _, o in terms
                                 for j in range(n + 1)})),
@@ -166,13 +168,13 @@ def _bspline_pieces(n):
 
 def mellin_bspline(n):
     """B-spline kernel of order n >= 1 in the log coordinate."""
-    return Kernel(f"bspline{n}", f"bspline:{n}", n, ((1.0, n / 2.0),))
+    return Kernel(f"bspline:{n}", n, ((1.0, n / 2.0),))
 
 
 def characteristic():
     """Indicator of [1, e): the kernel whose convolution means are plain
     integral averages over [k/w, (k+1)/w] in the log coordinate."""
-    return Kernel("char", "char", 1, ((1.0, 0.0),))
+    return Kernel("char", 1, ((1.0, 0.0),))
 
 
 def _log_literal(value):
@@ -210,8 +212,7 @@ def make_translate_combination(n, log_a, log_b):
     c2 = -log_a / (log_b - log_a)
     half = n / 2.0
     descriptor = f"translates:{n}:a={_log_literal(log_a)},b={_log_literal(log_b)}"
-    return Kernel(f"translates{n}", descriptor, n,
-                  ((c1, log_a + half), (c2, log_b + half)))
+    return Kernel(descriptor, n, ((c1, log_a + half), (c2, log_b + half)))
 
 
 def _parse_translate_value(text, field):
@@ -297,7 +298,10 @@ def discrete_moment(chi, nu, u=1.0):
 
 
 def _order(nu):
-    """nu, checked to be a moment order (>= 0)."""
+    """nu as an int, checked to be a moment order (>= 0); every route
+    calls it before any cache keyed by the order, so that a float order,
+    which raises TypeError here, does so whatever the caches hold."""
+    nu = operator.index(nu)
     if nu < 0:
         raise ValueError(f"moment order must be >= 0, got {nu}")
     return nu
@@ -467,7 +471,7 @@ def _spline_moments(n, nu):
     return moments
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 @_inf_past_double_range
 def continuous_moment(phi, nu):
     """Algebraic moment of order nu of a continuous-role kernel: the
@@ -485,7 +489,7 @@ def continuous_moment(phi, nu):
     return float(total)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 @_inf_past_double_range
 def absolute_moment(kernel, nu, side):
     """Absolute moment of order nu, exact on the polynomial pieces of the
@@ -508,7 +512,7 @@ def absolute_moment(kernel, nu, side):
     raise ValueError("side must be 'discrete' or 'continuous'")
 
 
-def poisson_moment(chi, j, K=3, cfg=DEFAULT_CONFIG):
+def poisson_moment(chi, j, K=3):
     """Discrete moment of order j through the transform route.
 
     The Poisson summation identity turns the lattice sum into transform
@@ -523,19 +527,21 @@ def poisson_moment(chi, j, K=3, cfg=DEFAULT_CONFIG):
     mellin_transform call whose frequencies share one rule and one kernel
     evaluation.  Each derivative is taken under the integral sign,
     i^j T^(j)(2 k pi) being the integral of chi(v) (-v)^j e^{2 k pi i v}
-    on the knot-aligned panels of mellin_transform, so the route is exact
-    up to quadrature for every kernel, asymmetric ones included.  For
+    on the knot-aligned panels of mellin_transform's default rule (20
+    points per unit log-length, panels at most 0.5 wide), so the route is
+    exact up to quadrature for every kernel, asymmetric ones included.  For
     b-spline kernels of order n every k != 0 term vanishes through order
     n-1, so the result is then the lattice moment at every u; in general
     it is the partial Fourier sum at u = 1, which tends to m_j(chi, 1) as
     K grows wherever the lattice moment is continuous in log u.
     """
+    j = _order(j)
     if j > 4:
         raise ValueError("poisson route supports orders j <= 4")
     if K < 0:
         raise ValueError(f"frequency bound K must be >= 0, got K={K}")
-    points = [MellinPoint(0.0, 2.0 * math.pi * k) for k in range(-K, K + 1)]
-    total = sum(mellin_transform(chi, points, cfg, order=j))
+    points = [complex(0.0, 2.0 * math.pi * k) for k in range(-K, K + 1)]
+    total = sum(mellin_transform(chi, points, order=j))
     # i^j T^(j)(t) = i^j i^j M^(j)(it) with M the transform in s
     return float(((-1) ** j * total).real)
 

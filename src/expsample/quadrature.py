@@ -3,11 +3,13 @@
 Every integral on the multiplicative half-line carries the measure dt/t.
 Substituting u = log t turns it into an ordinary Lebesgue integral, which
 is what the routines here compute: composite Gauss-Legendre rules over a
-finite interval of the log coordinate, and on them the Mellin transform
-of a kernel, which the Poisson moment route reads.  The finite-difference
-derivative in the log coordinate, where x f'(x) becomes d/du f(e^u), and
-the pointwise convolution mean serve only as test oracles; they live in
-tests/oracles.py.
+finite interval of the log coordinate, set by a QuadratureConfig, and on
+the default rule (DEFAULT_CONFIG) the Mellin transform of a kernel,
+which the Poisson moment route reads.  Only the operator engine takes
+other settings, from the quadrature flags of the operator commands.  The
+finite-difference derivative in the log coordinate, where x f'(x)
+becomes d/du f(e^u), and the pointwise convolution mean serve only as
+test oracles; they live in tests/oracles.py.
 
 The Gauss-Legendre rules themselves are built here (_leggauss), bit for
 bit as numpy.polynomial builds them, because importing numpy.polynomial
@@ -55,14 +57,6 @@ class QuadratureConfig:
             raise ValueError("nodes_per_unit must be >= 2")
         if not self.panel_max_width > 0:
             raise ValueError("panel_max_width must be positive")
-
-
-@dataclass(frozen=True)
-class MellinPoint:
-    """A point s = c + it on a vertical line of the Mellin plane."""
-
-    c: float = 0.0
-    t: float = 0.0
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -190,32 +184,27 @@ def integrate_log(g, iv, cfg=DEFAULT_CONFIG, breakpoints=()):
     return float(total)
 
 
-def mellin_transform(kernel, point, cfg=DEFAULT_CONFIG, order=0):
-    """Numerical Mellin transform of a Kernel at s = c + it.
+def mellin_transform(kernel, points, order=0):
+    """Numerical Mellin transform of a Kernel at each complex s of points,
+    a list with one value per point.
 
     Computes the integral of K(u) u^s du/u, i.e. of K(e^u) e^{su} du, on
-    one rule per interval of kernel.intervals, its panels cut at
-    kernel.knots, where the polynomial pieces meet, with the values from
-    kernel.eval_log.  order = r > 0 gives the r-th derivative in s,
-    differentiated under the integral sign: the integral of
-    K(e^u) u^r e^{su} du on the same panels.
-
-    point is a MellinPoint or a sequence of them.  A sequence gives a list
-    with one value per point; every point shares one rule and one
-    evaluation of the kernel, and each value is summed on its own, so it
-    equals the single-point call exactly.
+    one rule of DEFAULT_CONFIG per interval of kernel.intervals, its
+    panels cut at kernel.knots, where the polynomial pieces meet, with the
+    values from kernel.eval_log.  order = r > 0 gives the r-th derivative
+    in s, differentiated under the integral sign: the integral of
+    K(e^u) u^r e^{su} du on the same panels.  Every point shares one rule
+    and one evaluation of the kernel, and each value is summed on its
+    own, so it does not depend on the other points.
     """
     if order < 0:
         raise ValueError(f"derivative order must be >= 0, got {order}")
-    rules = [log_rule(LogInterval(*iv), cfg, kernel.knots)
+    rules = [log_rule(LogInterval(*iv), breakpoints=kernel.knots)
              for iv in kernel.intervals]
     nodes, weights = (np.concatenate(part) for part in zip(*rules))
     vals = np.asarray(kernel.eval_log(nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals)][0]
         raise EvaluationError(f"non-finite transform integrand at u={bad!r}")
-    single = isinstance(point, MellinPoint)
     base = weights * vals * nodes**order
-    values = [np.sum(base * np.exp(complex(p.c, p.t) * nodes))
-              for p in ((point,) if single else point)]
-    return values[0] if single else values
+    return [np.sum(base * np.exp(s * nodes)) for s in points]

@@ -133,8 +133,7 @@ class TestVerify:
         assert out.count("pass") >= 4
 
     @pytest.mark.parametrize("flag, value", [
-        ("--tol", "nan"), ("--tol", "-1"), ("--r", "-1"),
-        ("--panel-max-width", "nan")])
+        ("--tol", "nan"), ("--tol", "-1"), ("--r", "-1")])
     def test_meaningless_setting_is_numerical_failure(self, capsys, flag,
                                                       value):
         assert main(["verify", "--chi", "bspline:4", "--phi", "bspline:2",
@@ -421,11 +420,23 @@ class TestFlagHandling:
         assert main(["eval", "--chi", "bspline:2", "--phi", "char",
                      "--fn", "name:sinlog", "--x", ",", "--w", "10"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--kernel", "bspline:4", "--order", "2",
+         "--route", "poisson"],
+        ["verify", "--chi", "bspline:4", "--phi", "bspline:2"]],
+        ids=["moments", "verify"])
+    @pytest.mark.parametrize("flag", ["--nodes-per-unit", "--panel-max-width"])
+    def test_quadrature_flags_only_on_operator_commands(self, capsys, argv,
+                                                        flag):
+        # the kernel commands run no quadrature that a setting could change
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "8"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, width", [
         (["eval", "--chi", "bspline:4", "--phi", "bspline:2",
-          "--fn", "name:sinlog", "--x", "2", "--w", "10"], "0.1"),
-        (["moments", "--kernel", "bspline:4", "--order", "2",
-          "--route", "poisson"], "1.0")])
+          "--fn", "name:sinlog", "--x", "2", "--w", "10"], "0.1")])
     def test_panel_count_beyond_float_range_is_named(self, capsys, argv,
                                                      width):
         # width / panel_max_width overflows to inf
@@ -455,11 +466,9 @@ NODES = ["--nodes-per-unit", "20"], ["--nodes-per-unit", "8"]
 # differ in one input
 DIGEST_CHANGES = [
     # different outputs that once shared a digest
-    (MOMENTS + ["--route", "poisson", "--panel-max-width", "0.9"], *NODES),
     (RATES, ["--nodes-per-unit", "20"], ["--nodes-per-unit", "2"]),
     (RATES, ["--target-order", "2"], ["--target-order", "3"]),
     (EVAL, ["--format", "csv"], ["--format", "json"]),
-    (VERIFY, *NODES),
     (VORONOVSKAYA, *NODES),
     # every other input
     (MOMENTS, ["--kernel", "bspline:4"], ["--kernel", "bspline:6"]),
@@ -476,9 +485,25 @@ DIGEST_CHANGES = [
     (EVAL, ["--x", "2"], ["--x", "3"]),
     (EVAL, ["--w", "10"], ["--w", "20"]),
     (EVAL, ["--panel-max-width", "0.5"], ["--panel-max-width", "inf"]),
+    (EVAL, *NODES),
     (EVAL, [], ["--combine", "p=2"]),
     (TABLE, [], ["--combine", "p=2"]),
     (TABLE, ["--format", "csv"], ["--format", "json"]),
+    (TABLE, *NODES),
+    (TABLE, ["--panel-max-width", "0.5"], ["--panel-max-width", "0.25"]),
+    (RATES, ["--panel-max-width", "5"], ["--panel-max-width", "0.5"]),
+    (VORONOVSKAYA, ["--panel-max-width", "0.5"], ["--panel-max-width", "0.25"]),
+    (VORONOVSKAYA, [], ["--combine", "p=2"]),
+]
+# (argv, flags, other flags) as above whose runs share stdout (up to the
+# file name) and record
+DIGEST_KEPT = [
+    # --u is read by the discrete route only
+    (MOMENTS + ["--route", "continuous"], ["--u", "1"], ["--u", "5"]),
+    (EVAL, ["--out", "a.csv"], ["--out", "b.csv"]),
+    (TABLE, ["--out", "a.csv"], ["--out", "b.csv"]),
+    (RATES, ["--out", "a.json"], ["--out", "b.json"]),
+    (VORONOVSKAYA, ["--out", "a.json"], ["--out", "b.json"]),
 ]
 
 
@@ -554,8 +579,7 @@ USAGE_CASES = [
      "usage: expsample moments [-h] --kernel KERNEL --order ORDER\n"
      "                         [--route {discrete,continuous,poisson,"
      "absolute-discrete,absolute-continuous}]\n"
-     "                         [--u U] [--nodes-per-unit NODES_PER_UNIT]\n"
-     "                         [--panel-max-width PANEL_MAX_WIDTH]\n"
+     "                         [--u U]\n"
      "expsample moments: error: the following arguments are required: "
      "--kernel\n"),
     (["rates", "--chi", "bspline:4", "--x"], 2, "", RATES_USAGE +
@@ -590,6 +614,35 @@ class TestUsageAndErrors:
         want = vars(build_parser().parse_args(argv))
         assert list(got.items()) == list(want.items())
 
+# the summary and config lines of one run of each operator command: the
+# quadrature flags are theirs alone, and their records keep these digests
+OPERATOR_RECORDS = {
+    "eval": [
+        "expsample eval: wrote 1 rows to e.out digest=ad1ad93cec20c925",
+        'config: {"chi":"bspline:2","command":"eval","fn":"name:sinlog",'
+        '"format":"csv","p":[],"phi":"char","quadrature":{"nodes_per_unit":'
+        '20,"panel_max_width":0.5},"truncation_radius":null,'
+        '"version":"0.1.0","w":[10.0],"x":[2.0]}'],
+    "table": [
+        "expsample table: wrote 1 cells to t.out digest=1c150fef945829da",
+        'config: {"chi":"bspline:4","command":"table","fn":"name:fig2",'
+        '"format":"csv","p":[],"phi":"bspline:2","quadrature":'
+        '{"nodes_per_unit":20,"panel_max_width":0.5},"truncation_radius":'
+        'null,"version":"0.1.0","w":[10.0],"x":[2.1]}'],
+    "rates": [
+        "expsample rates: fitted order 0.123 digest=615cf81e7e2a4649",
+        'config: {"chi":"bspline:4","command":"rates","fn":"name:fig1",'
+        '"p":[],"phi":"bspline:2","quadrature":{"nodes_per_unit":20,'
+        '"panel_max_width":5.0},"target_order":null,"truncation_radius":'
+        'null,"version":"0.1.0","w":[1.0,2.0,4.0],"x":2.0}'],
+    "voronovskaya": [
+        "expsample voronovskaya: deviation 0.00% digest=4971a0a449b65990",
+        'config: {"chi":"bspline:4","command":"voronovskaya","fn":'
+        '"name:sinlog","j":2,"p":[],"phi":"bspline:2","quadrature":'
+        '{"nodes_per_unit":20,"panel_max_width":0.5},"truncation_radius":'
+        'null,"version":"0.1.0","w":[50.0,100.0,200.0],"x":2.0}'],
+}
+
 
 class TestRunRecord:
     """A run's record holds every input that can change its stdout or
@@ -604,17 +657,39 @@ class TestRunRecord:
         assert first[0] == second[0] == 0
         assert first[2]["digest"] != second[2]["digest"]
 
-    @pytest.mark.parametrize("base, one, other", [
-        # --u is read by the discrete route only
-        (MOMENTS + ["--route", "continuous"], ["--u", "1"], ["--u", "5"]),
-        (EVAL, ["--out", "a.csv"], ["--out", "b.csv"]),
-    ])
+    @pytest.mark.parametrize("base, one, other", DIGEST_KEPT)
     def test_ignored_inputs_keep_the_digest(self, capsys, tmp_path,
                                             monkeypatch, base, one, other):
         monkeypatch.chdir(tmp_path)
         first, second = (_run(capsys, base + extra) for extra in (one, other))
         assert first[1] == second[1].replace("b.csv", "a.csv")
         assert first[2] == second[2]
+
+    def test_every_optional_flag_is_covered(self):
+        # a flag that changes no output must not slip into a record: each
+        # optional flag of a command that prints one is shown either to
+        # move the digest or to keep it
+        covered = {(base[0], word)
+                   for base, one, other in DIGEST_CHANGES + DIGEST_KEPT
+                   for word in one + other if word.startswith("--")}
+        missing = [(name, action.option_strings[0])
+                   for name, parser in build_parser().commands.items()
+                   if name != "coeffs"  # prints no record
+                   for action in parser._actions
+                   if action.option_strings and not action.required
+                   and action.dest != "help"
+                   and (name, action.option_strings[0]) not in covered]
+        assert missing == []
+
+    @pytest.mark.parametrize("argv", [EVAL, TABLE, RATES, VORONOVSKAYA],
+                             ids=lambda argv: argv[0])
+    def test_operator_records_are_pinned(self, capsys, tmp_path, monkeypatch,
+                                         argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert [ln for ln in out.splitlines() if ln.startswith(
+            ("expsample ", "config: "))] == OPERATOR_RECORDS[argv[0]]
 
     @pytest.mark.parametrize("argv", [
         TABLE + ["--format", "json", "--combine", "p=3"],
@@ -644,115 +719,97 @@ VERIFY_STDOUT = {
         "unit integral: pass (residual 0.000e+00)\n"
         "absolute moments of order 3 finite: pass (residual 2.250e-01)\n"
         "tail vanishing: pass (residual 0.000e+00)\n"
-        "expsample verify: all pass digest=d813ceb85aea4044\n"
+        "expsample verify: all pass digest=ed0aacf14d12b8ab\n"
         'config: {"chi":"bspline:2","command":"verify","phi":"bspline:2",'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},"r":3,'
-        '"tol":1e-08,"version":"0.1.0"}\n'),
+        '"r":3,"tol":1e-08,"version":"0.1.0"}\n'),
     ("bspline:4", "bspline:2"): (
         "partition of unity: pass (residual 1.388e-16)\n"
         "unit integral: pass (residual 0.000e+00)\n"
         "absolute moments of order 3 finite: pass (residual 4.333e-01)\n"
         "tail vanishing: pass (residual 0.000e+00)\n"
-        "expsample verify: all pass digest=02b2468d5689b805\n"
+        "expsample verify: all pass digest=2f90857a2cf79eed\n"
         'config: {"chi":"bspline:4","command":"verify","phi":"bspline:2",'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},"r":3,'
-        '"tol":1e-08,"version":"0.1.0"}\n'),
+        '"r":3,"tol":1e-08,"version":"0.1.0"}\n'),
     ("bspline:6", "bspline:4"): (
         "partition of unity: pass (residual 1.214e-17)\n"
         "unit integral: pass (residual 0.000e+00)\n"
         "absolute moments of order 3 finite: pass (residual 8.619e-01)\n"
         "tail vanishing: pass (residual 0.000e+00)\n"
-        "expsample verify: all pass digest=d6cff4d61a8f7fbe\n"
+        "expsample verify: all pass digest=0964dad09620764a\n"
         'config: {"chi":"bspline:6","command":"verify","phi":"bspline:4",'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},"r":3,'
-        '"tol":1e-08,"version":"0.1.0"}\n'),
+        '"r":3,"tol":1e-08,"version":"0.1.0"}\n'),
     ("char", "char"): (
         "partition of unity: pass (residual 0.000e+00)\n"
         "unit integral: pass (residual 0.000e+00)\n"
         "absolute moments of order 3 finite: pass (residual 1.250e+00)\n"
         "tail vanishing: pass (residual 0.000e+00)\n"
-        "expsample verify: all pass digest=f9142a290791414b\n"
-        'config: {"chi":"char","command":"verify","phi":"char",'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},"r":3,'
+        "expsample verify: all pass digest=4269cb1edc268cb3\n"
+        'config: {"chi":"char","command":"verify","phi":"char","r":3,'
         '"tol":1e-08,"version":"0.1.0"}\n'),
     (PSI_BENCH, "bspline:2"): (
         "partition of unity: pass (residual 0.000e+00)\n"
         "unit integral: pass (residual 0.000e+00)\n"
         "absolute moments of order 3 finite: pass (residual 7.810e+01)\n"
         "tail vanishing: pass (residual 0.000e+00)\n"
-        "expsample verify: all pass digest=ffb86f4a6fcf9f91\n"
+        "expsample verify: all pass digest=8bc509440f7e8bd1\n"
         'config: {"chi":"translates:2:a=e^2,b=e^3","command":"verify",'
-        '"phi":"bspline:2","quadrature":{"nodes_per_unit":20,'
-        '"panel_max_width":0.5},"r":3,"tol":1e-08,"version":"0.1.0"}\n'),
+        '"phi":"bspline:2","r":3,"tol":1e-08,"version":"0.1.0"}\n'),
 }
 MOMENTS_STDOUT = {
     ("bspline:4", "discrete"): (
         "0.3333333333\n"
-        "expsample moments: order 2 discrete digest=0e3ef70bb5ff77ce\n"
+        "expsample moments: order 2 discrete digest=f6ae5b6b6bee8da8\n"
         'config: {"command":"moments","kernel":"bspline:4","order":2,'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
         '"route":"discrete","u":1.7,"version":"0.1.0"}\n'),
     ("bspline:4", "continuous"): (
         "0.3333333333\n"
-        "expsample moments: order 2 continuous digest=1b77834841caab87\n"
+        "expsample moments: order 2 continuous digest=1c2ef39ce4418e22\n"
         'config: {"command":"moments","kernel":"bspline:4","order":2,'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
         '"route":"continuous","version":"0.1.0"}\n'),
     ("bspline:4", "poisson"): (
         "0.3333333333\n"
-        "expsample moments: order 2 poisson digest=eb1cd340b3f2e8a2\n"
+        "expsample moments: order 2 poisson digest=d7b8179922611371\n"
         'config: {"command":"moments","kernel":"bspline:4","order":2,'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
         '"route":"poisson","version":"0.1.0"}\n'),
     ("bspline:4", "absolute-discrete"): (
         "0.3333333333\n"
-        "expsample moments: order 2 absolute-discrete digest=52f8fb8fdd2f4c"
-        "be\n"
+        "expsample moments: order 2 absolute-discrete "
+        "digest=0d8d3c74ed37a9c2\n"
         'config: {"command":"moments","kernel":"bspline:4","order":2,'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
         '"route":"absolute-discrete","version":"0.1.0"}\n'),
     ("bspline:4", "absolute-continuous"): (
         "0.3333333333\n"
-        "expsample moments: order 2 absolute-continuous digest=5a0e98a211e9"
-        "528e\n"
+        "expsample moments: order 2 absolute-continuous "
+        "digest=de3324212982c20e\n"
         'config: {"command":"moments","kernel":"bspline:4","order":2,'
-        '"quadrature":{"nodes_per_unit":20,"panel_max_width":0.5},'
         '"route":"absolute-continuous","version":"0.1.0"}\n'),
     (PSI_BENCH, "discrete"): (
         "-5.7509380898\n"
-        "expsample moments: order 2 discrete digest=250dcd46e9b939ff\n"
+        "expsample moments: order 2 discrete digest=86d63b30fa85cd60\n"
         'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
-        '"order":2,"quadrature":{"nodes_per_unit":20,'
-        '"panel_max_width":0.5},"route":"discrete","u":1.7,'
-        '"version":"0.1.0"}\n'),
+        '"order":2,"route":"discrete","u":1.7,"version":"0.1.0"}\n'),
     (PSI_BENCH, "continuous"): (
         "-5.8333333333\n"
-        "expsample moments: order 2 continuous digest=1578854b2f6fefe3\n"
+        "expsample moments: order 2 continuous digest=1ade2f6c001d2514\n"
         'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
-        '"order":2,"quadrature":{"nodes_per_unit":20,'
-        '"panel_max_width":0.5},"route":"continuous","version":"0.1.0"}\n'),
+        '"order":2,"route":"continuous","version":"0.1.0"}\n'),
     (PSI_BENCH, "poisson"): (
         "-5.9712427222\n"
-        "expsample moments: order 2 poisson digest=ee0824aefe3dd336\n"
+        "expsample moments: order 2 poisson digest=16c50eaf8f4b71c2\n"
         'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
-        '"order":2,"quadrature":{"nodes_per_unit":20,'
-        '"panel_max_width":0.5},"route":"poisson","version":"0.1.0"}\n'),
+        '"order":2,"route":"poisson","version":"0.1.0"}\n'),
     (PSI_BENCH, "absolute-discrete"): (
         "30.0000000000\n"
-        "expsample moments: order 2 absolute-discrete digest=cb8dd759796272"
-        "c1\n"
+        "expsample moments: order 2 absolute-discrete "
+        "digest=1a9478815fe67be8\n"
         'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
-        '"order":2,"quadrature":{"nodes_per_unit":20,'
-        '"panel_max_width":0.5},"route":"absolute-discrete",'
-        '"version":"0.1.0"}\n'),
+        '"order":2,"route":"absolute-discrete","version":"0.1.0"}\n'),
     (PSI_BENCH, "absolute-continuous"): (
         "23.0813333333\n"
-        "expsample moments: order 2 absolute-continuous digest=b0effd824da9"
-        "c564\n"
+        "expsample moments: order 2 absolute-continuous "
+        "digest=8a4930c4ebd20884\n"
         'config: {"command":"moments","kernel":"translates:2:a=e^2,b=e^3",'
-        '"order":2,"quadrature":{"nodes_per_unit":20,'
-        '"panel_max_width":0.5},"route":"absolute-continuous",'
-        '"version":"0.1.0"}\n'),
+        '"order":2,"route":"absolute-continuous","version":"0.1.0"}\n'),
 }
 
 

@@ -13,6 +13,7 @@ from expsample import (
     QuadratureConfig,
     absolute_moment,
     continuous_moment,
+    discrete_moment,
     durrmeyer_eval,
     function_from_spec,
     parse_kernel,
@@ -131,6 +132,22 @@ class TestCachedMoments:
                 absolute_moment(kernel, -1, side)
             with pytest.raises(ValueError, match="side must be"):
                 absolute_moment(kernel, 1, side + "s")
+
+    @pytest.mark.parametrize("moment", [
+        lambda kernel, nu: discrete_moment(kernel, nu, 1.5),
+        continuous_moment, poisson_moment,
+        lambda kernel, nu: absolute_moment(kernel, nu, "discrete"),
+        lambda kernel, nu: absolute_moment(kernel, nu, "continuous")],
+        ids=["discrete", "continuous", "poisson", "absolute-discrete",
+             "absolute-continuous"])
+    def test_float_order_raises_whatever_the_caches_hold(self, cold, moment):
+        # a cache that keyed 2.0 as 2 would answer once order 2 is cached
+        kernel = parse_kernel(PSI)
+        with pytest.raises(TypeError):
+            moment(kernel, 2.0)
+        moment(kernel, 2)
+        with pytest.raises(TypeError):
+            moment(kernel, 2.0)
 
     def test_poisson_route_integrates_every_call(self, monkeypatch):
         # the transform route stays an independent check: no cache
