@@ -9,6 +9,8 @@ an order faster than reading off the last a_w directly.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 from . import __version__
 from .combinations import (PLAIN, _moment_terms, combine, combined_eval,
                            solve_coefficients)
-from .operators import durrmeyer_eval, scalar_values, write_csv, write_json
+from .operators import durrmeyer_eval, scalar_values, write_json, write_text
 
 # hashlib loads OpenSSL (about 3.4 MB of resident memory) for this one
 # digest; CPython's built-in module computes the same SHA-256
@@ -57,10 +59,11 @@ class _Record(dict):
 
 def config_record(spec=None, **fields):
     """The run record: fields, the kernels, quadrature and truncation radius
-    of spec, and the version, plus "digest", their config_digest.  The
-    quadrature leads the fields, the key order of every JSON file so far."""
+    of spec, and the version, plus "digest", their config_digest.  Its keys
+    are in sorted order, that of the canonical JSON, so a JSON file that
+    writes the record as it is holds the same bytes for the same digest."""
     if spec is not None:
-        fields = {"quadrature": vars(spec.quadrature), **fields,
+        fields = {**fields, "quadrature": vars(spec.quadrature),
                   "chi": spec.chi.descriptor, "phi": spec.phi.descriptor,
                   "truncation_radius": spec.truncation_radius}
     record = {**fields, "version": __version__}
@@ -68,7 +71,7 @@ def config_record(spec=None, **fields):
         text = _canonical(record)
     except ValueError:  # strict JSON: a non-finite number becomes a string
         return config_record(**json.loads(json.dumps(record), parse_constant=str))
-    out = _Record({"digest": _digest(text), **record})
+    out = _Record(sorted({"digest": _digest(text), **record}.items()))
     out.text = text
     return out
 
@@ -99,9 +102,12 @@ class ErrorTable:
     metadata: dict
 
     def to_csv(self, path):
-        write_csv(path, [("x", "label", "fx", "value", "abs_err"), *(
-            [repr(x), label, repr(fx), repr(value), repr(abs(fx - value))]
-            for x, label, fx, value in self.rows)])
+        text = io.StringIO()
+        csv.writer(text).writerows([
+            ("x", "label", "fx", "value", "abs_err"),
+            *([repr(x), label, repr(fx), repr(value), repr(abs(fx - value))]
+              for x, label, fx, value in self.rows)])
+        write_text(path, text.getvalue())
 
     def to_json(self, path=None):
         doc = {
@@ -118,29 +124,28 @@ class ErrorTable:
 
 
 def error_table(f, spec, xs, columns):
-    """Cross product of evaluation points and columns, row-major.
+    """Cross product of evaluation points and columns (Columns), row-major.
 
     All columns are one durrmeyer_eval call over the pairs (x, i w) of
     every column (i = 1 .. p), and combine sums each column, p = 1
     included; values are kept at full precision.  The metadata is the
     config_record of f's name, points and column labels.
     """
-    cols = [c if isinstance(c, Column) else Column(float(c)) for c in columns]
-    scales = [i * c.w for c in cols for i in range(1, c.p + 1)]
+    scales = [i * c.w for c in columns for i in range(1, c.p + 1)]
     values = durrmeyer_eval(spec, f, np.array(xs, dtype=float)[:, None],
                             scales).T
     by_column, start = [], 0
-    for c in cols:
+    for c in columns:
         by_column.append(combine(solve_coefficients(c.p),
                                  values[start:start + c.p]).tolist())
         start += c.p
     rows = []
     for i, (x, fx) in enumerate(zip(xs, scalar_values(f, xs))):
-        for col, values in zip(cols, by_column):
+        for col, values in zip(columns, by_column):
             rows.append((x, col.label, fx, values[i]))
     return ErrorTable(rows=rows, metadata=config_record(
-        spec, fn=getattr(f, "name", "?"), xs=list(map(float, xs)),
-        columns=[c.label for c in cols]))
+        spec, fn=f.name, xs=list(map(float, xs)),
+        columns=[c.label for c in columns]))
 
 
 @dataclass(frozen=True)
@@ -292,12 +297,12 @@ def voronovskaya_check(f, spec, x, ws, j, combination=PLAIN):
     deriv = f.log_derivative(j)
     if deriv is None:
         raise ValueError(
-            f"{getattr(f, 'name', f)!r} has no closed-form derivative of "
-            f"order {j}; the prediction needs one")
+            f"{f.name!r} has no closed-form derivative of order {j}; the "
+            "prediction needs one")
     # the phase comes from w log x: x^w itself overflows
     log_u = np.array(ws) * math.log(x)
-    coeffs, sizes = _moment_terms(combination, spec.chi, spec.phi, j,
-                                  log_u=log_u)
+    coeffs, sizes = (_moment_terms(combination, spec.chi, spec.phi, j, log_u,
+                                   absolute) for absolute in (False, True))
     factor = deriv(x) / math.factorial(j)
     sizes = abs(factor) * sizes
     predictions = tuple(0.0 if abs(p) <= _ROUNDOFF * s else float(p)
@@ -326,7 +331,8 @@ def _lower_orders_cancel(comb, chi, phi, j, log_u):
     every entry of log_u, to 1e-12 of the sum of the magnitudes of their
     terms there."""
     for k in range(1, j):
-        value, size = _moment_terms(comb, chi, phi, k, log_u=log_u)
+        value, size = (_moment_terms(comb, chi, phi, k, log_u, absolute)
+                       for absolute in (False, True))
         if np.any(np.abs(value) > _ROUNDOFF * size):
             return False
     return True

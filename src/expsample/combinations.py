@@ -115,39 +115,24 @@ def combined_moment(spec, chi, phi, j, u=1.0, log_u=None):
     construction of the beta whenever the pair moment is the same at
     every u^i, as for b-spline pairs.
     """
-    return _moment_sum(spec, chi, j, *_moment_inputs(phi, j, u, log_u),
-                       absolute=False)
+    return _moment_terms(spec, chi, phi, j,
+                         math.log(u) if log_u is None else log_u)
 
 
-def _moment_terms(spec, chi, phi, j, u=1.0, log_u=None):
-    """combined_moment(spec, chi, phi, j, u, log_u) and its size, the sum
-    of the magnitudes of its terms, |beta_i| / i^j binom(j, eta)
-    |mhat_{j-eta}| |chi(tau - l)| |l - tau|^eta at the same phases: the
-    scale of the roundoff in that coefficient, so a coefficient below
-    about 1e-12 of its size is zero.  The continuous factors of phi are
-    computed once for both."""
-    weights, logs = _moment_inputs(phi, j, u, log_u)
-    return [_moment_sum(spec, chi, j, weights, logs, absolute)
-            for absolute in (False, True)]
-
-
-def _moment_inputs(phi, j, u, log_u):
-    """The continuous factors binom(j, eta) mhat_{j-eta}(phi), eta = 0..j,
-    and the log-phases (log u, or log_u as given) as a float array."""
-    weights = [math.comb(j, eta) * continuous_moment(phi, j - eta)
-               for eta in range(j + 1)]
-    logs = np.asarray(math.log(u) if log_u is None else log_u, dtype=float)
-    return weights, logs
-
-
-def _moment_sum(spec, chi, j, weights, logs, absolute):
-    """One side of _moment_terms: the sum of the terms of the combined
-    coefficient, or with absolute=True of their magnitudes, read from
-    chi's plain or absolute lattice tables."""
+def _moment_terms(spec, chi, phi, j, log_u, absolute=False):
+    """combined_moment(spec, chi, phi, j, log_u=log_u), the sum of the
+    terms beta_i / i^j binom(j, eta) mhat_{j-eta}(phi) m_eta(chi, u^i),
+    or with absolute=True the sum of their magnitudes, read from chi's
+    absolute lattice tables: the scale of the roundoff in that
+    coefficient, so a coefficient below about 1e-12 of it is zero.
+    log_u is a float or a 1-d array, as the result."""
     part = abs if absolute else float  # a term, or its magnitude
+    weights = [part(math.comb(j, eta) * continuous_moment(phi, j - eta))
+               for eta in range(j + 1)]
+    logs = np.asarray(log_u, dtype=float)
     total = 0.0
     for i, beta in enumerate(spec.beta, start=1):
         total = total + part(beta) / i ** j * sum(
-            part(weight) * lattice_moments(chi, eta, i * logs, absolute)
+            weight * lattice_moments(chi, eta, i * logs, absolute)
             for eta, weight in enumerate(weights))
     return total if logs.ndim else float(total[0])

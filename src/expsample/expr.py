@@ -148,9 +148,8 @@ def compile_scalar(node):
 
 
 def evaluate(node, x):
-    """The value at x of node, an AST (compiled on every call) or its
-    compiled form from compile_scalar."""
-    return (node if callable(node) else compile_scalar(node))(x)
+    """The value at x of node, a compiled form from compile_scalar."""
+    return node(x)
 
 
 def compile_array(node):

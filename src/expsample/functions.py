@@ -6,9 +6,8 @@ g -> x g'(x)).  Builtins cover the functions used throughout the test and
 acceptance suites; arbitrary expressions come in through parse_function.
 
 Calls accept a float or a numpy array of points.  A scalar call runs the
-scalar evaluator; an array call runs the array evaluator when there is
-one (numpy ufuncs for the builtins, the compiled form for expressions)
-and the scalar evaluator point by point otherwise.
+scalar evaluator, an array call the array evaluator (numpy ufuncs for the
+builtins, the compiled form for expressions).
 """
 
 from __future__ import annotations
@@ -27,19 +26,18 @@ from .errors import ExpSampleError
 class RealFunction:
     """An evaluable map from the positive reals to the reals.
 
+    array_evaluator maps a float array to the array of values.
     analytic_log_derivatives maps derivative order (in the log coordinate)
     to a closed-form function; an instrument that needs an absent order
-    (voronovskaya_check) raises.  growth_bound = (a, b) declares |f(e^v)| <= a + b|v|;
-    bounded functions may leave it None.  array_evaluator, when given,
-    maps a float array to the array of values.
+    (voronovskaya_check) raises.  growth_bound = (a, b) declares
+    |f(e^v)| <= a + b|v|; a bounded function declares (sup|f|, 0).
     """
 
     evaluator: Callable[[float], float]
+    array_evaluator: Callable
     name: str
     analytic_log_derivatives: dict = field(default_factory=dict)
     growth_bound: Optional[tuple] = None
-    bounded: bool = False
-    array_evaluator: Optional[Callable] = None
 
     def __call__(self, x):
         if not isinstance(x, np.ndarray):
@@ -50,9 +48,6 @@ class RealFunction:
         if not np.all(x > 0):
             bad = float(x[~(x > 0)].flat[0])
             raise ValueError(f"{self.name} is defined on positive reals, got x={bad!r}")
-        if self.array_evaluator is None:
-            return np.array([self.evaluator(v) for v in x.ravel().tolist()],
-                            dtype=float).reshape(x.shape)
         return self.array_evaluator(x)
 
     def log_derivative(self, order):
@@ -61,9 +56,9 @@ class RealFunction:
 
     @property
     def admissible(self):
-        """Whether boundedness or a declared growth bound justifies the
-        operator series converging; purely informational."""
-        return self.bounded or self.growth_bound is not None
+        """Whether a declared growth bound justifies the operator series
+        converging; purely informational."""
+        return self.growth_bound is not None
 
 
 def parse_function(src):
@@ -79,7 +74,7 @@ def parse_function(src):
         # every scalar point
         return _expr.evaluate(_scalar, x)
 
-    return RealFunction(evaluator=evaluator, name=src.strip(), bounded=False,
+    return RealFunction(evaluator=evaluator, name=src.strip(),
                         array_evaluator=_expr.compile_array(ast))
 
 
@@ -140,7 +135,6 @@ _register("sinlog", RealFunction(
         4: lambda x: math.sin(math.log(x)),
     },
     growth_bound=(1.0, 0.0),
-    bounded=True,
 ))
 
 _register("logsq", RealFunction(
@@ -174,7 +168,6 @@ def builtin(name):
             name=name,
             analytic_log_derivatives=orders,
             growth_bound=(abs(v), 0.0),
-            bounded=True,
         )
     try:
         return _BUILTINS[name]

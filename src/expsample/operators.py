@@ -20,7 +20,6 @@ scalar loop is a test oracle.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -30,8 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationError
-from .functions import RealFunction
+from .errors import EvaluationError, ExpSampleError
 from .kernels import Kernel
 from .quadrature import QuadratureConfig, cell_rule, panel_counts
 
@@ -120,11 +118,11 @@ def _knot_phases(phi):
 
 
 def _f_at_nodes(f, us, where):
-    """f at t = e^u for every u: one array call for a RealFunction, then
-    point by point when that fails or for any other callable, so an error
-    names the first offending t and its window.  where(i) gives the scale
-    and the window of us[i].  A node whose e^u is 0 or inf in double
-    precision fails before f is called, naming its u, w and window."""
+    """f at t = e^u for every u: one array call, then point by point when
+    that fails, so an error names the first offending t and its window.
+    where(i) gives the scale and the window of us[i].  A node whose e^u
+    is 0 or inf in double precision fails before f is called, naming its
+    u, w and window."""
     with np.errstate(over="ignore"):
         ts = np.exp(us)
     outside = ~((ts > 0.0) & (ts < math.inf))
@@ -134,13 +132,12 @@ def _f_at_nodes(f, us, where):
         raise EvaluationError(
             f"the node t=e^u at u={us[i]:.6g} for w={w} rounds to "
             f"t={float(ts[i])!r} in double precision, inside {window}")
-    if isinstance(f, RealFunction):
-        try:
-            values = np.asarray(f(ts), dtype=float)
-            if np.all(np.isfinite(values)):
-                return values
-        except EvaluationError:
-            pass
+    try:
+        values = np.asarray(f(ts), dtype=float)
+        if np.all(np.isfinite(values)):
+            return values
+    except EvaluationError:
+        pass
     values = np.empty_like(ts)
     for i, t in enumerate(ts.tolist()):
         try:
@@ -361,14 +358,13 @@ def batch_eval(spec, f, points, combination=None):
 
 
 def scalar_values(f, xs):
-    """f at each x of xs, a list: a RealFunction's scalar evaluator, or
-    any other callable called as it is.  The caller has checked that
-    every x is positive and finite.  An EvaluationError names its x."""
-    scalar = f.evaluator if isinstance(f, RealFunction) else f
+    """f at each x of xs, a list, by its scalar evaluator.  The caller
+    has checked that every x is positive and finite.  An EvaluationError
+    names its x."""
     values = []
     for x in xs:
         try:
-            values.append(scalar(x))
+            values.append(f.evaluator(x))
         except EvaluationError as exc:
             raise EvaluationError(f"evaluating f at x={x!r}: {exc}") from exc
     return values
@@ -377,39 +373,36 @@ def scalar_values(f, xs):
 BATCH_CSV_COLUMNS = ("x", "w", "fx", "Iwfx", "abs_err")
 
 
-@contextlib.contextmanager
-def atomic_open(path, newline=None):
-    """A text file to write path through: a temporary file beside it,
-    renamed over path on leaving the block, so no reader sees a partial
-    file."""
+def write_text(path, text):
+    """Write text to path whole or not at all: through a temporary file
+    beside it, renamed over path, so no reader sees a partial file.  On
+    any failure the temporary file is removed; an OSError becomes an
+    ExpSampleError that names path and the reason."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline=newline) as fh:
-        yield fh
-    os.replace(tmp, path)
-
-
-def write_csv(path, rows):
-    """Write CSV rows (header first) to path atomically."""
-    with atomic_open(path, newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(text.encode())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ExpSampleError(f"cannot write {path}: "
+                                 f"{exc.strerror or exc}") from None
+        raise
 
 
 def write_json(path, doc):
     """Write a JSON document (2-space indent, final newline) to path
-    atomically, formatted as one string and written once."""
-    text = json.dumps(doc, indent=2) + "\n"
-    with atomic_open(path) as fh:
-        fh.write(text)
+    atomically."""
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def write_batch_csv(rows, path):
     """Serialize batch rows with the documented column set, atomically,
-    as the bytes csv.writer would give.  The file is formatted as one
-    string and written once: a float's repr never needs CSV quoting.
-    Each distinct scale is formatted once."""
+    as the bytes csv.writer would give: a float's repr never needs CSV
+    quoting.  Each distinct scale is formatted once."""
     scales = {w: repr(w) for w in {row[1] for row in rows}}
-    text = ",".join(BATCH_CSV_COLUMNS) + "\r\n" + "".join(
+    write_text(path, ",".join(BATCH_CSV_COLUMNS) + "\r\n" + "".join(
         "%r,%s,%r,%r,%r\r\n" % (x, scales[w], fx, value, err)
-        for x, w, fx, value, err in rows)
-    with atomic_open(path, newline="") as fh:
-        fh.write(text)
+        for x, w, fx, value, err in rows))

@@ -20,6 +20,7 @@ import pytest
 from expsample import (
     OperatorSpec,
     QuadratureConfig,
+    RealFunction,
     characteristic,
     durrmeyer_eval,
     make_translate_combination,
@@ -125,3 +126,13 @@ def dense_config_oracle(spec, f, x):
             panel_max_width=spec.quadrature.panel_max_width),
     )
     return durrmeyer_eval(dense, f, x)
+
+
+def pointwise(scalar, name="f"):
+    """A RealFunction of a scalar callable whose array evaluator calls it
+    point by point."""
+    def array_evaluator(x):
+        return np.array([scalar(t) for t in x.ravel().tolist()],
+                        dtype=float).reshape(x.shape)
+    return RealFunction(evaluator=scalar, array_evaluator=array_evaluator,
+                        name=name)

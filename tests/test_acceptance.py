@@ -51,7 +51,8 @@ from expsample import (
     solve_coefficients,
     voronovskaya_check,
 )
-from expsample.expr import evaluate, parse_expression, to_source
+from expsample.expr import compile_scalar, parse_expression, to_source
+from conftest import pointwise
 from oracles import kantorovich_eval
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -391,7 +392,8 @@ def test_criterion_13_property_suite():
     g = builtin("sinlog")
     x, w = 2.0, 10.0
     cut = (B4.log_support_radius + B2.log_support_radius + 1.0) / w
-    patched = lambda t: g(t) + (50.0 if abs(math.log(t) - math.log(x)) > cut else 0.0)
+    patched = pointwise(lambda t: g(t) + (
+        50.0 if abs(math.log(t) - math.log(x)) > cut else 0.0))
     spec = OperatorSpec(B4, B2, w)
     locality_ok = durrmeyer_eval(spec, patched, x) == durrmeyer_eval(spec, g, x)
 
@@ -401,7 +403,8 @@ def test_criterion_13_property_suite():
     for _ in range(5):
         alpha = float(rng.uniform(-4, 4))
         xx = float(rng.uniform(0.7, 6.0))
-        lhs = durrmeyer_eval(spec, lambda t: alpha * g(t) + h(t), xx)
+        lhs = durrmeyer_eval(spec, pointwise(lambda t: alpha * g(t) + h(t)),
+                             xx)
         rhs = alpha * durrmeyer_eval(spec, g, xx) + durrmeyer_eval(spec, h, xx)
         worst_lin = max(worst_lin, abs(lhs - rhs) / (1 + abs(rhs)))
     linearity_ok = worst_lin <= 1e-12
@@ -411,10 +414,11 @@ def test_criterion_13_property_suite():
     for src in ("x^2 * cos(2*pi*x)", "x^(-3) * exp(-sin(x^2))",
                 "1 + 2*x - 3/x + x^0.5"):
         ast = parse_expression(src)
-        reparsed = parse_expression(to_source(ast))
+        scalar = compile_scalar(ast)
+        reparsed = compile_scalar(parse_expression(to_source(ast)))
         for xx in rng.uniform(0.5, 10.0, size=100):
-            a = evaluate(ast, float(xx))
-            b = evaluate(reparsed, float(xx))
+            a = scalar(float(xx))
+            b = reparsed(float(xx))
             worst_rt = max(worst_rt, abs(a - b) / max(1e-12, abs(a)))
     roundtrip_ok = worst_rt <= 1e-12
 

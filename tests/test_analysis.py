@@ -30,13 +30,15 @@ from expsample import (
 class TestErrorTable:
     def test_constant_function(self, b4, b2):
         spec = OperatorSpec(b4, b2, 10.0)
-        table = error_table(builtin("const:1"), spec, [1.5, 2.5], [10.0, 20.0])
+        table = error_table(builtin("const:1"), spec, [1.5, 2.5],
+                            [Column(10.0), Column(20.0)])
         for x, label, fx, value in table.rows:
             assert abs(fx - value) <= 1e-10
 
     def test_row_major_cross_product(self, b4, b2):
         spec = OperatorSpec(b4, b2, 10.0)
-        table = error_table(builtin("sinlog"), spec, [1.5, 2.5], [10.0, 20.0])
+        table = error_table(builtin("sinlog"), spec, [1.5, 2.5],
+                            [Column(10.0), Column(20.0)])
         labels = [(x, lab) for x, lab, _, _ in table.rows]
         assert labels == [(1.5, "w=10"), (1.5, "w=20"), (2.5, "w=10"), (2.5, "w=20")]
 
@@ -51,21 +53,22 @@ class TestErrorTable:
         spec = OperatorSpec(b4, b2, 10.0)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
-            table = error_table(builtin("fig2"), spec, [1.75, 2.1], [10.0])
+            table = error_table(builtin("fig2"), spec, [1.75, 2.1],
+                                [Column(10.0)])
             table.to_csv(str(path))
         assert a.read_bytes() == b.read_bytes()
 
     def test_digest_tracks_config(self, b4, b2):
         spec = OperatorSpec(b4, b2, 10.0)
-        t1 = error_table(builtin("sinlog"), spec, [2.0], [10.0])
-        t2 = error_table(builtin("sinlog"), spec, [2.0], [10.0])
-        t3 = error_table(builtin("sinlog"), spec, [2.0], [20.0])
+        t1 = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
+        t2 = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
+        t3 = error_table(builtin("sinlog"), spec, [2.0], [Column(20.0)])
         assert t1.metadata["digest"] == t2.metadata["digest"]
         assert t1.metadata["digest"] != t3.metadata["digest"]
 
     def test_json_round_trip(self, b4, b2, tmp_path):
         spec = OperatorSpec(b4, b2, 10.0)
-        table = error_table(builtin("sinlog"), spec, [2.0], [10.0])
+        table = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
         path = tmp_path / "t.json"
         table.to_json(str(path))
         doc = json.loads(path.read_text())
@@ -74,7 +77,7 @@ class TestErrorTable:
 
     def test_abs_err_recomputed(self, b4, b2):
         spec = OperatorSpec(b4, b2, 10.0)
-        table = error_table(builtin("sinlog"), spec, [2.0], [10.0])
+        table = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
         _, _, fx, value = table.rows[0]
         assert table.to_json()["rows"][0]["abs_err"] == abs(fx - value)
 

@@ -704,6 +704,47 @@ class TestRunRecord:
         out = tmp_path / argv[argv.index("--out") + 1]
         assert json.loads(out.read_text())["metadata"] == record
 
+    @pytest.mark.parametrize("argv", [
+        EVAL + ["--format", "json"], TABLE + ["--format", "json"],
+        RATES + ["--out", "r.json"], VORONOVSKAYA + ["--out", "v.json"]],
+        ids=lambda argv: argv[0])
+    def test_json_metadata_keys_are_in_canonical_order(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # the order of the canonical JSON the digest hashes, so equal
+        # digests mean byte-identical files
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        out = tmp_path / argv[argv.index("--out") + 1]
+        metadata = json.loads(out.read_text())["metadata"]
+        assert list(metadata) == sorted(metadata)
+        assert list(metadata["quadrature"]) == sorted(metadata["quadrature"])
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a usage error that names the
+    path and the reason, and leaves no temporary file behind."""
+
+    @pytest.mark.parametrize("argv", [EVAL, TABLE, RATES, VORONOVSKAYA],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_exit_2_names_the_path(self, capsys, tmp_path, monkeypatch, argv,
+                                   target):
+        monkeypatch.chdir(tmp_path)
+        if target == "directory":
+            (tmp_path / "dir").mkdir()
+            path, reason = "dir", "Is a directory"
+        else:
+            path, reason = "missing/x.out", "No such file or directory"
+        if "--out" in argv:
+            argv = argv[:argv.index("--out")] + argv[argv.index("--out") + 2:]
+        assert main([*argv, "--out", path]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"expsample {argv[0]}: error: cannot write {path}: {reason}\n"
+            f"run 'expsample {argv[0]} --help' for usage\n")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.rglob("*.tmp.*")] == []
+
 
 WIDE = "translates:2:a=e^-65536,b=e^65536"
 PSI_BENCH = "translates:2:a=e^2,b=e^3"

@@ -134,13 +134,16 @@ class TestCombinedMoments:
         # a nonnegative pair's partition of unity has size 1; a vanishing
         # coefficient keeps the size of its terms; psi's lobes cancel
         p1, p3 = solve_coefficients(1), solve_coefficients(3)
-        assert _moment_terms(p1, b4, b2, 0, 2.0)[1] == pytest.approx(1.0)
+        assert _moment_terms(p1, b4, b2, 0, math.log(2.0),
+                             absolute=True) == pytest.approx(1.0)
         log_u = np.array([0.3, 7.9])
         for j in (1, 2):
-            value, size = _moment_terms(p3, b4, b2, j, log_u=log_u)
+            value, size = (_moment_terms(p3, b4, b2, j, log_u, absolute)
+                           for absolute in (False, True))
             assert np.array_equal(
                 value, combined_moment(p3, b4, b2, j, log_u=log_u))
             assert np.all(size > 0.1)
             assert np.all(np.abs(value) <= 1e-12 * size)
-        value, size = _moment_terms(p1, psi, b2, 2, math.e)
+        value, size = (_moment_terms(p1, psi, b2, 2, 1.0, absolute)
+                       for absolute in (False, True))
         assert size > abs(value) + 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from expsample import EvaluationError, ParseError, parse_function
-from expsample.expr import parse_expression, to_source, evaluate
+from expsample.expr import compile_scalar, evaluate, parse_expression, to_source
 
 
 class TestParsing:
@@ -112,8 +112,9 @@ ROUND_TRIP_SOURCES = [
 @pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
 def test_print_parse_round_trip(src, rng):
     ast = parse_expression(src)
-    reparsed = parse_expression(to_source(ast))
+    scalar = compile_scalar(ast)
+    reparsed = compile_scalar(parse_expression(to_source(ast)))
     for x in rng.uniform(0.5, 10.0, size=100):
-        a = evaluate(ast, float(x))
+        a = evaluate(scalar, float(x))
         b = evaluate(reparsed, float(x))
         assert b == pytest.approx(a, rel=1e-12, abs=1e-12)

@@ -710,7 +710,9 @@ class TestVectorisedRoutes:
             cache.cache_clear()
         verify_kernel(psi, b2, 3)
         discrete_moment(psi, 2, 1.7)
-        _moment_terms(solve_coefficients(3), psi, b2, 2, 1.7)
+        for absolute in (False, True):
+            _moment_terms(solve_coefficients(3), psi, b2, 2, math.log(1.7),
+                          absolute)
         absolute_moment(psi, 2, "discrete")
         lattice_moments(psi, 0, [0.25, 0.5])
         info = _lattice_polynomials.cache_info()

@@ -208,7 +208,7 @@ _U = 4 * 2.0 ** -52
 def _value_and_spread(node, x):
     """Scalar value of node at x and a bound on how far a last-ulp
     difference in every operation can move it (forward propagation)."""
-    v = evaluate(node, x)
+    v = evaluate(compile_scalar(node), x)
     if isinstance(node, (Num, Var, Const)):
         return v, 0.0
     if isinstance(node, Unary):
