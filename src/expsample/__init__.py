@@ -47,7 +47,6 @@ from .combinations import (
     combined_eval,
     combined_moment,
     pair_moment,
-    residuals,
     solve_coefficients,
 )
 from .analysis import (
@@ -55,7 +54,6 @@ from .analysis import (
     Column,
     ErrorTable,
     RateReport,
-    config_digest,
     config_record,
     empirical_order,
     error_table,

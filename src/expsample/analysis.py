@@ -34,22 +34,6 @@ except ImportError:
         from hashlib import sha256
 
 
-def _canonical(payload):
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
-
-
-def _digest(text):
-    return sha256(text.encode()).hexdigest()[:16]
-
-
-def config_digest(payload):
-    """Stable hex digest of a configuration mapping (short form): the first
-    16 hex digits of the SHA-256 of its canonical JSON (sorted keys,
-    compact separators, strict)."""
-    return _digest(_canonical(payload))
-
-
 class _Record(dict):
     """A run record that keeps in `text` the canonical JSON of the record
     without its digest: the exact text the digest hashes."""
@@ -59,19 +43,23 @@ class _Record(dict):
 
 def config_record(spec=None, **fields):
     """The run record: fields, the kernels, quadrature and truncation radius
-    of spec, and the version, plus "digest", their config_digest.  Its keys
-    are in sorted order, that of the canonical JSON, so a JSON file that
-    writes the record as it is holds the same bytes for the same digest."""
+    of spec, and the version, plus "digest", the first 16 hex digits of
+    the SHA-256 of their canonical JSON (sorted keys, compact separators,
+    strict).  Its keys are in sorted order, that of the canonical JSON,
+    so a JSON file that writes the record as it is holds the same bytes
+    for the same digest."""
     if spec is not None:
         fields = {**fields, "quadrature": vars(spec.quadrature),
                   "chi": spec.chi.descriptor, "phi": spec.phi.descriptor,
                   "truncation_radius": spec.truncation_radius}
     record = {**fields, "version": __version__}
     try:
-        text = _canonical(record)
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
     except ValueError:  # strict JSON: a non-finite number becomes a string
         return config_record(**json.loads(json.dumps(record), parse_constant=str))
-    out = _Record(sorted({"digest": _digest(text), **record}.items()))
+    digest = sha256(text.encode()).hexdigest()[:16]
+    out = _Record(sorted({"digest": digest, **record}.items()))
     out.text = text
     return out
 
@@ -92,7 +80,8 @@ class Column:
 
 @dataclass
 class ErrorTable:
-    """Rows (x, label, f(x), value, abs error) plus the config_record.
+    """Rows (x, label, f(x), value, abs error) plus metadata, the run
+    record that to_json writes.
 
     The absolute error is recomputed from the stored values, never carried
     independently; rounding happens only at serialization time.
@@ -109,18 +98,15 @@ class ErrorTable:
               for x, label, fx, value in self.rows)])
         write_text(path, text.getvalue())
 
-    def to_json(self, path=None):
-        doc = {
+    def to_json(self, path):
+        write_json(path, {
             "metadata": self.metadata,
             "rows": [
                 {"x": x, "label": label, "fx": fx, "value": value,
                  "abs_err": abs(fx - value)}
                 for x, label, fx, value in self.rows
             ],
-        }
-        if path is not None:
-            write_json(path, doc)
-        return doc
+        })
 
 
 def error_table(f, spec, xs, columns):
@@ -128,8 +114,9 @@ def error_table(f, spec, xs, columns):
 
     All columns are one durrmeyer_eval call over the pairs (x, i w) of
     every column (i = 1 .. p), and combine sums each column, p = 1
-    included; values are kept at full precision.  The metadata is the
-    config_record of f's name, points and column labels.
+    included; values are kept at full precision.  f(x) comes from
+    scalar_values.  The metadata is empty: the run record is the
+    caller's.
     """
     scales = [i * c.w for c in columns for i in range(1, c.p + 1)]
     values = durrmeyer_eval(spec, f, np.array(xs, dtype=float)[:, None],
@@ -143,9 +130,7 @@ def error_table(f, spec, xs, columns):
     for i, (x, fx) in enumerate(zip(xs, scalar_values(f, xs))):
         for col, values in zip(columns, by_column):
             rows.append((x, col.label, fx, values[i]))
-    return ErrorTable(rows=rows, metadata=config_record(
-        spec, fn=f.name, xs=list(map(float, xs)),
-        columns=[c.label for c in columns]))
+    return ErrorTable(rows, metadata={})
 
 
 @dataclass(frozen=True)
@@ -191,14 +176,15 @@ def empirical_order(f, spec, x, ws, combination=PLAIN, target_order=None):
     """Fit the empirical convergence order of the combined operator (by
     default order 1, the operator itself).
 
-    Needs at least 3 strictly increasing scales.  A zero error anywhere
-    makes the order meaningless; it is reported as +inf with the
-    zero_error flag set.
+    Needs at least 3 strictly increasing scales.  The operator values
+    come first, from one engine call, which checks x; then f(x), from
+    scalar_values.  A zero error anywhere makes the order meaningless;
+    it is reported as +inf with the zero_error flag set.
     """
     ws = _scales(ws)
-    fx = f(x)
-    errors = [val - fx for val in
-              combined_eval(combination, spec, f, x, ws).tolist()]
+    values = combined_eval(combination, spec, f, x, ws).tolist()
+    fx, = scalar_values(f, [x])
+    errors = [val - fx for val in values]
     if any(e == 0.0 for e in errors):
         return RateReport(x=x, w_sequence=tuple(ws), errors=tuple(errors),
                           fitted_order=math.inf, extrapolated_constant=0.0,
@@ -288,17 +274,18 @@ def voronovskaya_check(f, spec, x, ws, j, combination=PLAIN):
     same at every x^{iw}, which lower_orders_cancel reports.  Divergence
     of the scaled-error sequence is flagged, not raised.  The scales are
     checked as by empirical_order, and the operator values at all of
-    them are one engine call; the combination defaults to order 1, the
-    operator itself.
+    them are one engine call, which checks x; f(x) comes from
+    scalar_values.  The combination defaults to order 1, the operator
+    itself.
     """
     ws = _scales(ws)
-    if x <= 0:
-        raise ValueError("x must be positive")
     deriv = f.log_derivative(j)
     if deriv is None:
         raise ValueError(
             f"{f.name!r} has no closed-form derivative of order {j}; the "
             "prediction needs one")
+    values = combined_eval(combination, spec, f, x, ws).tolist()
+    fx, = scalar_values(f, [x])
     # the phase comes from w log x: x^w itself overflows
     log_u = np.array(ws) * math.log(x)
     coeffs, sizes = (_moment_terms(combination, spec.chi, spec.phi, j, log_u,
@@ -311,9 +298,7 @@ def voronovskaya_check(f, spec, x, ws, j, combination=PLAIN):
     spread = max(abs(p - predictions[-1]) for p in predictions)
     has_limit = spread <= _ROUNDOFF * magnitude
 
-    fx = f(x)
-    scaled = [w ** j * (val - fx) for w, val in
-              zip(ws, combined_eval(combination, spec, f, x, ws).tolist())]
+    scaled = [w ** j * (val - fx) for w, val in zip(ws, values)]
     mags = [abs(s) for s in scaled]
     diverged = mags[-1] > 2.0 * mags[0] and mags[-1] > mags[-2] > mags[-3]
     return AsymptoticCheck(

@@ -17,13 +17,13 @@ from . import __version__
 from .analysis import (Column, config_record, empirical_order, error_table,
                        voronovskaya_check)
 from .combinations import PLAIN, solve_coefficients
-from .errors import EvaluationError, ExpSampleError
+from .errors import EvaluationError, ExpSampleError, OutputError
 from .functions import function_from_spec
 from .kernels import (absolute_moment, continuous_moment, discrete_moment,
                       parse_kernel, poisson_moment, verify_kernel)
 from .operators import (BATCH_CSV_COLUMNS, OperatorSpec, batch_eval,
                         write_batch_csv, write_json)
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
 def _parse_reals(text, flag):
@@ -126,9 +126,11 @@ def _add_operator(sub, name, summary, point=False):
         p.add_argument("--x", required=True,
                        help="points: list or start:stop:step")
     p.add_argument("--w", required=True, help="scales: list or start:stop:step")
-    p.add_argument("--nodes-per-unit", type=int, default=20,
+    p.add_argument("--nodes-per-unit", type=int,
+                   default=DEFAULT_CONFIG.nodes_per_unit,
                    help="Gauss-Legendre points per unit log-length")
-    p.add_argument("--panel-max-width", type=float, default=0.5,
+    p.add_argument("--panel-max-width", type=float,
+                   default=DEFAULT_CONFIG.panel_max_width,
                    help="maximum quadrature panel width (log units)")
     p.add_argument("--out", help="output file path")
     if name in ("eval", "table"):
@@ -353,10 +355,12 @@ def main(argv=None):
         return 1
     except ExpSampleError as exc:
         # configuration problems (bad descriptors, malformed specs) rank
-        # with flag errors
+        # with flag errors and get the usage hint; an unwritable --out,
+        # no fault of the command line, exits 2 without it
         print(f"expsample {args.command}: error: {exc}", file=sys.stderr)
-        print(f"run 'expsample {args.command} --help' for usage",
-              file=sys.stderr)
+        if not isinstance(exc, OutputError):
+            print(f"run 'expsample {args.command} --help' for usage",
+                  file=sys.stderr)
         return 2
 
 

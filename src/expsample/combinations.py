@@ -27,12 +27,14 @@ MAX_ORDER = 12
 
 @dataclass(frozen=True)
 class CombinationSpec:
-    p: int
+    """The coefficients beta_1 .. beta_p of sum_i beta_i I_{i w}."""
+
     beta: tuple
 
-    def __post_init__(self):
-        if len(self.beta) != self.p:
-            raise ValueError("coefficient count must equal p")
+    @property
+    def p(self):
+        """The order: the number of coefficients."""
+        return len(self.beta)
 
 
 def solve_coefficients(p):
@@ -48,21 +50,11 @@ def solve_coefficients(p):
     beta = tuple((-1) ** (p - i) * i ** (p - 1)
                  / (math.factorial(i - 1) * math.factorial(p - i))
                  for i in range(1, p + 1))
-    return CombinationSpec(p=p, beta=beta)
+    return CombinationSpec(beta)
 
 
 # the order-1 combination, beta = (1): the operator itself
 PLAIN = solve_coefficients(1)
-
-
-def residuals(spec):
-    """Residual of each equation of the coefficient system, in float."""
-    out = []
-    for k in range(spec.p):
-        target = 1.0 if k == 0 else 0.0
-        s = sum(b / i ** k for b, i in zip(spec.beta, range(1, spec.p + 1)))
-        out.append(s - target)
-    return out
 
 
 def combined_eval(spec, op, f, x, w=None):

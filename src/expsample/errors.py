@@ -21,3 +21,7 @@ class ParseError(ExpSampleError):
 
 class KernelError(ExpSampleError):
     """Invalid kernel construction or descriptor."""
+
+
+class OutputError(ExpSampleError):
+    """An output file could not be written."""

@@ -14,8 +14,8 @@ character index.
 
 compile_scalar turns an AST once into a tree of closures over one point,
 which evaluate runs; compile_array turns it into a numpy closure over
-arrays of points that falls back to the scalar form wherever numpy flags
-a floating-point exception or yields a non-finite value.
+arrays of points that raises wherever numpy flags a floating-point
+exception.
 """
 
 from __future__ import annotations
@@ -72,23 +72,6 @@ Const = namedtuple("Const", "name")
 Unary = namedtuple("Unary", "op operand")
 Binary = namedtuple("Binary", "op left right")
 Call = namedtuple("Call", "name arg")
-
-
-def to_source(node):
-    """Render an AST back to parseable source (conservatively parenthesized)."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Unary):
-        return f"(-{to_source(node.operand)})"
-    if isinstance(node, Binary):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.name}({to_source(node.arg)})"
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 def _closure(node, functions, operators):
@@ -156,29 +139,22 @@ def compile_array(node):
     """Compile an AST into a function of a float array.
 
     numpy evaluates the whole array with overflow, division by zero and
-    invalid operations raised.  On such an exception, or on a non-finite
-    value, every point is evaluated again by the compiled scalar form, so
-    its domain violations still raise EvaluationError, here naming the
-    point.  Values may differ from the scalar form in the last ulp.
+    invalid operations raised; such an exception becomes an
+    EvaluationError that gives its cause only, as the scalar form's
+    does.  Non-finite values are returned as they are.  Values may
+    differ from the scalar form in the last ulp.  A caller that needs
+    the failing point evaluates point by point with the scalar form, as
+    the operator engine does.
     """
     closure = _closure(node, ARRAY_FUNCTIONS, ARRAY_OPERATORS)
-    scalar = compile_scalar(node)
 
     def evaluate_array(x):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                out = np.broadcast_to(closure(x), x.shape)
-            if np.all(np.isfinite(out)):
-                return np.array(out, dtype=float)
-        except FloatingPointError:
-            pass
-        values = []
-        for v in x.ravel().tolist():
-            try:
-                values.append(evaluate(scalar, v))
-            except EvaluationError as exc:
-                raise EvaluationError(f"at x={v!r}: {exc}") from None
-        return np.array(values, dtype=float).reshape(x.shape)
+                return np.array(np.broadcast_to(closure(x), x.shape),
+                                dtype=float)
+        except FloatingPointError as exc:
+            raise EvaluationError(str(exc)) from None
 
     return evaluate_array
 

@@ -512,7 +512,11 @@ def absolute_moment(kernel, nu, side):
     raise ValueError("side must be 'discrete' or 'continuous'")
 
 
-def poisson_moment(chi, j, K=3):
+# the Poisson route sums the frequencies |k| <= POISSON_K
+POISSON_K = 3
+
+
+def poisson_moment(chi, j):
     """Discrete moment of order j through the transform route.
 
     The Poisson summation identity turns the lattice sum into transform
@@ -523,7 +527,7 @@ def poisson_moment(chi, j, K=3):
     with T(t) the transform along the imaginary axis, so the k-th term is
     the k-th Fourier coefficient of m_j(chi, e^s) over one period
     s in [0, 1).  This routine evaluates the right-hand side at u = 1 for
-    |k| <= K: the sum of those 2K + 1 coefficients, from one
+    |k| <= K = POISSON_K: the sum of those 2K + 1 coefficients, from one
     mellin_transform call whose frequencies share one rule and one kernel
     evaluation.  Each derivative is taken under the integral sign,
     i^j T^(j)(2 k pi) being the integral of chi(v) (-v)^j e^{2 k pi i v}
@@ -538,9 +542,8 @@ def poisson_moment(chi, j, K=3):
     j = _order(j)
     if j > 4:
         raise ValueError("poisson route supports orders j <= 4")
-    if K < 0:
-        raise ValueError(f"frequency bound K must be >= 0, got K={K}")
-    points = [complex(0.0, 2.0 * math.pi * k) for k in range(-K, K + 1)]
+    points = [complex(0.0, 2.0 * math.pi * k)
+              for k in range(-POISSON_K, POISSON_K + 1)]
     total = sum(mellin_transform(chi, points, order=j))
     # i^j T^(j)(t) = i^j i^j M^(j)(it) with M the transform in s
     return float(((-1) ** j * total).real)

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationError, ExpSampleError
+from .errors import EvaluationError, OutputError
 from .kernels import Kernel
 from .quadrature import QuadratureConfig, cell_rule, panel_counts
 
@@ -256,8 +256,11 @@ def _window_means(spec, f, win_w, win_k):
     rules, firsts = [], []
     for w in win_w[np.diff(win_w, prepend=0.0) != 0.0].tolist():
         # log_rule's panels of the cells [p_i / w, p_{i+1} / w]
-        subdivision = tuple(map(tuple, panel_counts([x / w for x in widths],
-                                                    cfg)))
+        try:
+            counts = panel_counts([x / w for x in widths], cfg)
+        except ValueError as exc:
+            raise ValueError(f"at w={w!r}: {exc}") from None
+        subdivision = tuple(map(tuple, counts))
         if not rules or subdivision != rules[-1]:
             rules.append(subdivision)
             firsts.append(w)
@@ -377,7 +380,7 @@ def write_text(path, text):
     """Write text to path whole or not at all: through a temporary file
     beside it, renamed over path, so no reader sees a partial file.  On
     any failure the temporary file is removed; an OSError becomes an
-    ExpSampleError that names path and the reason."""
+    OutputError that names path and the reason."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
@@ -387,8 +390,8 @@ def write_text(path, text):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         if isinstance(exc, OSError):
-            raise ExpSampleError(f"cannot write {path}: "
-                                 f"{exc.strerror or exc}") from None
+            raise OutputError(f"cannot write {path}: "
+                              f"{exc.strerror or exc}") from None
         raise
 
 

@@ -110,26 +110,38 @@ def _leggauss(n):
     return x, w
 
 
+# The most nodes a rule may hold, and the most doubles in the n x n matrix
+# that _leggauss builds for n points a panel: 8 MiB for each such array,
+# as for a rule's nodes, its weights and each row of the engine's phi band.
+MAX_RULE_DOUBLES = 2 ** 20
+
+
 def panel_counts(widths, cfg):
     """Panels per cell and points per panel of log_rule on cells of the
     given widths, two lists of ints: cells are cut into equal panels no
     wider than panel_max_width, and a panel gets nodes_per_unit points
     per unit of its width, but at least max(6, 0.7 * nodes_per_unit).
     Plain floats: the lists are short, and numpy's fixed cost per call
-    would outweigh their arithmetic.  A ValueError names panel_max_width
-    and the cell width when their quotient is not finite."""
+    would outweigh their arithmetic.  A rule of more than
+    MAX_RULE_DOUBLES nodes, or of more than its square root points in a
+    panel, is a ValueError naming both settings, before anything is
+    built."""
     least = max(6, math.ceil(0.7 * cfg.nodes_per_unit))
-    try:
-        panels = [max(1, math.ceil(w / cfg.panel_max_width)) for w in widths]
-    except (OverflowError, ValueError):
-        width = next(w for w in widths
-                     if not math.isfinite(w / cfg.panel_max_width))
+    # each count is capped at the budget before math.ceil, so that one
+    # past it (inf included) is refused below instead of overflowing
+    cap = MAX_RULE_DOUBLES
+    panels = [max(1, math.ceil(min(w / cfg.panel_max_width, cap)))
+              for w in widths]
+    points = [max(least, math.ceil(min(cfg.nodes_per_unit * w / m, cap)))
+              for w, m in zip(widths, panels)]
+    if (sum(m * n for m, n in zip(panels, points)) > cap
+            or max(points, default=0) ** 2 > cap):
         raise ValueError(
-            f"panel_max_width={cfg.panel_max_width!r} is too small for a "
-            f"cell of width {width!r}: the panel count "
-            f"{width / cfg.panel_max_width!r} is not finite") from None
-    return panels, [max(least, math.ceil(cfg.nodes_per_unit * w / m))
-                    for w, m in zip(widths, panels)]
+            f"nodes_per_unit={cfg.nodes_per_unit} and panel_max_width="
+            f"{cfg.panel_max_width!r} ask for a quadrature rule beyond "
+            f"{cap} nodes or {math.isqrt(cap)} points per panel on cells "
+            f"up to {max(widths):.6g} wide")
+    return panels, points
 
 
 def cell_rule(cuts, panels, points):

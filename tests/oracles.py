@@ -6,11 +6,17 @@ as a loop over k, the integral-mean (Kantorovich) form as a loop over k
 of plain means, the log-coordinate derivative by central finite
 differences, an expression's value by a walk over its AST, and a
 kernel's lattice moments exactly, in rational arithmetic, from its own
-truncated-power B-spline.  They may import from expsample only its
-errors and its quadrature rules; tests/test_oracles_independent.py
-checks that, and that the package defines none of the names here.
+truncated-power B-spline.  Beside them stand restatements of what the
+library only defines: an AST printed back to source, the residuals of
+the combination coefficient system, and the run-record digest of
+docs/cli.md.  They may import from expsample only its errors and its
+quadrature rules; tests/test_oracles_independent.py checks that, that
+the printer and the digest use no library name at all, and that the
+package defines none of the names here.
 """
 
+import hashlib
+import json
 import math
 import operator
 from fractions import Fraction
@@ -212,3 +218,39 @@ def walk_expression(node, x):
         except (ValueError, OverflowError) as exc:
             raise EvaluationError(f"{node.name}({v!r}) failed: {exc}") from None
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def to_source(node):
+    """An expression AST rendered back to parseable source, conservatively
+    parenthesized.  Like walk_expression, it dispatches on the class name
+    of a node."""
+    kind = type(node).__name__
+    if kind == "Num":
+        return repr(node.value)
+    if kind == "Var":
+        return "x"
+    if kind == "Const":
+        return node.name
+    if kind == "Unary":
+        return f"(-{to_source(node.operand)})"
+    if kind == "Binary":
+        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
+    if kind == "Call":
+        return f"{node.name}({to_source(node.arg)})"
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def residuals(spec):
+    """The residual of each equation sum_i beta_i / i^k = [k == 0],
+    k = 0 .. p-1, of a combination's coefficients, in float."""
+    return [sum(b / i ** k for i, b in enumerate(spec.beta, start=1))
+            - (1.0 if k == 0 else 0.0) for k in range(len(spec.beta))]
+
+
+def config_digest(record):
+    """The digest of a run record as docs/cli.md defines it: the first 16
+    hex digits of the SHA-256 of its canonical JSON (sorted keys,
+    separators ',' and ':', strict)."""
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -46,14 +46,14 @@ from expsample import (
     mellin_transform,
     parse_function,
     poisson_moment,
-    residuals,
     richardson,
     solve_coefficients,
     voronovskaya_check,
 )
-from expsample.expr import compile_scalar, parse_expression, to_source
+from expsample.expr import compile_scalar, parse_expression
+from expsample.kernels import POISSON_K
 from conftest import pointwise
-from oracles import kantorovich_eval
+from oracles import kantorovich_eval, residuals, to_source
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -143,7 +143,7 @@ def test_criterion_04_poisson_route_bspline():
     rng = np.random.default_rng(4)
     worst = 0.0
     for j in range(4):
-        pm = poisson_moment(B4, j, K=3)
+        pm = poisson_moment(B4, j)
         for u in rng.uniform(0.5, 10.0, size=10):
             worst = max(worst, abs(pm - discrete_moment(B4, j, float(u))))
     report(4, "poisson route, order-4 b-spline", worst <= 1e-6,
@@ -166,20 +166,29 @@ def test_criterion_04_poisson_route_translates():
     rng = np.random.default_rng(5)
     worst_low = 0.0
     for j in (0, 1):
-        pm = poisson_moment(PSI, j, K=3)
+        pm = poisson_moment(PSI, j)
         for u in rng.uniform(0.5, 10.0, size=10):
             worst_low = max(worst_low, abs(pm - discrete_moment(PSI, j, float(u))))
     # the route evaluates at u = 1, where it is the partial Fourier sum of
     # the u-dependent lattice moment (orders 2 and 3 oscillate with log u,
-    # so a comparison at random u checked the wrong identity); K = 0 is
-    # the phase average, -35/6 at order 2 and 30 at order 3
+    # so a comparison at random u checked the wrong identity).  The route
+    # sums the transform terms (-1)^j M^(j)(2 pi i k) over |k| <= POISSON_K;
+    # the partial sums over |k| <= K are checked term by term through the
+    # transform, and K = 0 is the phase average, -35/6 at order 2 and 30 at
+    # order 3
+    def partial_sum(j, K):
+        points = [complex(0.0, 2.0 * math.pi * k) for k in range(-K, K + 1)]
+        return float(((-1) ** j * sum(mellin_transform(PSI, points, j))).real)
+
     worst_fourier = 0.0
     for j in range(4):
-        for K in range(4):
+        worst_fourier = max(worst_fourier, abs(
+            poisson_moment(PSI, j) - _lattice_fourier_sum(PSI, j, POISSON_K)))
+        for K in range(POISSON_K + 1):
             worst_fourier = max(worst_fourier, abs(
-                poisson_moment(PSI, j, K) - _lattice_fourier_sum(PSI, j, K)))
-    worst_mean = max(abs(poisson_moment(PSI, 2, 0) + 35.0 / 6.0),
-                     abs(poisson_moment(PSI, 3, 0) - 30.0))
+                partial_sum(j, K) - _lattice_fourier_sum(PSI, j, K)))
+    worst_mean = max(abs(partial_sum(2, 0) + 35.0 / 6.0),
+                     abs(partial_sum(3, 0) - 30.0))
     ok = worst_low <= 1e-6 and worst_fourier <= 1e-6 and worst_mean <= 1e-6
     report(4, "poisson route, translate combination", ok,
            f"orders<=1 worst {worst_low:.2e}, Fourier sums orders 0-3 worst "

@@ -15,7 +15,6 @@ from expsample import (
     batch_eval,
     builtin,
     combined_eval,
-    config_digest,
     config_record,
     durrmeyer_eval,
     empirical_order,
@@ -24,7 +23,9 @@ from expsample import (
     richardson,
     solve_coefficients,
     voronovskaya_check,
+    __version__,
 )
+from oracles import config_digest
 
 
 class TestErrorTable:
@@ -58,28 +59,28 @@ class TestErrorTable:
             table.to_csv(str(path))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_digest_tracks_config(self, b4, b2):
-        spec = OperatorSpec(b4, b2, 10.0)
-        t1 = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
-        t2 = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
-        t3 = error_table(builtin("sinlog"), spec, [2.0], [Column(20.0)])
-        assert t1.metadata["digest"] == t2.metadata["digest"]
-        assert t1.metadata["digest"] != t3.metadata["digest"]
-
     def test_json_round_trip(self, b4, b2, tmp_path):
+        # the table carries no record of its own; to_json writes the one
+        # its caller sets (the CLI's run record, see tests/test_cli.py)
         spec = OperatorSpec(b4, b2, 10.0)
         table = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
+        assert table.metadata == {}
+        table.metadata = config_record(spec, x=[2.0])
         path = tmp_path / "t.json"
         table.to_json(str(path))
         doc = json.loads(path.read_text())
-        assert doc["metadata"]["digest"] == table.metadata["digest"]
-        assert len(doc["rows"]) == 1
+        assert doc["metadata"] == table.metadata
+        x, label, fx, value = table.rows[0]
+        assert doc["rows"] == [{"x": x, "label": label, "fx": fx,
+                                "value": value, "abs_err": abs(fx - value)}]
 
-    def test_abs_err_recomputed(self, b4, b2):
+    def test_abs_err_recomputed(self, b4, b2, tmp_path):
         spec = OperatorSpec(b4, b2, 10.0)
         table = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
         _, _, fx, value = table.rows[0]
-        assert table.to_json()["rows"][0]["abs_err"] == abs(fx - value)
+        table.to_json(str(tmp_path / "t.json"))
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert doc["rows"][0]["abs_err"] == abs(fx - value)
 
 
 def _canonical(record):
@@ -88,17 +89,21 @@ def _canonical(record):
 
 
 class TestConfigDigest:
-    """config_digest is the first 16 hex digits of the SHA-256 of the
-    canonical JSON, whichever module computes it."""
+    """A run record's digest is the first 16 hex digits of the SHA-256 of
+    its canonical JSON, as docs/cli.md defines it and tests/oracles.py
+    restates it."""
 
-    @pytest.mark.parametrize("record", [
+    @pytest.mark.parametrize("fields", [
         {"chi": "bspline:4", "x": [1.5, 2.0], "p": [], "note": None,
          "quadrature": {"panel_max_width": 0.5, "nodes_per_unit": 20}},
         {"x": [1.0 + 5.0 * i / 1500 for i in range(1501)], "w": [25.0]},
     ], ids=["small", "1501-floats"])
-    def test_equals_hashlib(self, record):
-        expected = hashlib.sha256(_canonical(record).encode()).hexdigest()
-        assert config_digest(record) == expected[:16]
+    def test_equals_hashlib(self, fields):
+        record = config_record(**fields)
+        rest = {k: v for k, v in record.items() if k != "digest"}
+        assert record.text == _canonical(rest)
+        expected = hashlib.sha256(_canonical(rest).encode()).hexdigest()
+        assert record["digest"] == config_digest(rest) == expected[:16]
 
     def test_non_finite_fallback_record(self):
         # the record of --panel-max-width inf: the number becomes a string
@@ -113,6 +118,38 @@ class TestConfigDigest:
     def test_pinned_value(self):
         # moves if the hash or the canonical form ever changes
         assert config_digest({"a": 1}) == "015abd7f5cc57a2d"
+        assert config_record(a=1)["digest"] == config_digest(
+            {"a": 1, "version": __version__})
+
+
+class TestReadingFx:
+    """empirical_order and voronovskaya_check run the engine, which checks
+    x, and then read f(x) through scalar_values, which names x."""
+
+    @pytest.mark.parametrize("instrument", [
+        empirical_order,
+        lambda f, spec, x, ws: voronovskaya_check(f, spec, x, ws, 2)],
+        ids=["empirical_order", "voronovskaya_check"])
+    def test_fx_failure_names_x(self, b4, b2, instrument):
+        # an expression whose only pole is x itself, with a derivative
+        # attached so that voronovskaya_check gets as far as f(x)
+        f = dataclasses.replace(parse_function("log(abs(x-2.5))"),
+                                analytic_log_derivatives={2: math.cos})
+        with pytest.raises(EvaluationError, match=(
+                r"^evaluating f at x=2\.5: log\(0\.0\) failed: math "
+                "domain error$")):
+            instrument(f, OperatorSpec(b4, b2, 10.0), 2.5, [10.0, 20.0, 40.0])
+
+    @pytest.mark.parametrize("instrument", [
+        empirical_order,
+        lambda f, spec, x, ws: voronovskaya_check(f, spec, x, ws, 2)],
+        ids=["empirical_order", "voronovskaya_check"])
+    @pytest.mark.parametrize("x, message", [(-1.0, "x must be positive"),
+                                            (math.inf, "x must be finite")])
+    def test_engine_checks_x(self, b4, b2, instrument, x, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            instrument(builtin("sinlog"), OperatorSpec(b4, b2, 10.0), x,
+                       [10.0, 20.0, 40.0])
 
 
 class TestEmpiricalOrder:

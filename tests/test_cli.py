@@ -7,10 +7,10 @@ import warnings
 
 import pytest
 
-from expsample.analysis import config_digest
+from expsample import expr
 from expsample.cli import _parse, _parse_reals, build_parser, main
 from expsample.kernels import parse_kernel
-from oracles import exact_lattice_moment
+from oracles import config_digest, exact_lattice_moment
 
 
 def _strict(constant):
@@ -187,6 +187,28 @@ class TestEvalAndTable:
         assert err.splitlines()[-1] == (
             f"expsample {command}: numerical failure: {point}")
 
+    def test_failing_node_is_evaluated_once(self, capsys, monkeypatch):
+        # the array form raises with the cause only; the engine then walks
+        # the nodes point by point, each once, up to the failing one (the
+        # array form once walked them too, so 8 calls where 4 do)
+        calls = []
+        evaluate = expr.evaluate
+
+        def counted(node, x):
+            calls.append(x)
+            return evaluate(node, x)
+
+        monkeypatch.setattr(expr, "evaluate", counted)
+        assert main(["eval", "--chi", "bspline:4", "--phi", "bspline:2",
+                     "--fn", "expr:1/(x-2.045485878677874)", "--x", "2.5",
+                     "--w", "10"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "expsample eval: numerical failure: evaluating f at "
+            "t=2.045485878677874 inside the convolution window around "
+            "s=e^0.8: division by zero")
+        assert calls[-1] == 2.045485878677874
+        assert len(calls) == len(set(calls)) == 4
+
     @pytest.mark.parametrize("name, warned", [("fig2", True),
                                               ("sinlog", False)])
     def test_admissibility_warning(self, capsys, name, warned):
@@ -338,6 +360,37 @@ class TestRatesAndVoronovskaya:
         assert doc["relative_deviation"] == math.inf
 
 
+class TestPointChecks:
+    """rates and voronovskaya check x in the engine, as eval and table do,
+    and read f(x) after it, naming x when that fails."""
+
+    COMMON = ["--chi", "bspline:4", "--phi", "bspline:2", "--w", "10,20,40"]
+
+    @pytest.mark.parametrize("argv", [["rates"], ["voronovskaya", "--j", "2"]],
+                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("x, message", [
+        # rates once read f(-1) first ("sinlog is defined on positive
+        # reals"), and voronovskaya once raised an IndexError from its
+        # moment tables at inf and nan
+        ("-1", "x must be positive"), ("inf", "x must be finite"),
+        ("nan", "x must be positive")])
+    def test_engine_checks_x(self, capsys, argv, x, message):
+        assert main([*argv, *self.COMMON, "--fn", "name:sinlog",
+                     "--x", x]) == 1
+        assert capsys.readouterr() == ("", (
+            f"expsample {argv[0]}: numerical failure: {message}\n"))
+
+    def test_rates_names_x_when_fx_fails(self, capsys):
+        # the engine's nodes miss the pole at x itself
+        assert main(["rates", *self.COMMON, "--fn", "expr:log(abs(x-2.5))",
+                     "--x", "2.5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "expsample rates: numerical failure: evaluating f at x=2.5: "
+            "log(0.0) failed: math domain error")
+
+
 class TestScaleChecks:
     @pytest.mark.parametrize("ws", ["400,100,50,200", "50,50,100",
                                     "50,200,100", "50,100"])
@@ -439,14 +492,18 @@ class TestFlagHandling:
           "--fn", "name:sinlog", "--x", "2", "--w", "10"], "0.1")])
     def test_panel_count_beyond_float_range_is_named(self, capsys, argv,
                                                      width):
-        # width / panel_max_width overflows to inf
+        # width / panel_max_width overflows to inf: the rule-size check of
+        # panel_counts refuses it, before any rule is built, and the engine
+        # names the scale (tests/test_quadrature.py::TestRuleBudget checks
+        # the other requests past the budget without the engine)
         assert main([*argv, "--panel-max-width", "1e-320"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"expsample {argv[0]}: numerical failure: panel_max_width=1e-320 "
-            f"is too small for a cell of width {width}: the panel count inf "
-            "is not finite\n")
+            f"expsample {argv[0]}: numerical failure: at w=10.0: "
+            "nodes_per_unit=20 and panel_max_width=1e-320 ask for a "
+            "quadrature rule beyond 1048576 nodes or 1024 points per panel "
+            f"on cells up to {width} wide\n")
 
 
 MOMENTS = ["moments", "--kernel", "translates:2:a=e^2,b=e^3", "--order", "2"]
@@ -592,6 +649,23 @@ class TestUsageAndErrors:
     """Each command line is parsed once, by its command's parser; usage
     text, errors and exit codes are those of the one top-level parser."""
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--chi", "bogus", "unknown kernel descriptor 'bogus'"),
+        ("--fn", "expr:2 +", "expected a number, 'x', or '(', found "
+                             "'end of input' (offset 3)"),
+        ("--fn", "name:nope", "unknown builtin 'nope'; known: fig1, fig2, "
+                              "logsq, sinlog, const:<v>"),
+        ("--x", ",", "bad value for --x: ',' (empty list)")])
+    def test_command_line_errors_print_the_usage_hint(self, capsys, flag,
+                                                      value, error):
+        argv = ["eval", "--chi", "bspline:4", "--phi", "bspline:2", "--fn",
+                "name:sinlog", "--x", "2", "--w", "10"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"expsample eval: error: {error}\n"
+            "run 'expsample eval --help' for usage\n"))
+
     @pytest.mark.parametrize("argv, code, out, err", USAGE_CASES,
                              ids=[" ".join(c[0][:3]) or "none"
                                   for c in USAGE_CASES])
@@ -721,8 +795,9 @@ class TestRunRecord:
 
 
 class TestUnwritableOut:
-    """An --out that cannot be written is a usage error that names the
-    path and the reason, and leaves no temporary file behind."""
+    """An --out that cannot be written exits 2 naming the path and the
+    reason, with no usage hint, since the command line is not at fault,
+    and leaves no temporary file behind."""
 
     @pytest.mark.parametrize("argv", [EVAL, TABLE, RATES, VORONOVSKAYA],
                              ids=lambda argv: argv[0])
@@ -740,9 +815,8 @@ class TestUnwritableOut:
         assert main([*argv, "--out", path]) == 2
         err = capsys.readouterr().err
         assert err.endswith(
-            f"expsample {argv[0]}: error: cannot write {path}: {reason}\n"
-            f"run 'expsample {argv[0]} --help' for usage\n")
-        assert "Traceback" not in err
+            f"expsample {argv[0]}: error: cannot write {path}: {reason}\n")
+        assert "--help" not in err and "Traceback" not in err
         assert [p.name for p in tmp_path.rglob("*.tmp.*")] == []
 
 

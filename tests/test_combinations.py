@@ -1,5 +1,6 @@
 """Coefficient solver and accelerated combinations."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,16 +8,18 @@ import numpy as np
 import pytest
 
 from expsample import (
+    PLAIN,
+    CombinationSpec,
     OperatorSpec,
     builtin,
     combined_eval,
     combined_moment,
     durrmeyer_eval,
     pair_moment,
-    residuals,
     solve_coefficients,
 )
 from expsample.combinations import _moment_terms, combine
+from oracles import residuals
 
 
 def _eliminate(p):
@@ -52,6 +55,14 @@ class TestSolver:
     def test_residuals(self, p):
         spec = solve_coefficients(p)
         assert max(abs(r) for r in residuals(spec)) <= 1e-12
+
+    def test_order_is_the_coefficient_count(self):
+        # beta is the one field; p is read from it, so it cannot disagree
+        assert [f.name for f in dataclasses.fields(CombinationSpec)] == [
+            "beta"]
+        assert CombinationSpec((1.0,)) == PLAIN and PLAIN.p == 1
+        for p in range(1, 13):
+            assert solve_coefficients(p).p == p
 
     def test_largest_supported(self):
         spec = solve_coefficients(12)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from expsample import EvaluationError, ParseError, parse_function
-from expsample.expr import compile_scalar, evaluate, parse_expression, to_source
+from expsample import (EvaluationError, OperatorSpec, ParseError,
+                       durrmeyer_eval, parse_function)
+from expsample.expr import compile_scalar, evaluate, parse_expression
+from oracles import to_source
 
 
 class TestParsing:
@@ -86,15 +88,22 @@ class TestEvaluation:
         with pytest.raises(EvaluationError):
             f(1.0)
 
-    def test_error_names_the_point_once(self):
-        # the scalar form gives the cause; the array form's loop over the
-        # points names the point
+    def test_error_names_the_point_once(self, b4, b2):
+        # both compiled forms give the cause only, the array form numpy's;
+        # the engine, which evaluates point by point after a failed array
+        # call, names the point
         f = parse_function("1/(x-2)")
         with pytest.raises(EvaluationError, match=r"^division by zero$"):
             f(2.0)
         with pytest.raises(EvaluationError,
-                           match=r"^at x=2\.0: division by zero$"):
+                           match=r"^divide by zero encountered in divide$"):
             f(np.array([1.0, 2.0]))
+        pole = parse_function("1/(x-2.045485878677874)")
+        with pytest.raises(EvaluationError) as exc:
+            durrmeyer_eval(OperatorSpec(b4, b2, 10.0), pole, 2.5)
+        assert str(exc.value) == (
+            "evaluating f at t=2.045485878677874 inside the convolution "
+            "window around s=e^0.8: division by zero")
 
 
 ROUND_TRIP_SOURCES = [

@@ -291,14 +291,14 @@ class TestMomentArguments:
 class TestPoissonRoute:
     def test_b4_agreement_all_orders(self, b4, rng):
         for j in range(4):
-            pm = poisson_moment(b4, j, K=3)
+            pm = poisson_moment(b4, j)
             for u in rng.uniform(0.5, 10.0, size=10):
                 dm = discrete_moment(b4, j, float(u))
                 assert abs(pm - dm) <= 1e-6, (j, u)
 
     def test_psi_low_orders(self, psi, rng):
         for j in (0, 1):
-            pm = poisson_moment(psi, j, K=3)
+            pm = poisson_moment(psi, j)
             for u in rng.uniform(0.5, 10.0, size=10):
                 assert abs(pm - discrete_moment(psi, j, float(u))) <= 1e-6
 
@@ -308,20 +308,15 @@ class TestPoissonRoute:
         # m_2(psi, 1) = -6 by the tail 1/6 - (1 + 1/4 + 1/9)/pi^2; the
         # order-3 oscillation s(1-s)(1-2s) is a pure sine series, whose
         # partial sums vanish at u = 1, so order 3 gives 30 at every K
-        pm = poisson_moment(psi, 2, K=3)
+        pm = poisson_moment(psi, 2)
         dm = discrete_moment(psi, 2, 1.0)
         tail = 1.0 / 6.0 - (1.0 + 1.0 / 4.0 + 1.0 / 9.0) / math.pi ** 2
         assert abs((pm - dm) - tail) <= 1e-9
-        assert abs(poisson_moment(psi, 3, K=3) - 30.0) <= 1e-9
+        assert abs(poisson_moment(psi, 3) - 30.0) <= 1e-9
 
     def test_order_cap(self, b4):
         with pytest.raises(ValueError):
             poisson_moment(b4, 5)
-
-    @pytest.mark.parametrize("K", [-1, -4])
-    def test_negative_frequency_bound_named(self, b4, K):
-        with pytest.raises(ValueError, match=f"K={K}"):
-            poisson_moment(b4, 2, K=K)
 
     @pytest.mark.parametrize("descriptor", ["bspline:4", "char",
                                             "translates:2:a=e^2,b=e^3"])
@@ -341,7 +336,7 @@ class TestPoissonRoute:
         monkeypatch.setattr(Kernel, "eval_log", counted)
         for j in range(5):
             calls.clear()
-            got = poisson_moment(kernel, j, K=3)
+            got = poisson_moment(kernel, j)
             assert len(calls) == 1
             total = sum(mellin_transform(
                 kernel, [complex(0.0, 2.0 * math.pi * k)], order=j)[0]

@@ -103,6 +103,58 @@ class TestIntegrateLog:
         assert counts.tolist() == [counts[0]] * 3
 
 
+class TestRuleBudget:
+    """panel_counts refuses a rule beyond MAX_RULE_DOUBLES nodes or its
+    square root points per panel, naming both settings, before any rule
+    is built; it is plain arithmetic, so these requests build nothing."""
+
+    @pytest.mark.parametrize("widths, cfg", [
+        # --w 1e-9: the one cell of a B2 phi is 1e9 log units wide
+        ([1.0 / 1e-9], QuadratureConfig()),
+        # --panel-max-width 1e-9: 1e8 panels on a cell of width 0.1
+        ([0.1], QuadratureConfig(20, 1e-9)),
+        # --nodes-per-unit 20000: 14000 points, a 14000 x 14000 matrix
+        ([0.1], QuadratureConfig(20000, 0.5)),
+        # one panel of 2e10 points
+        ([1e9], QuadratureConfig(20, 1e9)),
+        # a panel count past float range
+        ([0.1], QuadratureConfig(20, 1e-320)),
+    ], ids=["w", "panel-max-width", "nodes-per-unit", "wide-panel", "inf"])
+    def test_unbounded_request_is_refused(self, widths, cfg):
+        with pytest.raises(ValueError) as exc:
+            quadrature.panel_counts(widths, cfg)
+        assert str(exc.value) == (
+            f"nodes_per_unit={cfg.nodes_per_unit} and panel_max_width="
+            f"{cfg.panel_max_width!r} ask for a quadrature rule beyond "
+            f"1048576 nodes or 1024 points per panel on cells up to "
+            f"{max(widths):.6g} wide")
+
+    def test_budget_admits_the_settings_in_use(self):
+        assert quadrature.MAX_RULE_DOUBLES == 2 ** 20
+        # --w 0.002 on a B2 phi, and nodes_per_unit 200
+        assert quadrature.panel_counts([500.0], QuadratureConfig()) == (
+            [1000], [14])
+        assert quadrature.panel_counts([0.1], QuadratureConfig(200, 0.5)) \
+            == ([1], [140])
+
+    @pytest.mark.parametrize("widths, cfg, admitted", [
+        # 1024 points per panel, 1024^2 doubles in _leggauss: the edge
+        ([0.1], QuadratureConfig(1462, 0.5), True),
+        ([0.1], QuadratureConfig(1463, 0.5), False),
+        # 74898 panels of 14 points: 1048572 nodes
+        ([37449.0], QuadratureConfig(), True),
+        ([37449.5], QuadratureConfig(), False),
+    ])
+    def test_edges_of_the_budget(self, widths, cfg, admitted):
+        if admitted:
+            panels, points = quadrature.panel_counts(widths, cfg)
+            assert max(points) ** 2 <= 2 ** 20
+            assert sum(m * n for m, n in zip(panels, points)) <= 2 ** 20
+        else:
+            with pytest.raises(ValueError, match="ask for a quadrature rule"):
+                quadrature.panel_counts(widths, cfg)
+
+
 class TestGaussLegendreRule:
     def test_matches_numpy(self):
         for n in range(1, 201):
