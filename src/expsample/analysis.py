@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .combinations import (PLAIN, _moment_terms, combine, combined_eval,
                            solve_coefficients)
-from .operators import durrmeyer_eval, scalar_values, write_json, write_text
+from .errors import InputError
+from .operators import durrmeyer_eval, f_values, write_json, write_text
 
 # hashlib loads OpenSSL (about 3.4 MB of resident memory) for this one
 # digest; CPython's built-in module computes the same SHA-256
@@ -115,7 +116,7 @@ def error_table(f, spec, xs, columns):
     All columns are one durrmeyer_eval call over the pairs (x, i w) of
     every column (i = 1 .. p), and combine sums each column, p = 1
     included; values are kept at full precision.  f(x) comes from
-    scalar_values.  The metadata is empty: the run record is the
+    f_values.  The metadata is empty: the run record is the
     caller's.
     """
     scales = [i * c.w for c in columns for i in range(1, c.p + 1)]
@@ -127,7 +128,7 @@ def error_table(f, spec, xs, columns):
                                  values[start:start + c.p]).tolist())
         start += c.p
     rows = []
-    for i, (x, fx) in enumerate(zip(xs, scalar_values(f, xs))):
+    for i, (x, fx) in enumerate(zip(xs, f_values(f, xs).tolist())):
         for col, values in zip(columns, by_column):
             rows.append((x, col.label, fx, values[i]))
     return ErrorTable(rows, metadata={})
@@ -162,13 +163,13 @@ def richardson(ws, values):
 
 
 def _scales(ws):
-    """ws as a list of floats, or a ValueError unless it holds at least 3
-    strictly increasing scales."""
+    """ws as a list of floats, or an InputError unless it holds at least
+    3 strictly increasing scales."""
     ws = [float(w) for w in ws]
     if len(ws) < 3:
-        raise ValueError("need at least 3 scales")
+        raise InputError("need at least 3 scales")
     if any(b <= a for a, b in zip(ws, ws[1:])):
-        raise ValueError("w sequence must be strictly increasing")
+        raise InputError("w sequence must be strictly increasing")
     return ws
 
 
@@ -178,12 +179,12 @@ def empirical_order(f, spec, x, ws, combination=PLAIN, target_order=None):
 
     Needs at least 3 strictly increasing scales.  The operator values
     come first, from one engine call, which checks x; then f(x), from
-    scalar_values.  A zero error anywhere makes the order meaningless;
+    f_values.  A zero error anywhere makes the order meaningless;
     it is reported as +inf with the zero_error flag set.
     """
     ws = _scales(ws)
     values = combined_eval(combination, spec, f, x, ws).tolist()
-    fx, = scalar_values(f, [x])
+    fx, = f_values(f, [x]).tolist()
     errors = [val - fx for val in values]
     if any(e == 0.0 for e in errors):
         return RateReport(x=x, w_sequence=tuple(ws), errors=tuple(errors),
@@ -275,7 +276,7 @@ def voronovskaya_check(f, spec, x, ws, j, combination=PLAIN):
     of the scaled-error sequence is flagged, not raised.  The scales are
     checked as by empirical_order, and the operator values at all of
     them are one engine call, which checks x; f(x) comes from
-    scalar_values.  The combination defaults to order 1, the operator
+    f_values.  The combination defaults to order 1, the operator
     itself.
     """
     ws = _scales(ws)
@@ -285,7 +286,7 @@ def voronovskaya_check(f, spec, x, ws, j, combination=PLAIN):
             f"{f.name!r} has no closed-form derivative of order {j}; the "
             "prediction needs one")
     values = combined_eval(combination, spec, f, x, ws).tolist()
-    fx, = scalar_values(f, [x])
+    fx, = f_values(f, [x]).tolist()
     # the phase comes from w log x: x^w itself overflows
     log_u = np.array(ws) * math.log(x)
     coeffs, sizes = (_moment_terms(combination, spec.chi, spec.phi, j, log_u,

@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import (Column, config_record, empirical_order, error_table,
                        voronovskaya_check)
 from .combinations import PLAIN, solve_coefficients
-from .errors import EvaluationError, ExpSampleError, OutputError
+from .errors import EvaluationError, ExpSampleError, InputError, OutputError
 from .functions import function_from_spec
 from .kernels import (absolute_moment, continuous_moment, discrete_moment,
                       parse_kernel, poisson_moment, verify_kernel)
@@ -349,19 +349,23 @@ def main(argv=None):
         if summary:
             _summary(args.command, *summary)
         return 0
+    except InputError as exc:  # a ValueError, caught before those
+        error = exc
     except (EvaluationError, ValueError, ArithmeticError) as exc:
         print(f"expsample {args.command}: numerical failure: {exc}",
               file=sys.stderr)
         return 1
     except ExpSampleError as exc:
-        # configuration problems (bad descriptors, malformed specs) rank
-        # with flag errors and get the usage hint; an unwritable --out,
-        # no fault of the command line, exits 2 without it
-        print(f"expsample {args.command}: error: {exc}", file=sys.stderr)
-        if not isinstance(exc, OutputError):
-            print(f"run 'expsample {args.command} --help' for usage",
-                  file=sys.stderr)
-        return 2
+        error = exc
+    # configuration problems (bad descriptors, malformed specs, points
+    # or scales the operator does not take) rank with flag errors and get
+    # the usage hint; an unwritable --out, no fault of the command line,
+    # exits 2 without it
+    print(f"expsample {args.command}: error: {error}", file=sys.stderr)
+    if not isinstance(error, OutputError):
+        print(f"run 'expsample {args.command} --help' for usage",
+              file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -25,3 +25,8 @@ class KernelError(ExpSampleError):
 
 class OutputError(ExpSampleError):
     """An output file could not be written."""
+
+
+class InputError(ExpSampleError, ValueError):
+    """A point x or a scale w outside what the operator accepts: not
+    positive, not finite, or too few or unordered scales."""

@@ -8,52 +8,30 @@ Grammar (see docs/expr.md):
     power   := atom ('^' unary)?          # right-associative
     atom    := NUMBER | 'x' | 'pi' | 'e' | NAME '(' expr ')' | '(' expr ')'
 
-Numbers accept decimal and scientific notation.  Only whitelisted function
-names may be called.  All errors carry the offset into the source, a
+Numbers accept decimal and scientific notation.  Only the names of
+FUNCTIONS may be called.  All errors carry the offset into the source, a
 character index.
 
-compile_scalar turns an AST once into a tree of closures over one point,
-which evaluate runs; compile_array turns it into a numpy closure over
-arrays of points that raises wherever numpy flags a floating-point
-exception.
+compile_expression turns an AST once into a tree of numpy closures over
+an array of points, which evaluate runs.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 import re
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .errors import ParseError
 
-FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
+# the callable functions and the binary operators, as numpy ufuncs
+FUNCTIONS = {name: getattr(np, name)
+             for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")}
 
-CONSTANTS = {"pi": math.pi, "e": math.e}
+CONSTANTS = {"pi": np.pi, "e": np.e}
 
 OPERATORS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": math.pow,
-}
-
-# numpy counterparts of FUNCTIONS, whose ufuncs carry the same names, and
-# of OPERATORS
-ARRAY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
-
-ARRAY_OPERATORS = {
     "+": np.add,
     "-": np.subtract,
     "*": np.multiply,
@@ -74,10 +52,10 @@ Binary = namedtuple("Binary", "op left right")
 Call = namedtuple("Call", "name arg")
 
 
-def _closure(node, functions, operators):
-    """A tree of closures over x that evaluates node by the given tables,
-    operands left to right; a ValueError, OverflowError or
-    ZeroDivisionError of a table entry becomes an EvaluationError."""
+def compile_expression(node):
+    """Compile an AST into a tree of closures over a float array x that
+    makes the numpy calls of the expression as written, operands left to
+    right; evaluate runs it.  A constant sub-expression gives a scalar."""
     if isinstance(node, Num):
         value = node.value
         return lambda x: value
@@ -87,76 +65,26 @@ def _closure(node, functions, operators):
         value = CONSTANTS[node.name]
         return lambda x: value
     if isinstance(node, Unary):
-        operand = _closure(node.operand, functions, operators)
+        operand = compile_expression(node.operand)
         return lambda x: -operand(x)
     if isinstance(node, Binary):
-        if node.op not in operators:
-            raise EvaluationError(f"unknown operator {node.op!r}")
-        op, name = operators[node.op], node.op
-        left = _closure(node.left, functions, operators)
-        right = _closure(node.right, functions, operators)
-
-        def binary(x):
-            a = left(x)
-            b = right(x)
-            try:
-                return op(a, b)
-            except ZeroDivisionError:
-                raise EvaluationError("division by zero") from None
-            except (ValueError, OverflowError) as exc:
-                raise EvaluationError(
-                    f"'{name}' failed for ({a!r}, {b!r}): {exc}") from None
-        return binary
+        op = OPERATORS[node.op]
+        left = compile_expression(node.left)
+        right = compile_expression(node.right)
+        return lambda x: op(left(x), right(x))
     if isinstance(node, Call):
-        fn, name = functions[node.name], node.name
-        arg = _closure(node.arg, functions, operators)
-
-        def call(x):
-            v = arg(x)
-            try:
-                return fn(v)
-            except (ValueError, OverflowError) as exc:
-                raise EvaluationError(f"{name}({v!r}) failed: {exc}") from None
-        return call
+        fn = FUNCTIONS[node.name]
+        arg = compile_expression(node.arg)
+        return lambda x: fn(arg(x))
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def compile_scalar(node):
-    """Compile an AST into a function of one point x that makes the math
-    calls of the expression as written and raises EvaluationError on
-    domain violations (log of a nonpositive value, fractional power of a
-    negative base, division by zero, overflow).  The error gives the
-    cause only: a caller that loops over points names the point."""
-    return _closure(node, FUNCTIONS, OPERATORS)
-
-
-def evaluate(node, x):
-    """The value at x of node, a compiled form from compile_scalar."""
-    return node(x)
-
-
-def compile_array(node):
-    """Compile an AST into a function of a float array.
-
-    numpy evaluates the whole array with overflow, division by zero and
-    invalid operations raised; such an exception becomes an
-    EvaluationError that gives its cause only, as the scalar form's
-    does.  Non-finite values are returned as they are.  Values may
-    differ from the scalar form in the last ulp.  A caller that needs
-    the failing point evaluates point by point with the scalar form, as
-    the operator engine does.
-    """
-    closure = _closure(node, ARRAY_FUNCTIONS, ARRAY_OPERATORS)
-
-    def evaluate_array(x):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return np.array(np.broadcast_to(closure(x), x.shape),
-                                dtype=float)
-        except FloatingPointError as exc:
-            raise EvaluationError(str(exc)) from None
-
-    return evaluate_array
+def evaluate(compiled, x):
+    """The values at the float array x of a compiled expression, a new
+    float array of x's shape.  numpy's floating-point policy is the
+    caller's: RealFunction raises on overflow, division by zero and
+    invalid operations."""
+    return np.array(np.broadcast_to(compiled(x), x.shape), dtype=float)
 
 
 # --- tokenizer / parser --------------------------------------------------

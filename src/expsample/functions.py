@@ -5,9 +5,10 @@ in the log coordinate (order r maps to the r-fold application of
 g -> x g'(x)).  Builtins cover the functions used throughout the test and
 acceptance suites; arbitrary expressions come in through parse_function.
 
-Calls accept a float or a numpy array of points.  A scalar call runs the
-scalar evaluator, an array call the array evaluator (numpy ufuncs for the
-builtins, the compiled form for expressions).
+Every function has one evaluator, which maps a float array to the array
+of its values (numpy ufuncs for the builtins, the compiled form for
+expressions).  Calls accept a float or a numpy array of points; a float
+is a one-element array.
 """
 
 from __future__ import annotations
@@ -19,36 +20,42 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as _expr
-from .errors import ExpSampleError
+from .errors import EvaluationError, ExpSampleError
 
 
 @dataclass(frozen=True)
 class RealFunction:
     """An evaluable map from the positive reals to the reals.
 
-    array_evaluator maps a float array to the array of values.
+    evaluator maps a float array to the float array of values.
     analytic_log_derivatives maps derivative order (in the log coordinate)
     to a closed-form function; an instrument that needs an absent order
     (voronovskaya_check) raises.  growth_bound = (a, b) declares
     |f(e^v)| <= a + b|v|; a bounded function declares (sup|f|, 0).
     """
 
-    evaluator: Callable[[float], float]
-    array_evaluator: Callable
+    evaluator: Callable
     name: str
     analytic_log_derivatives: dict = field(default_factory=dict)
     growth_bound: Optional[tuple] = None
 
     def __call__(self, x):
-        if not isinstance(x, np.ndarray):
-            if x <= 0:
-                raise ValueError(f"{self.name} is defined on positive reals, got x={x!r}")
-            return self.evaluator(x)
-        x = np.asarray(x, dtype=float)
-        if not np.all(x > 0):
-            bad = float(x[~(x > 0)].flat[0])
+        """f at x, a float (giving a float) or a numpy array (giving an
+        array of its shape).  Overflow, division by zero and invalid
+        operations in the evaluator raise an EvaluationError that gives
+        numpy's cause only; a caller that needs the failing point
+        evaluates point by point, as operators.f_values does."""
+        scalar = not isinstance(x, np.ndarray)
+        xs = np.asarray([x] if scalar else x, dtype=float)
+        if not np.all(xs > 0):
+            bad = float(xs[~(xs > 0)].flat[0])
             raise ValueError(f"{self.name} is defined on positive reals, got x={bad!r}")
-        return self.array_evaluator(x)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                values = self.evaluator(xs)
+        except FloatingPointError as exc:
+            raise EvaluationError(str(exc)) from None
+        return float(values[0]) if scalar else values
 
     def log_derivative(self, order):
         """Closed-form derivative of the given order, or None."""
@@ -67,19 +74,14 @@ def parse_function(src):
     The grammar is documented in docs/expr.md.  The resulting function has
     no closed-form derivatives and no declared growth bound.
     """
-    ast = _expr.parse_expression(src)
+    compiled = _expr.compile_expression(_expr.parse_expression(src))
 
-    def evaluator(x, _scalar=_expr.compile_scalar(ast)):
+    def evaluator(x):
         # evaluate is read at call time, so a wrapper put there sees
-        # every scalar point
-        return _expr.evaluate(_scalar, x)
+        # every point
+        return _expr.evaluate(compiled, x)
 
-    return RealFunction(evaluator=evaluator, name=src.strip(),
-                        array_evaluator=_expr.compile_array(ast))
-
-
-def _fig1(x):
-    return x * x * math.cos(2.0 * math.pi * x)
+    return RealFunction(evaluator=evaluator, name=src.strip())
 
 
 def _fig1_d1(x):
@@ -94,18 +96,6 @@ def _fig1_d2(x):
             - tp * tp * x**4 * math.cos(tp * x))
 
 
-def _fig1_array(x):
-    return x * x * np.cos(2.0 * np.pi * x)
-
-
-def _fig2(x):
-    return math.exp(-math.sin(x * x)) / x**3
-
-
-def _fig2_array(x):
-    return np.exp(-np.sin(x * x)) / x**3
-
-
 _BUILTINS = {}
 
 
@@ -115,18 +105,16 @@ def _register(name, fn):
 
 
 _register("fig1", RealFunction(
-    evaluator=_fig1,
-    array_evaluator=_fig1_array,
+    evaluator=lambda x: x * x * np.cos(2.0 * np.pi * x),
     name="fig1",
     analytic_log_derivatives={1: _fig1_d1, 2: _fig1_d2},
 ))
 
-_register("fig2", RealFunction(evaluator=_fig2, array_evaluator=_fig2_array,
-                              name="fig2"))
+_register("fig2", RealFunction(
+    evaluator=lambda x: np.exp(-np.sin(x * x)) / x**3, name="fig2"))
 
 _register("sinlog", RealFunction(
-    evaluator=lambda x: math.sin(math.log(x)),
-    array_evaluator=lambda x: np.sin(np.log(x)),
+    evaluator=lambda x: np.sin(np.log(x)),
     name="sinlog",
     analytic_log_derivatives={
         1: lambda x: math.cos(math.log(x)),
@@ -138,8 +126,7 @@ _register("sinlog", RealFunction(
 ))
 
 _register("logsq", RealFunction(
-    evaluator=lambda x: math.log(x) ** 2,
-    array_evaluator=lambda x: np.log(x) ** 2,
+    evaluator=lambda x: np.log(x) ** 2,
     name="logsq",
     analytic_log_derivatives={
         1: lambda x: 2.0 * math.log(x),
@@ -163,8 +150,7 @@ def builtin(name):
             raise ExpSampleError(f"bad constant in builtin name {name!r}") from None
         orders = {r: (lambda x, _v=0.0: 0.0) for r in range(1, 7)}
         return RealFunction(
-            evaluator=lambda x, _v=v: _v,
-            array_evaluator=lambda x, _v=v: np.full(x.shape, _v),
+            evaluator=lambda x, _v=v: np.full(x.shape, _v),
             name=name,
             analytic_log_derivatives=orders,
             growth_bound=(abs(v), 0.0),

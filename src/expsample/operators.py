@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EvaluationError, OutputError
+from .errors import EvaluationError, InputError, OutputError
 from .kernels import Kernel
 from .quadrature import QuadratureConfig, cell_rule, panel_counts
 
@@ -52,10 +52,10 @@ class OperatorSpec:
 
     def __post_init__(self):
         if self.w <= 0:
-            raise ValueError(f"w must be positive, got {self.w}")
+            raise InputError(f"w must be positive, got {self.w}")
         if self.truncation_radius is not None:
             if self.truncation_radius < self.chi.log_support_radius:
-                raise ValueError(
+                raise InputError(
                     "truncation_radius may not be smaller than the support "
                     f"radius {self.chi.log_support_radius} of chi")
 
@@ -117,12 +117,35 @@ def _knot_phases(phi):
     return tuple(phases)
 
 
+def f_values(f, xs, name=None):
+    """f at every point of xs, a list or an array, as a float array: one
+    array call, then, when that raises or gives a non-finite value, one
+    call per point in order, so that an error names the first offending
+    point.  name(i) is the text that names xs[i], by default x=<xs[i]>."""
+    xs = np.asarray(xs, dtype=float)
+    try:
+        values = f(xs)
+        if np.all(np.isfinite(values)):
+            return values
+    except EvaluationError:
+        pass
+    name = name or (lambda i: f"x={float(xs[i])!r}")
+    values = np.empty_like(xs)
+    for i in range(xs.size):
+        try:
+            values[i:i + 1] = f(xs[i:i + 1])
+        except EvaluationError as exc:
+            raise EvaluationError(f"evaluating f at {name(i)}: {exc}") from exc
+        if not math.isfinite(values[i]):
+            raise EvaluationError(f"non-finite value of f at {name(i)}")
+    return values
+
+
 def _f_at_nodes(f, us, where):
-    """f at t = e^u for every u: one array call, then point by point when
-    that fails, so an error names the first offending t and its window.
-    where(i) gives the scale and the window of us[i].  A node whose e^u
-    is 0 or inf in double precision fails before f is called, naming its
-    u, w and window."""
+    """f at t = e^u for every u, by f_values, so an error names the first
+    offending t and its window.  where(i) gives the scale and the window
+    of us[i].  A node whose e^u is 0 or inf in double precision fails
+    before f is called, naming its u, w and window."""
     with np.errstate(over="ignore"):
         ts = np.exp(us)
     outside = ~((ts > 0.0) & (ts < math.inf))
@@ -132,24 +155,8 @@ def _f_at_nodes(f, us, where):
         raise EvaluationError(
             f"the node t=e^u at u={us[i]:.6g} for w={w} rounds to "
             f"t={float(ts[i])!r} in double precision, inside {window}")
-    try:
-        values = np.asarray(f(ts), dtype=float)
-        if np.all(np.isfinite(values)):
-            return values
-    except EvaluationError:
-        pass
-    values = np.empty_like(ts)
-    for i, t in enumerate(ts.tolist()):
-        try:
-            fv = f(t)
-        except EvaluationError as exc:
-            raise EvaluationError(f"evaluating f at t={t!r} inside "
-                                  f"{where(i)[1]}: {exc}") from exc
-        if not math.isfinite(fv):
-            raise EvaluationError(
-                f"non-finite value of f at t={t!r} inside {where(i)[1]}")
-        values[i] = fv
-    return values
+    return f_values(f, ts,
+                    lambda i: f"t={float(ts[i])!r} inside {where(i)[1]}")
 
 
 def _run_union(w, lo, hi):
@@ -308,15 +315,15 @@ def _window_means(spec, f, win_w, win_k):
 
 
 def _pairs(x, w):
-    """x and w as float arrays broadcast against each other, or a
-    ValueError unless every x and w is positive and finite."""
+    """x and w as float arrays broadcast against each other, or an
+    InputError unless every x and w is positive and finite."""
     xs, ws = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(w, dtype=float))
     for name, values in (("x", xs), ("w", ws)):
         if not np.all(values > 0):
-            raise ValueError(f"{name} must be positive")
+            raise InputError(f"{name} must be positive")
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite")
+            raise InputError(f"{name} must be finite")
     return xs, ws
 
 
@@ -347,8 +354,8 @@ def batch_eval(spec, f, points, combination=None):
 
     All points are one combined_eval call, so the points of one scale
     share one lattice and all scales one evaluation of f.  Returns rows
-    (x, w, f(x), value, abs_err) in input order, with f(x) from the
-    scalar evaluator (scalar_values).
+    (x, w, f(x), value, abs_err) in input order, with f(x) from
+    f_values.
     """
     # combinations imports this module, so its names are read at call time
     from .combinations import PLAIN, combined_eval
@@ -357,20 +364,7 @@ def batch_eval(spec, f, points, combination=None):
                            np.array(xs, dtype=float),
                            np.array([w for _, w in points], dtype=float))
     return [(x, w, fx, value, abs(fx - value)) for (x, w), fx, value in
-            zip(points, scalar_values(f, xs), values.tolist())]
-
-
-def scalar_values(f, xs):
-    """f at each x of xs, a list, by its scalar evaluator.  The caller
-    has checked that every x is positive and finite.  An EvaluationError
-    names its x."""
-    values = []
-    for x in xs:
-        try:
-            values.append(f.evaluator(x))
-        except EvaluationError as exc:
-            raise EvaluationError(f"evaluating f at x={x!r}: {exc}") from exc
-    return values
+            zip(points, f_values(f, xs).tolist(), values.tolist())]
 
 
 BATCH_CSV_COLUMNS = ("x", "w", "fx", "Iwfx", "abs_err")

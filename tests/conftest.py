@@ -129,10 +129,9 @@ def dense_config_oracle(spec, f, x):
 
 
 def pointwise(scalar, name="f"):
-    """A RealFunction of a scalar callable whose array evaluator calls it
-    point by point."""
-    def array_evaluator(x):
+    """A RealFunction of a scalar callable: its evaluator calls it point
+    by point."""
+    def evaluator(x):
         return np.array([scalar(t) for t in x.ravel().tolist()],
                         dtype=float).reshape(x.shape)
-    return RealFunction(evaluator=scalar, array_evaluator=array_evaluator,
-                        name=name)
+    return RealFunction(evaluator=evaluator, name=name)

@@ -50,10 +50,10 @@ from expsample import (
     solve_coefficients,
     voronovskaya_check,
 )
-from expsample.expr import compile_scalar, parse_expression
+from expsample.expr import parse_expression
 from expsample.kernels import POISSON_K
 from conftest import pointwise
-from oracles import kantorovich_eval, residuals, to_source
+from oracles import kantorovich_eval, residuals, to_source, walk_expression
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -418,16 +418,16 @@ def test_criterion_13_property_suite():
         worst_lin = max(worst_lin, abs(lhs - rhs) / (1 + abs(rhs)))
     linearity_ok = worst_lin <= 1e-12
 
-    # parser round-trip
+    # parser round-trip: the compiled form of the printed source against
+    # the independent walk of the parsed AST
     worst_rt = 0.0
     for src in ("x^2 * cos(2*pi*x)", "x^(-3) * exp(-sin(x^2))",
                 "1 + 2*x - 3/x + x^0.5"):
         ast = parse_expression(src)
-        scalar = compile_scalar(ast)
-        reparsed = compile_scalar(parse_expression(to_source(ast)))
-        for xx in rng.uniform(0.5, 10.0, size=100):
-            a = scalar(float(xx))
-            b = reparsed(float(xx))
+        xs = rng.uniform(0.5, 10.0, size=100)
+        reparsed = parse_function(to_source(ast))(xs)
+        for xx, b in zip(xs.tolist(), reparsed.tolist()):
+            a = walk_expression(ast, xx)
             worst_rt = max(worst_rt, abs(a - b) / max(1e-12, abs(a)))
     roundtrip_ok = worst_rt <= 1e-12
 

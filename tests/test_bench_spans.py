@@ -2,6 +2,7 @@
 every small plan opens every span its workload expects, so no library
 path bypasses a patched name."""
 
+import dataclasses
 import importlib
 import importlib.util
 import operator
@@ -37,11 +38,27 @@ def test_span_target_resolves(key, module, name):
 
 @pytest.mark.parametrize("name", ["profile", "study", "kernels"])
 def test_small_plan_keeps_every_span(name, tmp_path, monkeypatch, capsys):
-    # the second pass runs on warm caches, which must skip no span
+    # the second pass runs on warm caches, which must skip no span; the
+    # expr span counts every point an expression's evaluator is called
+    # at (the engine's nodes, then the fx column of the 21-point pass)
     tracing = _load("tracing")
     plan = _load("workloads").make_plan(name, 1, small=True)
     monkeypatch.chdir(tmp_path)
+    sizes = []
+
+    def counting(spec, resolve=expsample.cli.function_from_spec):
+        f = resolve(spec)
+        if not spec.startswith("expr:"):
+            return f
+
+        def evaluator(x):
+            sizes.append(x.size)
+            return f.evaluator(x)
+        return dataclasses.replace(f, evaluator=evaluator)
+
+    monkeypatch.setattr(expsample.cli, "function_from_spec", counting)
     for _ in range(2):
+        sizes.clear()
         tracer = tracing.Tracer()
         with tracer.installed():
             for argv in plan["invocations"]:
@@ -49,5 +66,5 @@ def test_small_plan_keeps_every_span(name, tmp_path, monkeypatch, capsys):
         metrics = tracer.layer_metrics(name)
         assert metrics["trace.unmeasured"] == 0
         if name == "profile":
-            # the fx column of the 21-point expression pass
-            assert metrics["expr.points"] == 21
+            assert sizes[-1] == 21
+            assert metrics["expr.points"] == sum(sizes)

@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from expsample import expr
@@ -172,12 +173,12 @@ class TestEvalAndTable:
         # the pole sits on a quadrature node: the engine names t and window
         ("eval", "expr:1/(x-2.045485878677874)",
          "evaluating f at t=2.045485878677874 inside the convolution window "
-         "around s=e^0.8: division by zero"),
+         "around s=e^0.8: divide by zero encountered in divide"),
         # the engine never meets the pole; the fx column names x
         ("eval", "expr:log(abs(x-2.5))",
-         "evaluating f at x=2.5: log(0.0) failed: math domain error"),
+         "evaluating f at x=2.5: divide by zero encountered in log"),
         ("table", "expr:log(abs(x-2.5))",
-         "evaluating f at x=2.5: log(0.0) failed: math domain error")])
+         "evaluating f at x=2.5: divide by zero encountered in log")])
     def test_expression_error_names_its_point_once(self, capsys, command,
                                                    fn, point):
         assert main([command, "--chi", "bspline:4", "--phi", "bspline:2",
@@ -188,15 +189,14 @@ class TestEvalAndTable:
             f"expsample {command}: numerical failure: {point}")
 
     def test_failing_node_is_evaluated_once(self, capsys, monkeypatch):
-        # the array form raises with the cause only; the engine then walks
-        # the nodes point by point, each once, up to the failing one (the
-        # array form once walked them too, so 8 calls where 4 do)
+        # the array call raises with the cause only; the engine then walks
+        # the nodes point by point, each once, up to the failing one
         calls = []
         evaluate = expr.evaluate
 
-        def counted(node, x):
-            calls.append(x)
-            return evaluate(node, x)
+        def counted(compiled, x):
+            calls.append(x.copy())
+            return evaluate(compiled, x)
 
         monkeypatch.setattr(expr, "evaluate", counted)
         assert main(["eval", "--chi", "bspline:4", "--phi", "bspline:2",
@@ -205,9 +205,29 @@ class TestEvalAndTable:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "expsample eval: numerical failure: evaluating f at "
             "t=2.045485878677874 inside the convolution window around "
-            "s=e^0.8: division by zero")
-        assert calls[-1] == 2.045485878677874
-        assert len(calls) == len(set(calls)) == 4
+            "s=e^0.8: divide by zero encountered in divide")
+        nodes, *walk = calls
+        assert [x.size for x in walk] == [1] * len(walk)
+        assert np.concatenate(walk).tolist() == nodes[:len(walk)].tolist()
+        assert walk[-1][0] == 2.045485878677874
+        assert len(walk) == 4
+
+    @pytest.mark.parametrize("fn, cause", [
+        ("name:fig2", "divide by zero encountered in divide"),
+        ("expr:x^(-3)*exp(-sin(x^2))", "overflow encountered in power")])
+    def test_builtin_fails_at_the_node_its_expression_twin_does(
+            self, capsys, fn, cause):
+        # x^3 underflows at the nodes near x = 1e-110; a builtin runs
+        # under the floating-point policy of an expression, so it raises
+        # no numpy warning and its error names the same t and window
+        assert main(["eval", "--chi", "bspline:4", "--phi", "bspline:2",
+                     "--fn", fn, "--x", "1e-110", "--w", "10"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[1:] == [
+            "expsample eval: numerical failure: evaluating f at "
+            "t=8.065785733210377e-111 inside the convolution window around "
+            f"s=e^-253.4: {cause}"]
 
     @pytest.mark.parametrize("name, warned", [("fig2", True),
                                               ("sinlog", False)])
@@ -361,12 +381,13 @@ class TestRatesAndVoronovskaya:
 
 
 class TestPointChecks:
-    """rates and voronovskaya check x in the engine, as eval and table do,
-    and read f(x) after it, naming x when that fails."""
+    """Every operator command checks x in the engine, and rates and
+    voronovskaya read f(x) after it, naming x when that fails."""
 
     COMMON = ["--chi", "bspline:4", "--phi", "bspline:2", "--w", "10,20,40"]
 
-    @pytest.mark.parametrize("argv", [["rates"], ["voronovskaya", "--j", "2"]],
+    @pytest.mark.parametrize("argv", [["eval"], ["table"], ["rates"],
+                                      ["voronovskaya", "--j", "2"]],
                              ids=lambda argv: argv[0])
     @pytest.mark.parametrize("x, message", [
         # rates once read f(-1) first ("sinlog is defined on positive
@@ -375,10 +396,13 @@ class TestPointChecks:
         ("-1", "x must be positive"), ("inf", "x must be finite"),
         ("nan", "x must be positive")])
     def test_engine_checks_x(self, capsys, argv, x, message):
+        # a point the operator does not take is an error of the command
+        # line: exit 2 with the usage hint
         assert main([*argv, *self.COMMON, "--fn", "name:sinlog",
-                     "--x", x]) == 1
+                     "--x", x]) == 2
         assert capsys.readouterr() == ("", (
-            f"expsample {argv[0]}: numerical failure: {message}\n"))
+            f"expsample {argv[0]}: error: {message}\n"
+            f"run 'expsample {argv[0]} --help' for usage\n"))
 
     def test_rates_names_x_when_fx_fails(self, capsys):
         # the engine's nodes miss the pole at x itself
@@ -388,30 +412,45 @@ class TestPointChecks:
         assert out == ""
         assert err.splitlines()[-1] == (
             "expsample rates: numerical failure: evaluating f at x=2.5: "
-            "log(0.0) failed: math domain error")
+            "divide by zero encountered in log")
 
 
 class TestScaleChecks:
+    @pytest.mark.parametrize("w, message", [
+        ("0", "w must be positive, got 0.0"),
+        ("-1", "w must be positive, got -1.0"),
+        ("nan", "w must be positive"), ("inf", "w must be finite")])
+    def test_scale_must_be_positive_and_finite(self, capsys, w, message):
+        # an error of the command line: exit 2 with the usage hint
+        assert main(["eval", "--chi", "bspline:4", "--phi", "bspline:2",
+                     "--fn", "name:sinlog", "--x", "2", "--w", w]) == 2
+        assert capsys.readouterr() == ("", (
+            f"expsample eval: error: {message}\n"
+            "run 'expsample eval --help' for usage\n"))
+
     @pytest.mark.parametrize("ws", ["400,100,50,200", "50,50,100",
                                     "50,200,100", "50,100"])
     @pytest.mark.parametrize("chi", ["bspline:4", "translates:2:a=e^2,b=e^3"])
     def test_rates_and_voronovskaya_reject_the_same_scales(self, capsys, ws,
                                                            chi):
         # one check, before the engine call: at least 3 strictly
-        # increasing scales (voronovskaya once accepted all but the last)
+        # increasing scales (voronovskaya once accepted all but the last);
+        # an error of the command line, so exit 2 with the usage hint
         common = ["--chi", chi, "--phi", "bspline:2", "--fn", "name:sinlog",
                   "--x", "2", "--w", ws]
         messages = []
         for argv in (["rates", *common],
                      ["voronovskaya", *common, "--j", "2"]):
-            assert main(argv) == 1, argv
+            assert main(argv) == 2, argv
             out, err = capsys.readouterr()
             assert out == ""
-            messages.append(err.removeprefix(f"expsample {argv[0]}: "))
+            messages.append(err.removeprefix(f"expsample {argv[0]}: ")
+                            .removesuffix(f"run 'expsample {argv[0]} --help' "
+                                          "for usage\n"))
         assert messages[0] == messages[1]
-        assert messages[0] in ("numerical failure: need at least 3 scales\n",
-                               "numerical failure: w sequence must be "
-                               "strictly increasing\n")
+        assert messages[0] in ("error: need at least 3 scales\n",
+                               "error: w sequence must be strictly "
+                               "increasing\n")
 
 
 class TestRepeatedCalls:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from expsample import ExpSampleError, builtin, function_from_spec
@@ -91,3 +92,27 @@ class TestFunctionSpecs:
     def test_bad_prefix(self):
         with pytest.raises(ExpSampleError, match="name:"):
             function_from_spec("fig1")
+
+
+class TestOneEvaluator:
+    """f at a point is the same double whether it is evaluated alone, in
+    a chunk or with all points: the engine, the fx column and a float
+    call all read the one array evaluator, so fx equals f(x) and the
+    engine's point-by-point pass meets the values of its array call."""
+
+    @pytest.mark.parametrize("spec", [
+        "name:fig1", "name:fig2", "name:sinlog", "name:logsq",
+        "name:const:2.5", "expr:x^2*cos(2*pi*x)",
+        "expr:x^(-3)*exp(-sin(x^2))"])
+    def test_values_do_not_depend_on_the_other_points(self, spec):
+        f = function_from_spec(spec)
+        rng = np.random.default_rng(20261022)
+        xs = np.exp(rng.uniform(-3.0, 3.0, 20000))
+        whole = f(xs)
+        assert whole.tolist() == [f(x) for x in xs.tolist()]
+        # chunks of the sizes of a profile pass (1501, 301) and of SIMD
+        # tails, then 40 random cuts
+        sizes = np.cumsum([1501, 301, 7, 1, 2, 3, 5, 8, 15, 16, 17, 33])
+        cuts = np.union1d(sizes, rng.integers(sizes[-1], xs.size, 40))
+        assert np.concatenate([f(part) for part in np.split(xs, cuts)]
+                              ).tolist() == whole.tolist()

@@ -1,11 +1,11 @@
 """Property tests: the shared-lattice engine against the pointwise
-composition, the compiled scalar expression form against an AST walker,
-the compiled (numpy) form against the scalar form, and the printer
-against the parser."""
+composition, the compiled expression form against an independent AST
+walker, the evaluation of every f point by point against one array
+call, and the printer against the parser."""
 
+import functools
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from expsample import (
     EvaluationError,
     OperatorSpec,
+    RealFunction,
     builtin,
     characteristic,
     durrmeyer_eval,
@@ -29,8 +30,7 @@ from expsample.expr import (
     Num,
     Unary,
     Var,
-    compile_array,
-    compile_scalar,
+    compile_expression,
     evaluate,
     parse_expression,
 )
@@ -167,54 +167,45 @@ ASTS = st.recursive(_LEAVES, _extend, max_leaves=8)
 
 # seeded points and the domain edges of the expressions here: zero and
 # negative arguments of log, sqrt, / and fractional powers, overflow of
-# exp and ^, and non-finite x
-WALK_XS = [0.0, -0.0, 1.0, 2.0, -1.0, -2.5, 5e-324, 1e-300, 1e300, 709.8,
-           710.0, math.inf, -math.inf, math.nan,
-           *np.random.default_rng(20261019).uniform(-5.0, 100.0, 24).tolist()]
+# exp and ^, and the edges of the double range; f is defined on the
+# positive reals, and at a finite x numpy flags every step that makes a
+# value non-finite
+WALK_XS = [1.0, 2.0, 5e-324, 1e-300, 1e300, 709.8, 710.0,
+           *np.random.default_rng(20261019).uniform(0.0, 100.0, 24).tolist()]
 
-
-def _outcome(fn, x):
-    """The bits of fn(x), or the text of its EvaluationError."""
-    try:
-        return struct.pack("<d", fn(x))
-    except EvaluationError as exc:
-        return f"EvaluationError: {exc}"
-
-
-def _assert_compiled_is_the_walk(ast):
-    scalar = compile_scalar(ast)
-    for x in WALK_XS:
-        assert _outcome(lambda v: evaluate(scalar, v), x) == _outcome(
-            lambda v: walk_expression(ast, v), x), (to_source(ast), x)
-
-
-@settings(max_examples=300, deadline=None)
-@given(ast=ASTS)
-# both operands fail below x = 3, each with its own cause
-@example(ast=parse_expression("log(x - 3) + sqrt(x - 4)"))
-def test_compiled_scalar_form_is_the_ast_walk(ast):
-    _assert_compiled_is_the_walk(ast)
-
-
-@pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
-def test_compiled_scalar_form_is_the_ast_walk_on_sources(src):
-    _assert_compiled_is_the_walk(parse_expression(src))
-
-
-# per-operation difference allowed between numpy and the scalar path
+# per-operation difference allowed between numpy and the math calls of
+# the walk
 _U = 4 * 2.0 ** -52
 
 
-def _value_and_spread(node, x):
-    """Scalar value of node at x and a bound on how far a last-ulp
-    difference in every operation can move it (forward propagation)."""
-    v = evaluate(compile_scalar(node), x)
+class _WalkFails(Exception):
+    """The walk raises at a step; decided tells whether the outcome of
+    every step on the way is decided (_walk_with_spread)."""
+
+    def __init__(self, decided):
+        super().__init__(decided)
+        self.decided = decided
+
+
+def _walk_with_spread(node, x):
+    """The walk's value of node at x, a bound on how far a last-ulp
+    difference in every operation can move it (forward propagation),
+    and whether every step is decided: each operand is off 0 by more
+    than its spread, so that a sign, a zero divisor or a domain edge
+    there is the same for numpy.  Where the walk raises, _WalkFails."""
     if isinstance(node, (Num, Var, Const)):
-        return v, 0.0
+        return walk_expression(node, x), 0.0, True
+    operands = [_walk_with_spread(child, x) for child in node
+                if isinstance(child, tuple)]
+    decided = all(d and (e == 0.0 or e < abs(a)) for a, e, d in operands)
+    try:
+        v = walk_expression(node, x)
+    except EvaluationError:
+        raise _WalkFails(decided) from None
     if isinstance(node, Unary):
-        return v, _value_and_spread(node.operand, x)[1]
+        return v, operands[0][1], decided
     if isinstance(node, Call):
-        a, ea = _value_and_spread(node.arg, x)
+        (a, ea, _), = operands
         if node.name in ("sin", "cos"):
             e = min(2.0, ea)
         elif node.name == "tan":
@@ -227,13 +218,14 @@ def _value_and_spread(node, x):
             e = ea / (v + math.sqrt(max(a - ea, 0.0))) if v > 0 else math.sqrt(ea)
         else:
             e = ea
-        return v, e + _U * abs(v)
-    a, ea = _value_and_spread(node.left, x)
-    b, eb = _value_and_spread(node.right, x)
+        return v, e + _U * abs(v), decided
+    (a, ea, _), (b, eb, _) = operands
     if node.op in "+-":
         e = ea + eb
     elif node.op == "*":
-        e = abs(a) * eb + abs(b) * ea + ea * eb
+        # an unbounded factor leaves the product unbounded (not 0 * inf)
+        e = (abs(a) * eb + abs(b) * ea + ea * eb if math.isfinite(ea + eb)
+             else math.inf)
     elif node.op == "/":
         e = (ea + abs(v) * eb) / (abs(b) - eb) if abs(b) > eb else math.inf
     elif a > ea:
@@ -241,21 +233,62 @@ def _value_and_spread(node, x):
         e = abs(v) * math.expm1(r) if r < 700 else math.inf
     else:
         e = 0.0 if ea == eb == 0.0 else math.inf
-    return v, e + _U * abs(v)
+    return v, e + _U * abs(v), decided
 
 
 def _finite_steps(node, x):
-    """Whether every subexpression of node has a finite scalar value at
-    x; the scalar form evaluates without error there."""
-    return math.isfinite(evaluate(compile_scalar(node), x)) and all(
+    """Whether every subexpression of node has a finite value at x; the
+    walk evaluates without error there."""
+    return math.isfinite(walk_expression(node, x)) and all(
         _finite_steps(child, x) for child in node if isinstance(child, tuple))
 
 
-def _scalar(ast, x):
+def _assert_compiled_matches_the_walk(ast, xs):
+    """The compiled form, called as every f is called, at the array xs
+    against the independent walk of the AST at each x: within 1e-13
+    relative plus twice the propagated spread of a few ulp per
+    operation.  Where the walk raises at a decided step numpy raises
+    too; numpy also raises at a step that the walk carries through as a
+    non-finite value (an overflow to inf, inf - inf).  Where a step is
+    undecided, either may raise."""
+    f = RealFunction(evaluator=functools.partial(
+        evaluate, compile_expression(ast)), name=to_source(ast))
     try:
-        return _value_and_spread(ast, x)
+        walked = [_walk_with_spread(ast, x) for x in xs]
+    except _WalkFails as exc:
+        if exc.decided:
+            with pytest.raises(EvaluationError):
+                f(np.array(xs))
+        return
+    try:
+        got = f(np.array(xs))
     except EvaluationError:
-        return None
+        assert not all(d and _finite_steps(ast, x)
+                       for x, (_, _, d) in zip(xs, walked)), (
+            to_source(ast), xs)
+        return
+    for (value, spread, _), a in zip(walked, got.tolist()):
+        if not math.isfinite(value):
+            assert a == value or (math.isnan(a) and math.isnan(value))
+        else:
+            assert abs(a - value) <= 1e-13 * abs(value) + 2.0 * spread, (
+                to_source(ast), xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=ASTS)
+# both operands fail below x = 3, each with its own cause
+@example(ast=parse_expression("log(x - 3) + sqrt(x - 4)"))
+def test_compiled_scalar_form_is_the_ast_walk(ast):
+    # the compiled form one point at a time, at the domain edges
+    for x in WALK_XS:
+        _assert_compiled_matches_the_walk(ast, [x])
+
+
+@pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
+def test_compiled_scalar_form_is_the_ast_walk_on_sources(src):
+    for x in WALK_XS:
+        _assert_compiled_matches_the_walk(parse_expression(src), [x])
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,38 +297,22 @@ def _scalar(ast, x):
 @example(ast=parse_expression("log(x - 5)"), xs=[7.0, 2.0])
 @example(ast=parse_expression("x^2 * cos(2*pi*x)"), xs=[0.5, 3.2, 6.1])
 def test_compiled_expression_matches_scalar(ast, xs):
-    scalar = [_scalar(ast, x) for x in xs]
-    compiled = compile_array(ast)
-    if any(s is None for s in scalar):
-        with pytest.raises(EvaluationError):
-            compiled(np.array(xs))
-        return
-    try:
-        got = compiled(np.array(xs))
-    except EvaluationError:
-        # numpy raises on a step that the scalar form carries through as a
-        # non-finite value (an overflow to inf, inf - inf); the engine
-        # then evaluates point by point with the scalar form
-        assert not all(_finite_steps(ast, x) for x in xs)
-        return
-    for (value, spread), a in zip(scalar, got.tolist()):
-        if not math.isfinite(value):
-            assert a == value or (math.isnan(a) and math.isnan(value))
-        else:
-            assert abs(a - value) <= 1e-13 * abs(value) + 2.0 * spread
+    # the compiled form on arrays of points against the scalar walk
+    _assert_compiled_matches_the_walk(ast, xs)
 
 
 def test_overflow_inside_a_finite_value_raises():
-    # plain numpy maps exp(-exp(1000)) to 0.0 with only a warning; the
-    # compiled form must raise like the scalar path
+    # plain numpy maps exp(-exp(1000)) to 0.0 with only a warning; a call
+    # of f must raise, as the walk does
     with np.errstate(over="ignore"):
         assert np.exp(-np.exp(np.array([1000.0])))[0] == 0.0
-    f = parse_function("exp(-exp(1000))")
     with pytest.raises(EvaluationError):
-        f(1.0)
-    with pytest.raises(EvaluationError,
-                       match="^overflow encountered in exp$"):
-        f(np.array([1.0, 2.0]))
+        walk_expression(parse_expression("exp(-exp(1000))"), 1.0)
+    f = parse_function("exp(-exp(1000))")
+    for x in (1.0, np.array([1.0, 2.0])):
+        with pytest.raises(EvaluationError,
+                           match="^overflow encountered in exp$"):
+            f(x)
 
 
 @settings(max_examples=300, deadline=None)
