@@ -36,6 +36,7 @@ from .kernels import (
     verify_kernel,
 )
 from .operators import (
+    Column,
     OperatorSpec,
     batch_eval,
     durrmeyer_eval,
@@ -51,7 +52,6 @@ from .combinations import (
 )
 from .analysis import (
     AsymptoticCheck,
-    Column,
     ErrorTable,
     RateReport,
     config_record,

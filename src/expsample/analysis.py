@@ -9,8 +9,6 @@ an order faster than reading off the last a_w directly.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -19,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .combinations import (PLAIN, _moment_terms, combine, combined_eval,
-                           solve_coefficients)
+from .combinations import PLAIN, _moment_terms, combined_eval
 from .errors import InputError
-from .operators import durrmeyer_eval, f_values, write_json, write_text
+from .operators import (batch_eval, f_values, json_rows, write_batch_csv,
+                        write_json)
 
 # hashlib loads OpenSSL (about 3.4 MB of resident memory) for this one
 # digest; CPython's built-in module computes the same SHA-256
@@ -65,73 +63,35 @@ def config_record(spec=None, **fields):
     return out
 
 
-@dataclass(frozen=True)
-class Column:
-    """One table column: scale w combined at order p (p = 1 is plain)."""
+# the columns of the table command's CSV file and JSON rows
+TABLE_HEADER = ("x", "label", "fx", "value", "abs_err")
 
-    w: float
-    p: int = 1
-
-    @property
-    def label(self):
-        if self.p == 1:
-            return f"w={self.w:g}"
-        return f"p={self.p},w={self.w:g}"
+# error_table and ErrorTable hold no logic of their own: the benchmark's
+# layer spans (perfbench/tracing.py) patch these names, and its study
+# workload must open ErrorTable's writers, so they stay until the spans
+# are found without a list of names
 
 
 @dataclass
 class ErrorTable:
-    """Rows (x, label, f(x), value, abs error) plus metadata, the run
-    record that to_json writes.
-
-    The absolute error is recomputed from the stored values, never carried
-    independently; rounding happens only at serialization time.
-    """
+    """Grid rows (x, column, f(x), value, abs_err) of batch_eval plus
+    metadata, the run record that to_json writes."""
 
     rows: list
     metadata: dict
 
     def to_csv(self, path):
-        text = io.StringIO()
-        csv.writer(text).writerows([
-            ("x", "label", "fx", "value", "abs_err"),
-            *([repr(x), label, repr(fx), repr(value), repr(abs(fx - value))]
-              for x, label, fx, value in self.rows)])
-        write_text(path, text.getvalue())
+        write_batch_csv(self.rows, path, TABLE_HEADER)
 
     def to_json(self, path):
-        write_json(path, {
-            "metadata": self.metadata,
-            "rows": [
-                {"x": x, "label": label, "fx": fx, "value": value,
-                 "abs_err": abs(fx - value)}
-                for x, label, fx, value in self.rows
-            ],
-        })
+        write_json(path, {"metadata": self.metadata,
+                          "rows": json_rows(self.rows, TABLE_HEADER)})
 
 
 def error_table(f, spec, xs, columns):
-    """Cross product of evaluation points and columns (Columns), row-major.
-
-    All columns are one durrmeyer_eval call over the pairs (x, i w) of
-    every column (i = 1 .. p), and combine sums each column, p = 1
-    included; values are kept at full precision.  f(x) comes from
-    f_values.  The metadata is empty: the run record is the
-    caller's.
-    """
-    scales = [i * c.w for c in columns for i in range(1, c.p + 1)]
-    values = durrmeyer_eval(spec, f, np.array(xs, dtype=float)[:, None],
-                            scales).T
-    by_column, start = [], 0
-    for c in columns:
-        by_column.append(combine(solve_coefficients(c.p),
-                                 values[start:start + c.p]).tolist())
-        start += c.p
-    rows = []
-    for i, (x, fx) in enumerate(zip(xs, f_values(f, xs).tolist())):
-        for col, values in zip(columns, by_column):
-            rows.append((x, col.label, fx, values[i]))
-    return ErrorTable(rows, metadata={})
+    """batch_eval's grid of xs and the Columns as an ErrorTable with an
+    empty metadata: the run record is the caller's."""
+    return ErrorTable(batch_eval(spec, f, xs, columns), {})
 
 
 @dataclass(frozen=True)
@@ -274,15 +234,17 @@ def voronovskaya_check(f, spec, x, ws, j, combination=PLAIN):
     only: the orders below j cancel only where their coefficients are the
     same at every x^{iw}, which lower_orders_cancel reports.  Divergence
     of the scaled-error sequence is flagged, not raised.  The scales are
-    checked as by empirical_order, and the operator values at all of
-    them are one engine call, which checks x; f(x) comes from
-    f_values.  The combination defaults to order 1, the operator
-    itself.
+    checked as by empirical_order, then j >= 1 and the closed form (an
+    InputError each), and the operator values at all of the scales are
+    one engine call, which checks x; f(x) comes from f_values.  The
+    combination defaults to order 1, the operator itself.
     """
     ws = _scales(ws)
+    if j < 1:
+        raise InputError(f"j must be >= 1, got {j}")
     deriv = f.log_derivative(j)
     if deriv is None:
-        raise ValueError(
+        raise InputError(
             f"{f.name!r} has no closed-form derivative of order {j}; the "
             "prediction needs one")
     values = combined_eval(combination, spec, f, x, ws).tolist()

@@ -14,14 +14,14 @@ import math
 import sys
 
 from . import __version__
-from .analysis import (Column, config_record, empirical_order, error_table,
+from .analysis import (config_record, empirical_order, error_table,
                        voronovskaya_check)
 from .combinations import PLAIN, solve_coefficients
 from .errors import EvaluationError, ExpSampleError, InputError, OutputError
 from .functions import function_from_spec
 from .kernels import (absolute_moment, continuous_moment, discrete_moment,
                       parse_kernel, poisson_moment, verify_kernel)
-from .operators import (BATCH_CSV_COLUMNS, OperatorSpec, batch_eval,
+from .operators import (Column, OperatorSpec, batch_eval, json_rows,
                         write_batch_csv, write_json)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -243,23 +243,26 @@ def _cmd_verify(args):
     return _record(args, chi=chi.descriptor, phi=phi.descriptor), verdict
 
 
+# the columns of the eval command's CSV file and JSON rows
+EVAL_HEADER = ("x", "w", "fx", "Iwfx", "abs_err")
+
+
 def _cmd_eval(args):
     f, xs, ws, spec, combs, record = _operator_inputs(
         args, "combination coefficients:")
-    rows = batch_eval(spec, f, [(x, w) for x in xs for w in ws],
-                      combination=(combs or [PLAIN])[-1])
-    if args.out:
-        if args.format == "csv":
-            write_batch_csv(rows, args.out)
-        else:
-            write_json(args.out, {"metadata": record, "rows": [
-                dict(zip(BATCH_CSV_COLUMNS, r)) for r in rows]})
-        note = f"wrote {len(rows)} rows to {args.out}"
+    p = (combs or [PLAIN])[-1].p
+    rows = batch_eval(spec, f, xs, [Column(w, p) for w in ws])
+    if not args.out:
+        for x, c, fx, value, err in rows:
+            print(f"x={x:g} w={c.w:g} fx={fx!r} Iwfx={value!r} "
+                  f"abs_err={err!r}")
+        return record, f"{len(rows)} evaluations"
+    if args.format == "csv":
+        write_batch_csv(rows, args.out, EVAL_HEADER)
     else:
-        for x, w, fx, val, err in rows:
-            print(f"x={x:g} w={w:g} fx={fx!r} Iwfx={val!r} abs_err={err!r}")
-        note = f"{len(rows)} evaluations"
-    return record, note
+        write_json(args.out, {"metadata": record,
+                              "rows": json_rows(rows, EVAL_HEADER)})
+    return record, f"wrote {len(rows)} rows to {args.out}"
 
 
 def _cmd_table(args):
@@ -268,17 +271,15 @@ def _cmd_table(args):
     table = error_table(f, spec, xs, [Column(w, p) for p in
                                       [1, *(c.p for c in combs)] for w in ws])
     table.metadata = record
-    if args.out:
-        if args.format == "csv":
-            table.to_csv(args.out)
-        else:
-            table.to_json(args.out)
-        note = f"wrote {len(table.rows)} cells to {args.out}"
+    if not args.out:
+        for x, c, fx, value, err in table.rows:
+            print(f"x={x:g} {c.label} abs_err={err!r}")
+        return record, f"{len(table.rows)} cells"
+    if args.format == "csv":
+        table.to_csv(args.out)
     else:
-        for x, label, fx, value in table.rows:
-            print(f"x={x:g} {label} abs_err={abs(fx - value)!r}")
-        note = f"{len(table.rows)} cells"
-    return record, note
+        table.to_json(args.out)
+    return record, f"wrote {len(table.rows)} cells to {args.out}"
 
 
 def _cmd_rates(args):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .kernels import continuous_moment, lattice_moments
 from .operators import durrmeyer_eval
 
@@ -46,7 +47,7 @@ def solve_coefficients(p):
 
     one exact integer division, correctly rounded, per coefficient."""
     if not (1 <= p <= MAX_ORDER):
-        raise ValueError(f"p must be in 1..{MAX_ORDER}, got {p}")
+        raise InputError(f"p must be in 1..{MAX_ORDER}, got {p}")
     beta = tuple((-1) ** (p - i) * i ** (p - 1)
                  / (math.factorial(i - 1) * math.factorial(p - i))
                  for i in range(1, p + 1))

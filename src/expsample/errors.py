@@ -28,5 +28,10 @@ class OutputError(ExpSampleError):
 
 
 class InputError(ExpSampleError, ValueError):
-    """A point x or a scale w outside what the operator accepts: not
-    positive, not finite, or too few or unordered scales."""
+    """A request the library cannot serve, raised before any numerical
+    work on it: a point x or a scale w that is not positive or not
+    finite, too few or unordered scales, quadrature settings out of range
+    or asking for a rule past its size bound, a combination order outside
+    1..12, an expansion order j below 1 or a function without the
+    derivative of order j, a moment order or u out of range, or a
+    non-positive tolerance."""

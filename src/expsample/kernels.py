@@ -68,7 +68,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import KernelError
+from .errors import InputError, KernelError
 from .quadrature import mellin_transform
 
 
@@ -293,7 +293,7 @@ def _inf_past_double_range(moment):
 def discrete_moment(chi, nu, u=1.0):
     """The lattice moment m_nu(chi, u) of a discrete-role kernel."""
     if not 0 < u < math.inf:
-        raise ValueError(f"u must be positive and finite, got {u}")
+        raise InputError(f"u must be positive and finite, got {u}")
     return float(lattice_moments(chi, nu, math.log(u))[0])
 
 
@@ -303,7 +303,7 @@ def _order(nu):
     which raises TypeError here, does so whatever the caches hold."""
     nu = operator.index(nu)
     if nu < 0:
-        raise ValueError(f"moment order must be >= 0, got {nu}")
+        raise InputError(f"moment order must be >= 0, got {nu}")
     return nu
 
 
@@ -541,7 +541,7 @@ def poisson_moment(chi, j):
     """
     j = _order(j)
     if j > 4:
-        raise ValueError("poisson route supports orders j <= 4")
+        raise InputError("poisson route supports orders j <= 4")
     points = [complex(0.0, 2.0 * math.pi * k)
               for k in range(-POISSON_K, POISSON_K + 1)]
     total = sum(mellin_transform(chi, points, order=j))
@@ -600,7 +600,7 @@ def verify_kernel(chi, phi, r=1, tol=1e-8):
     tolerance checks are built at every call.
     """
     if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise InputError(f"tol must be positive, got {tol}")
     worst = _partition_residual(chi)
     partition = ConditionResult("partition of unity", worst <= tol, worst)
 

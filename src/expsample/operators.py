@@ -25,7 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class OperatorSpec:
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise InputError(f"w must be positive, got {self.w}")
+        _check_points("w", self.w)
         if self.truncation_radius is not None:
             if self.truncation_radius < self.chi.log_support_radius:
                 raise InputError(
@@ -265,8 +264,8 @@ def _window_means(spec, f, win_w, win_k):
         # log_rule's panels of the cells [p_i / w, p_{i+1} / w]
         try:
             counts = panel_counts([x / w for x in widths], cfg)
-        except ValueError as exc:
-            raise ValueError(f"at w={w!r}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"at w={w!r}: {exc}") from None
         subdivision = tuple(map(tuple, counts))
         if not rules or subdivision != rules[-1]:
             rules.append(subdivision)
@@ -314,16 +313,22 @@ def _window_means(spec, f, win_w, win_k):
     return np.concatenate(means)
 
 
+def _check_points(name, values):
+    """An InputError naming the fault unless values (a float or a float
+    array of the points x or the scales w) are positive and finite."""
+    if not np.all(values > 0):
+        raise InputError(f"{name} must be positive")
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{name} must be finite")
+
+
 def _pairs(x, w):
-    """x and w as float arrays broadcast against each other, or an
-    InputError unless every x and w is positive and finite."""
+    """x and w as float arrays broadcast against each other, each checked
+    by _check_points."""
     xs, ws = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(w, dtype=float))
-    for name, values in (("x", xs), ("w", ws)):
-        if not np.all(values > 0):
-            raise InputError(f"{name} must be positive")
-        if not np.all(np.isfinite(values)):
-            raise InputError(f"{name} must be finite")
+    _check_points("x", xs)
+    _check_points("w", ws)
     return xs, ws
 
 
@@ -346,28 +351,42 @@ def durrmeyer_eval(spec, f, x, w=None):
     return _series(spec, f, xs, ws)
 
 
-# --- batch evaluation -------------------------------------------------------
+# --- the operator grid ------------------------------------------------------
 
-def batch_eval(spec, f, points, combination=None):
-    """Evaluate the combination sum_i beta_i I_{iw} at a list of (x, w)
-    pairs; without one, the order-1 combination, the operator itself.
+class Column(NamedTuple):
+    """One grid column: scale w combined at order p (p = 1 is plain).  A
+    tuple, so that the writers' lookup of a row's column hashes in C."""
 
-    All points are one combined_eval call, so the points of one scale
-    share one lattice and all scales one evaluation of f.  Returns rows
-    (x, w, f(x), value, abs_err) in input order, with f(x) from
-    f_values.
-    """
+    w: float
+    p: int = 1
+
+    @property
+    def label(self):
+        return f"w={self.w:g}" if self.p == 1 else f"p={self.p},w={self.w:g}"
+
+
+def batch_eval(spec, f, xs, columns):
+    """The grid of the points xs and the Columns, x-major: rows
+    (x, column, f(x), value, abs_err), value being the column's
+    combination sum_i beta_i I_{iw} at x and abs_err |f(x) - value|.
+    All pairs (x, i w) are one durrmeyer_eval call, which checks x and w;
+    f(x) is one f_values call after it.  The only code that turns
+    operator values into the cells of eval and table."""
     # combinations imports this module, so its names are read at call time
-    from .combinations import PLAIN, combined_eval
-    xs = [x for x, _ in points]
-    values = combined_eval(combination or PLAIN, spec, f,
-                           np.array(xs, dtype=float),
-                           np.array([w for _, w in points], dtype=float))
-    return [(x, w, fx, value, abs(fx - value)) for (x, w), fx, value in
-            zip(points, f_values(f, xs).tolist(), values.tolist())]
-
-
-BATCH_CSV_COLUMNS = ("x", "w", "fx", "Iwfx", "abs_err")
+    from .combinations import combine, solve_coefficients
+    scales = [i * c.w for c in columns for i in range(1, c.p + 1)]
+    values = durrmeyer_eval(spec, f, np.array(xs, dtype=float)[:, None],
+                            scales).T
+    fxs = f_values(f, xs).tolist()
+    # column by column into every len(columns)-th row: one comprehension
+    # per column runs faster than one per x
+    rows, start = [None] * (len(xs) * len(columns)), 0
+    for j, c in enumerate(columns):
+        combined = combine(solve_coefficients(c.p), values[start:start + c.p])
+        start += c.p
+        rows[j::len(columns)] = [(x, c, fx, value, abs(fx - value)) for
+                                 x, fx, value in zip(xs, fxs, combined.tolist())]
+    return rows
 
 
 def write_text(path, text):
@@ -395,11 +414,21 @@ def write_json(path, doc):
     write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def write_batch_csv(rows, path):
-    """Serialize batch rows with the documented column set, atomically,
-    as the bytes csv.writer would give: a float's repr never needs CSV
-    quoting.  Each distinct scale is formatted once."""
-    scales = {w: repr(w) for w in {row[1] for row in rows}}
-    write_text(path, ",".join(BATCH_CSV_COLUMNS) + "\r\n" + "".join(
-        "%r,%s,%r,%r,%r\r\n" % (x, scales[w], fx, value, err)
-        for x, w, fx, value, err in rows))
+def json_rows(rows, header):
+    """Grid rows (batch_eval) as JSON objects keyed by header, the column
+    cell being the attribute header[1] of the row's Column (w or label)."""
+    return [dict(zip(header, (x, getattr(c, header[1]), fx, value, err)))
+            for x, c, fx, value, err in rows]
+
+
+def write_batch_csv(rows, path, header):
+    """Write grid rows (batch_eval) under header, atomically, as the bytes
+    csv.writer would give: floats by repr, which never needs CSV quoting,
+    and the column cell, the attribute header[1] of the row's Column (w
+    or label), formatted once per column and quoted when it holds a
+    comma (a label holds no quote or line break)."""
+    texts = {c: str(getattr(c, header[1])) for c in {row[1] for row in rows}}
+    texts = {c: f'"{t}"' if "," in t else t for c, t in texts.items()}
+    write_text(path, ",".join(header) + "\r\n" + "".join(
+        "%r,%s,%r,%r,%r\r\n" % (x, texts[c], fx, value, err)
+        for x, c, fx, value, err in rows))

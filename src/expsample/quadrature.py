@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, InputError
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not self.nodes_per_unit >= 2:
-            raise ValueError("nodes_per_unit must be >= 2")
+            raise InputError("nodes_per_unit must be >= 2")
         if not self.panel_max_width > 0:
-            raise ValueError("panel_max_width must be positive")
+            raise InputError("panel_max_width must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -124,7 +124,7 @@ def panel_counts(widths, cfg):
     Plain floats: the lists are short, and numpy's fixed cost per call
     would outweigh their arithmetic.  A rule of more than
     MAX_RULE_DOUBLES nodes, or of more than its square root points in a
-    panel, is a ValueError naming both settings, before anything is
+    panel, is an InputError naming both settings, before anything is
     built."""
     least = max(6, math.ceil(0.7 * cfg.nodes_per_unit))
     # each count is capped at the budget before math.ceil, so that one
@@ -136,7 +136,7 @@ def panel_counts(widths, cfg):
               for w, m in zip(widths, panels)]
     if (sum(m * n for m, n in zip(panels, points)) > cap
             or max(points, default=0) ** 2 > cap):
-        raise ValueError(
+        raise InputError(
             f"nodes_per_unit={cfg.nodes_per_unit} and panel_max_width="
             f"{cfg.panel_max_width!r} ask for a quadrature rule beyond "
             f"{cap} nodes or {math.isqrt(cap)} points per panel on cells "

@@ -34,21 +34,21 @@ class TestErrorTable:
         spec = OperatorSpec(b4, b2, 10.0)
         table = error_table(builtin("const:1"), spec, [1.5, 2.5],
                             [Column(10.0), Column(20.0)])
-        for x, label, fx, value in table.rows:
-            assert abs(fx - value) <= 1e-10
+        for x, column, fx, value, err in table.rows:
+            assert err == abs(fx - value) <= 1e-10
 
     def test_row_major_cross_product(self, b4, b2):
         spec = OperatorSpec(b4, b2, 10.0)
         table = error_table(builtin("sinlog"), spec, [1.5, 2.5],
                             [Column(10.0), Column(20.0)])
-        labels = [(x, lab) for x, lab, _, _ in table.rows]
+        labels = [(x, column.label) for x, column, *_ in table.rows]
         assert labels == [(1.5, "w=10"), (1.5, "w=20"), (2.5, "w=10"), (2.5, "w=20")]
 
     def test_combined_columns(self, b4, b2):
         spec = OperatorSpec(b4, b2, 10.0)
         cols = [Column(10.0), Column(10.0, p=2), Column(10.0, p=3)]
         table = error_table(builtin("fig2"), spec, [2.1], cols)
-        errs = [abs(fx - v) for _, _, fx, v in table.rows]
+        errs = [err for *_, err in table.rows]
         assert errs[2] < errs[1] < errs[0]
 
     def test_csv_deterministic(self, b4, b2, tmp_path):
@@ -71,17 +71,17 @@ class TestErrorTable:
         table.to_json(str(path))
         doc = json.loads(path.read_text())
         assert doc["metadata"] == table.metadata
-        x, label, fx, value = table.rows[0]
-        assert doc["rows"] == [{"x": x, "label": label, "fx": fx,
-                                "value": value, "abs_err": abs(fx - value)}]
+        x, column, fx, value, err = table.rows[0]
+        assert doc["rows"] == [{"x": x, "label": column.label, "fx": fx,
+                                "value": value, "abs_err": err}]
 
     def test_abs_err_recomputed(self, b4, b2, tmp_path):
         spec = OperatorSpec(b4, b2, 10.0)
         table = error_table(builtin("sinlog"), spec, [2.0], [Column(10.0)])
-        _, _, fx, value = table.rows[0]
+        _, _, fx, value, err = table.rows[0]
         table.to_json(str(tmp_path / "t.json"))
         doc = json.loads((tmp_path / "t.json").read_text())
-        assert doc["rows"][0]["abs_err"] == abs(fx - value)
+        assert doc["rows"][0]["abs_err"] == err == abs(fx - value)
 
 
 def _canonical(record):
@@ -357,8 +357,9 @@ class TestOneEngineCall:
                 (lambda f: combined_eval(comb, spec, f, 2.0, 50.0), []),
                 (lambda f: combined_eval(comb, spec, f, np.array([1.5, 2.0]),
                                          np.array([50.0, 80.0])), []),
-                (lambda f: batch_eval(spec, f, [(2.0, 50.0), (3.0, 90.0)],
-                                      combination=comb), [2])):
+                (lambda f: batch_eval(spec, f, [2.0, 3.0],
+                                      [Column(50.0, 3), Column(90.0, 3)]),
+                 [2])):
             f, calls = _counting(builtin("sinlog"))
             run(f)
             assert len(calls) == 1 + len(fx_points)
@@ -371,8 +372,7 @@ class TestOneEngineCall:
         table = error_table(f, OperatorSpec(b4, b2, 10.0), [1.5, 2.5], cols)
         assert len(calls) == 2 and calls[1] == 2
         spec = OperatorSpec(b4, b2, 10.0)
-        for x, label, _, value in table.rows:
-            col = cols[[c.label for c in cols].index(label)]
+        for x, col, _, value, _ in table.rows:
             if col.p == 1:
                 ref = durrmeyer_eval(spec, f, x, col.w)
             else:
@@ -387,7 +387,7 @@ class TestOneEngineCall:
         spec = OperatorSpec(b4, b2, 10.0)
         both = error_table(f, spec, [1.5, 2.5], [Column(10.0), Column(20.0)])
         alone = error_table(f, spec, [1.5, 2.5], [Column(20.0)])
-        assert [r for r in both.rows if r[1] == "w=20"] == alone.rows
+        assert [r for r in both.rows if r[1] == Column(20.0)] == alone.rows
         ws = [50.0, 100.0, 200.0, 400.0]
         report = empirical_order(f, spec, 2.0, ws)
         assert list(report.errors) == [

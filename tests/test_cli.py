@@ -1,5 +1,6 @@
 """Command-line interface behavior."""
 
+import csv
 import hashlib
 import json
 import math
@@ -8,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from expsample import expr
-from expsample.cli import _parse, _parse_reals, build_parser, main
+from expsample import Column, expr
+from expsample.cli import _COMMANDS, _parse, _parse_reals, build_parser, main
+from expsample.errors import InputError
 from expsample.kernels import parse_kernel
 from oracles import config_digest, exact_lattice_moment
 
@@ -47,7 +49,10 @@ class TestCoeffs:
         assert capsys.readouterr().out.strip() == "-1 2"
 
     def test_out_of_range_is_numerical_failure(self, capsys):
-        assert main(["coeffs", "--p", "40"]) == 1
+        # a request the library refuses: exit 2, naming the order
+        assert main(["coeffs", "--p", "40"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "expsample coeffs: error: p must be in 1..12, got 40\n")
 
 
 class TestMoments:
@@ -115,14 +120,17 @@ class TestMoments:
                                        "absolute-continuous"])
     def test_negative_order_is_numerical_failure(self, capsys, route):
         assert main(["moments", "--kernel", "bspline:2", "--order", "-1",
-                     "--route", route]) == 1
-        assert "order must be >= 0" in capsys.readouterr().err
+                     "--route", route]) == 2
+        assert capsys.readouterr().err.startswith(
+            "expsample moments: error: moment order must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("u", ["nan", "inf"])
     def test_non_finite_u_is_numerical_failure(self, capsys, u):
         assert main(["moments", "--kernel", "bspline:2", "--order", "2",
-                     "--u", u]) == 1
-        assert "u must be positive and finite" in capsys.readouterr().err
+                     "--u", u]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"expsample moments: error: u must be positive and finite, "
+            f"got {u}\n")
 
 
 class TestVerify:
@@ -137,10 +145,14 @@ class TestVerify:
         ("--tol", "nan"), ("--tol", "-1"), ("--r", "-1")])
     def test_meaningless_setting_is_numerical_failure(self, capsys, flag,
                                                       value):
+        # a request the library refuses: exit 2, naming the setting
         assert main(["verify", "--chi", "bspline:4", "--phi", "bspline:2",
-                     flag, value]) == 1
+                     flag, value]) == 2
         out, err = capsys.readouterr()
-        assert "numerical failure" in err and "FAIL" not in out
+        assert out == ""
+        assert err.startswith("expsample verify: error: " + (
+            f"tol must be positive, got {float(value)}" if flag == "--tol"
+            else "moment order must be >= 0, got -1"))
 
 
 class TestEvalAndTable:
@@ -299,6 +311,32 @@ class TestEvalAndTable:
             assert [(r["x"], r["w"]) for r in doc["rows"]] == [
                 (2.0, 10.0), (2.0, 20.0), (3.0, 10.0), (3.0, 20.0)]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_eval_and_table_give_the_same_cells(self, capsys, tmp_path, fmt,
+                                                p):
+        # one grid: eval --combine p=k and the p=k columns of table hold
+        # the same fx, value and abs_err bits at every (x, w)
+        common = ["--chi", "bspline:4", "--phi", "bspline:2", "--fn",
+                  "name:fig2", "--x", "1.75,2.1,2.85", "--w", "10,25",
+                  "--combine", f"p={p}", "--format", fmt, "--out"]
+        cells = []
+        for command, value in (("eval", "Iwfx"), ("table", "value")):
+            out = tmp_path / f"{command}.{fmt}"
+            assert main([command, *common, str(out)]) == 0
+            if fmt == "csv":
+                with open(out, newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+            else:
+                rows = json.loads(out.read_text())["rows"]
+            cells.append({
+                (r["x"], r.get("label") or Column(float(r["w"]), p).label):
+                (r["fx"], r[value], r["abs_err"]) for r in rows})
+        capsys.readouterr()
+        evaluated, table = cells
+        assert len(evaluated) == 6
+        assert evaluated == {k: table[k] for k in evaluated}
+
     def test_range_is_start_plus_multiples_of_step(self):
         xs = _parse_reals("0.1:100:0.1", "--x")
         assert len(xs) == 1000 and xs[-1] == 100.0
@@ -415,10 +453,61 @@ class TestPointChecks:
             "divide by zero encountered in log")
 
 
+B4_B2 = ["--chi", "bspline:4", "--phi", "bspline:2"]
+EVAL_AT_2 = ["eval", *B4_B2, "--fn", "name:sinlog", "--x", "2", "--w", "10"]
+VORONOVSKAYA_AT_2 = ["voronovskaya", *B4_B2, "--x", "2", "--w", "50,100,200"]
+REFUSED = {
+    "nodes-per-unit": ([*EVAL_AT_2, "--nodes-per-unit", "1"],
+                       "nodes_per_unit must be >= 2"),
+    "panel-max-width": ([*EVAL_AT_2, "--panel-max-width", "0"],
+                        "panel_max_width must be positive"),
+    "rule-budget": ([*EVAL_AT_2, "--panel-max-width", "1e-9"],
+                    "at w=10.0: nodes_per_unit=20 and panel_max_width=1e-09 "
+                    "ask for a quadrature rule beyond 1048576 nodes"),
+    "combine-0": ([*EVAL_AT_2, "--combine", "p=0"],
+                  "p must be in 1..12, got 0"),
+    "combine-13": ([*EVAL_AT_2, "--combine", "p=13"],
+                   "p must be in 1..12, got 13"),
+    "coeffs": (["coeffs", "--p", "13"], "p must be in 1..12, got 13"),
+    "no-derivative": ([*VORONOVSKAYA_AT_2, "--fn", "name:fig2", "--j", "2"],
+                      "'fig2' has no closed-form derivative of order 2"),
+    "j-0": ([*VORONOVSKAYA_AT_2, "--fn", "name:sinlog", "--j", "0"],
+            "j must be >= 1, got 0"),
+    "poisson-order": (["moments", "--kernel", "bspline:4", "--route",
+                       "poisson", "--order", "5"],
+                      "poisson route supports orders j <= 4"),
+    "moment-order": (["moments", "--kernel", "bspline:4", "--order", "-1"],
+                     "moment order must be >= 0, got -1"),
+    "u": (["moments", "--kernel", "bspline:4", "--order", "2", "--u", "0"],
+          "u must be positive and finite, got 0.0"),
+    "tol": (["verify", *B4_B2, "--tol", "0"], "tol must be positive, got 0.0"),
+}
+
+
+class TestExitCodeContract:
+    """A request the library cannot serve exits 2 with an error line that
+    names its cause and the usage hint; exit 1 is left to numerical
+    failures inside a valid request."""
+
+    @pytest.mark.parametrize("argv, cause", REFUSED.values(),
+                             ids=REFUSED.keys())
+    def test_refused_request_exits_2_naming_its_cause(self, capsys, argv,
+                                                      cause):
+        # the command raises the library's InputError, never a bare
+        # ValueError, which main would report as a numerical failure
+        with pytest.raises(InputError) as raised:
+            _COMMANDS[argv[0]](_parse(argv))
+        assert str(raised.value).startswith(cause)
+        capsys.readouterr()
+        assert main(argv) == 2
+        *_, error, hint = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"expsample {argv[0]}: error: {cause}")
+        assert hint == f"run 'expsample {argv[0]} --help' for usage"
+
+
 class TestScaleChecks:
     @pytest.mark.parametrize("w, message", [
-        ("0", "w must be positive, got 0.0"),
-        ("-1", "w must be positive, got -1.0"),
+        ("0", "w must be positive"), ("-1", "w must be positive"),
         ("nan", "w must be positive"), ("inf", "w must be finite")])
     def test_scale_must_be_positive_and_finite(self, capsys, w, message):
         # an error of the command line: exit 2 with the usage hint
@@ -535,14 +624,15 @@ class TestFlagHandling:
         # panel_counts refuses it, before any rule is built, and the engine
         # names the scale (tests/test_quadrature.py::TestRuleBudget checks
         # the other requests past the budget without the engine)
-        assert main([*argv, "--panel-max-width", "1e-320"]) == 1
+        assert main([*argv, "--panel-max-width", "1e-320"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            f"expsample {argv[0]}: numerical failure: at w=10.0: "
+            f"expsample {argv[0]}: error: at w=10.0: "
             "nodes_per_unit=20 and panel_max_width=1e-320 ask for a "
             "quadrature rule beyond 1048576 nodes or 1024 points per panel "
-            f"on cells up to {width} wide\n")
+            f"on cells up to {width} wide\n"
+            f"run 'expsample {argv[0]} --help' for usage\n")
 
 
 MOMENTS = ["moments", "--kernel", "translates:2:a=e^2,b=e^3", "--order", "2"]
@@ -1008,8 +1098,9 @@ class TestOrdersPastDoubleRange:
 
     def test_poisson_route_keeps_its_order_cap(self, capsys):
         assert main(["moments", "--kernel", WIDE, "--order", "80",
-                     "--route", "poisson"]) == 1
-        assert "supports orders j <= 4" in capsys.readouterr().err
+                     "--route", "poisson"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "expsample moments: error: poisson route supports orders j <= 4\n")
 
     @pytest.mark.parametrize("r, phi", [(80, WIDE), (1100, "bspline:2")])
     def test_verify_reports_the_failure(self, capsys, r, phi):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from expsample import (
+    Column,
     EvaluationError,
     OperatorSpec,
     QuadratureConfig,
@@ -25,7 +26,8 @@ from expsample import (
     write_batch_csv,
 )
 from expsample import operators
-from expsample.operators import BATCH_CSV_COLUMNS
+from expsample.analysis import TABLE_HEADER
+from expsample.cli import EVAL_HEADER
 from conftest import dense_config_oracle, pointwise, simpson_operator_oracle
 from oracles import kantorovich_eval, mellin_convolution, series_oracle
 from test_analysis import _counting
@@ -321,7 +323,7 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             combined_eval(solve_coefficients(3), spec, f, x, w)
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
-            batch_eval(spec, f, [(x, w)])
+            batch_eval(spec, f, [x], [Column(w)])
 
 
 SAMPLING_KERNELS = [f"bspline:{n}" for n in range(1, 7)] + [
@@ -365,24 +367,24 @@ class TestBatch:
     def test_rows_and_csv(self, b4, b2, tmp_path):
         spec = OperatorSpec(b4, b2, 10.0)
         f = builtin("sinlog")
-        points = [(2.0, 10.0), (2.0, 20.0), (3.0, 10.0)]
-        rows = batch_eval(spec, f, points)
-        assert [r[:2] for r in rows] == points
-        for x, w, fx, val, err in rows:
+        rows = batch_eval(spec, f, [2.0, 3.0], [Column(10.0), Column(20.0)])
+        assert [(x, c.w) for x, c, *_ in rows] == [
+            (2.0, 10.0), (2.0, 20.0), (3.0, 10.0), (3.0, 20.0)]
+        for x, c, fx, val, err in rows:
             assert err == abs(fx - val)
         path = tmp_path / "batch.csv"
-        write_batch_csv(rows, str(path))
+        write_batch_csv(rows, str(path), EVAL_HEADER)
         text = path.read_text().splitlines()
         assert text[0] == "x,w,fx,Iwfx,abs_err"
-        assert len(text) == 1 + len(points)
+        assert len(text) == 1 + len(rows)
 
     def test_rows_match_scalar_eval(self, b4, b2):
-        # one array evaluation per w gives each point's scalar value
+        # one engine call over the grid gives each point's scalar value
         spec = OperatorSpec(b4, b2, 10.0)
         f = builtin("sinlog")
-        points = [(x, w) for x in (1.5, 2.5, 3.5) for w in (5.0, 10.0)]
-        for x, w, fx, val, err in batch_eval(spec, f, points):
-            scalar = durrmeyer_eval(spec, f, x, w)
+        rows = batch_eval(spec, f, [1.5, 2.5, 3.5], [Column(5.0), Column(10.0)])
+        for x, c, fx, val, err in rows:
+            scalar = durrmeyer_eval(spec, f, x, c.w)
             assert abs(val - scalar) <= 1e-13 * abs(scalar)
             assert fx == f(x) and err == abs(fx - val)
 
@@ -390,9 +392,10 @@ class TestBatch:
         spec = OperatorSpec(b4, b2, 10.0)
         f = builtin("sinlog")
         comb = solve_coefficients(3)
-        points = [(x, w) for x in (1.5, 3.5) for w in (5.0, 10.0)]
-        for x, w, fx, val, err in batch_eval(spec, f, points, combination=comb):
-            scalar = combined_eval(comb, spec, f, x, w)
+        rows = batch_eval(spec, f, [1.5, 3.5],
+                          [Column(5.0, 3), Column(10.0, 3)])
+        for x, c, fx, val, err in rows:
+            scalar = combined_eval(comb, spec, f, x, c.w)
             assert abs(val - scalar) <= 1e-13 * abs(scalar)
             assert err == abs(fx - val)
 
@@ -403,8 +406,7 @@ class TestBatch:
     def test_fx_is_the_scalar_value(self, b4, b2, fn, rng):
         f = function_from_spec(fn)
         xs = rng.uniform(0.2, 9.0, 200).tolist()
-        rows = batch_eval(OperatorSpec(b4, b2, 10.0), f,
-                          [(x, 10.0) for x in xs])
+        rows = batch_eval(OperatorSpec(b4, b2, 10.0), f, xs, [Column(10.0)])
         assert [repr(row[2]) for row in rows] == [repr(f(x)) for x in xs]
 
     @pytest.mark.parametrize("bad, text", [
@@ -413,28 +415,33 @@ class TestBatch:
     def test_bad_x_is_rejected_before_fx(self, b4, b2, bad, text):
         with pytest.raises(ValueError, match=f"^{text}$"):
             batch_eval(OperatorSpec(b4, b2, 10.0), builtin("fig1"),
-                       [(2.0, 10.0), (bad, 10.0)])
+                       [2.0, bad], [Column(10.0)])
 
     def test_csv_bytes_match_csv_writer(self, b4, b2, tmp_path):
-        # one formatted string gives the bytes csv.writer gives
+        # one formatted string gives the bytes csv.writer gives, for
+        # eval's w cells and for table's labels, quoted where combined
         spec = OperatorSpec(b4, b2, 10.0)
-        rows = batch_eval(spec, builtin("fig1"), [(x, w) for x in
-                                                  (0.5, 2.0, 3.3, 1e-3)
-                                                  for w in (10.0, 2.5)])
-        path = tmp_path / "batch.csv"
-        write_batch_csv(rows, str(path))
-        ref = io.StringIO(newline="")
-        csv.writer(ref).writerows([BATCH_CSV_COLUMNS,
-                                   *([repr(v) for v in row] for row in rows)])
-        assert path.read_bytes() == ref.getvalue().encode()
+        rows = batch_eval(spec, builtin("fig1"), [0.5, 2.0, 3.3, 1e-3],
+                          [Column(10.0), Column(2.5), Column(10.0, 2),
+                           Column(2.5, 3)])
+        for header, cell in ((EVAL_HEADER, lambda c: repr(c.w)),
+                             (TABLE_HEADER, lambda c: c.label)):
+            path = tmp_path / f"{header[1]}.csv"
+            write_batch_csv(rows, str(path), header)
+            ref = io.StringIO(newline="")
+            csv.writer(ref).writerows([header, *(
+                [repr(x), cell(c), repr(fx), repr(value), repr(err)]
+                for x, c, fx, value, err in rows)])
+            assert path.read_bytes() == ref.getvalue().encode()
+        assert b'"p=3,w=2.5"' in path.read_bytes()
 
     def test_csv_deterministic(self, b4, b2, tmp_path):
         spec = OperatorSpec(b4, b2, 10.0)
         f = builtin("fig2")
-        points = [(2.0, 10.0), (2.5, 10.0)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_batch_csv(batch_eval(spec, f, points), str(p1))
-        write_batch_csv(batch_eval(spec, f, points), str(p2))
+        for path in (p1, p2):
+            write_batch_csv(batch_eval(spec, f, [2.0, 2.5], [Column(10.0)]),
+                            str(path), EVAL_HEADER)
         assert p1.read_bytes() == p2.read_bytes()
         # written through a temporary file that is renamed over the target
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
